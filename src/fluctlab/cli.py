@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .analysis import (
     ANALYSIS_CHANNELS,
     DEFAULT_BINS,
     DEFAULT_EPSILON,
+    FluctuationReport,
     analyze_run,
     calibrate_epsilon,
 )
@@ -31,7 +33,7 @@ from .figures import (
     stack_svgs,
 )
 from .net import ArchitectureSpec
-from .runfile import RunManifest, RunWriter, canonical_json_bytes, read_run
+from .runfile import RunAccessor, RunManifest, RunWriter, canonical_json_bytes
 from .shapes import ShapeKind, export_csv, generate
 from .train import DEFAULT_LEARNING_RATES, RunConfig, TrainingDivergedError, train
 
@@ -55,8 +57,13 @@ def _format_lr(lr: float) -> str:
     return f"{lr:g}"
 
 
-def _run_stem(shape: str, lr: float, epochs: int) -> str:
-    return f"{shape}_{_format_lr(lr)}_{epochs}"
+def _run_stem(config: RunConfig) -> str:
+    """Artifact name prefix of a run; seeds are not part of it."""
+    return f"{config.shape.value}_{_format_lr(config.learning_rate)}_{config.epochs}"
+
+
+def _duplicates(names: list[str]) -> list[str]:
+    return sorted({n for n in names if names.count(n) > 1})
 
 
 @dataclass
@@ -80,6 +87,12 @@ class ExperimentPlan:
             raise ValueError("parallelism must be >= 1")
         for name in self.shapes:
             ShapeKind.from_name(name)
+        # two cells with one artifact stem would write the same files
+        repeated = _duplicates(
+            [f"{s}_{_format_lr(lr)}" for s in self.shapes for lr in self.learning_rates]
+        )
+        if repeated:
+            raise ValueError(f"plan repeats cells: {', '.join(repeated)}")
 
     def to_json_dict(self) -> dict:
         # parallelism is a scheduling knob, not an experiment parameter, so it
@@ -115,106 +128,118 @@ def _write_bytes(path: Path, blob: bytes) -> None:
     path.write_bytes(blob)
 
 
-def _emit_run_artifacts(run_path: Path, out_dir: Path, epsilon: float, bins: int) -> dict:
-    """Analysis JSON/CSV, scatter, per-channel histograms, and tables for one run."""
-    manifest, acc = read_run(run_path)
-    with acc:
-        cfg = manifest.config
-        stem = _run_stem(cfg.shape.value, cfg.learning_rate, cfg.epochs)
-        report = analyze_run(acc, epsilon=epsilon, bins=bins)
-        final_loss = float(acc.losses()[-1])
+def _write_report(report: FluctuationReport, json_path: Path, csv_path: Path) -> None:
+    _write_bytes(json_path, canonical_json_bytes(report.to_json_dict()) + b"\n")
+    _write_bytes(csv_path, report.neuron_csv().encode("utf-8"))
 
-        report_json = out_dir / f"{stem}.report.json"
-        _write_bytes(report_json, canonical_json_bytes(report.to_json_dict()) + b"\n")
-        neurons_csv = out_dir / f"{stem}.neurons.csv"
-        _write_bytes(neurons_csv, report.neuron_csv().encode("utf-8"))
 
-        dataset = generate(cfg.shape, 500, cfg.data_seed)
-        result = reconstruct(acc, dataset)
-        lr_txt = _format_lr(cfg.learning_rate)
-        figures = []
-        scatter_path = out_dir / f"{stem}_scatter.svg"
+def _inactive_counts(report: FluctuationReport) -> dict[str, int]:
+    return {ch: len(report.channels[ch].inactive) for ch in ANALYSIS_CHANNELS}
+
+
+def summarize_run(acc: RunAccessor, out_dir: Path, epsilon: float, bins: int) -> dict:
+    """Analysis JSON/CSV, scatter, per-channel histograms, and tables for one
+    open run; returns its index entry."""
+    cfg = acc.manifest.config
+    stem = _run_stem(cfg)
+    report = analyze_run(acc, epsilon=epsilon, bins=bins)
+    final_loss = float(acc.losses()[-1])
+
+    report_json = out_dir / f"{stem}.report.json"
+    neurons_csv = out_dir / f"{stem}.neurons.csv"
+    _write_report(report, report_json, neurons_csv)
+
+    dataset = generate(cfg.shape, 500, cfg.data_seed)
+    result = reconstruct(acc, dataset)
+    lr_txt = _format_lr(cfg.learning_rate)
+    scatter_path = out_dir / f"{stem}_scatter.svg"
+    _write_bytes(
+        scatter_path,
+        scatter_svg(
+            result,
+            FigureSpec(title=f"{cfg.shape.value}: reconstruction at lr {lr_txt}"),
+        ),
+    )
+    hists = {}
+    for channel in ANALYSIS_CHANNELS:
+        hist_path = out_dir / f"{stem}_hist_{channel}.svg"
         _write_bytes(
-            scatter_path,
-            scatter_svg(
-                result,
-                FigureSpec(title=f"{cfg.shape.value}: reconstruction at lr {lr_txt}"),
+            hist_path,
+            hist_svg(
+                report,
+                channel,
+                FigureSpec(
+                    title=f"{cfg.shape.value}: {channel} spread at lr {lr_txt}",
+                    x_label="per-neuron spread",
+                    y_label="neurons",
+                ),
             ),
         )
-        figures.append(scatter_path.name)
-        hists = {}
-        for channel in ANALYSIS_CHANNELS:
-            hist_path = out_dir / f"{stem}_hist_{channel}.svg"
-            _write_bytes(
-                hist_path,
-                hist_svg(
-                    report,
-                    channel,
-                    FigureSpec(
-                        title=f"{cfg.shape.value}: {channel} spread at lr {lr_txt}",
-                        x_label="per-neuron spread",
-                        y_label="neurons",
-                    ),
-                ),
-            )
-            figures.append(hist_path.name)
-            hists[channel] = hist_path.name
-        md_blob, csv_blob = fluctuation_table(report)
-        table_md = out_dir / f"{stem}_table.md"
-        table_csv = out_dir / f"{stem}_table.csv"
-        _write_bytes(table_md, md_blob)
-        _write_bytes(table_csv, csv_blob)
+        hists[channel] = hist_path.name
+    md_blob, csv_blob = fluctuation_table(report)
+    table_md = out_dir / f"{stem}_table.md"
+    table_csv = out_dir / f"{stem}_table.csv"
+    _write_bytes(table_md, md_blob)
+    _write_bytes(table_csv, csv_blob)
 
-        weight_spreads = [s.spread for s in report.channels["weights"].spreads]
-        default_count = len(report.channels["weights"].inactive)
-        calibrated = calibrate_epsilon(
-            weight_spreads, INACTIVE_TARGET_RANGE, INACTIVE_EPSILON_RANGE
-        )
-        flags = []
-        if default_count < INACTIVE_TARGET_RANGE[0] and calibrated is None:
-            flags.append("weights-inactive-count-unreproduced")
+    weight_spreads = [s.spread for s in report.channels["weights"].spreads]
+    default_count = len(report.channels["weights"].inactive)
+    calibrated = calibrate_epsilon(
+        weight_spreads, INACTIVE_TARGET_RANGE, INACTIVE_EPSILON_RANGE
+    )
+    flags = []
+    if default_count < INACTIVE_TARGET_RANGE[0] and calibrated is None:
+        flags.append("weights-inactive-count-unreproduced")
 
-        return {
-            "final_loss": final_loss,
-            "inactive_counts": {
-                ch: len(report.channels[ch].inactive) for ch in ANALYSIS_CHANNELS
-            },
-            "weights_inactive_default": default_count,
-            "weights_epsilon_calibrated": calibrated,
-            "flags": flags,
-            "report_json": report_json.name,
-            "neurons_csv": neurons_csv.name,
-            "table_md": table_md.name,
-            "table_csv": table_csv.name,
-            "figures": figures,
-            "hist_figures": hists,
-        }
-
-
-def _execute_run(task: dict) -> dict:
-    """Worker for one (shape, learning rate) cell; returns an index entry."""
-    entry = {
-        "shape": task["shape"],
-        "learning_rate": task["learning_rate"],
-        "status": "ok",
+    return {
+        "shape": cfg.shape.value,
+        "final_loss": final_loss,
+        "inactive_counts": _inactive_counts(report),
+        "weights_inactive_default": default_count,
+        "weights_epsilon_calibrated": calibrated,
+        "flags": flags,
+        "report_json": report_json.name,
+        "neurons_csv": neurons_csv.name,
+        "table_md": table_md.name,
+        "table_csv": table_csv.name,
+        "figures": [scatter_path.name, *hists.values()],
+        "hist_figures": hists,
     }
-    out_dir = Path(task["out_dir"])
+
+
+def write_comparisons(out_dir: Path, shape: str, entries: list[dict]) -> list[str]:
+    """Per channel, stack the histograms of two or more runs of one shape into
+    one SVG; returns the file names written."""
+    if len(entries) < 2:
+        return []
+    names = []
+    for channel in ANALYSIS_CHANNELS:
+        children = [(out_dir / e["hist_figures"][channel]).read_bytes() for e in entries]
+        blob = stack_svgs(children, title=f"{shape}: {channel} spread across learning rates")
+        name = f"{shape}_hist_{channel}_all.svg"
+        _write_bytes(out_dir / name, blob)
+        names.append(name)
+    return names
+
+
+def _execute_run(plan: ExperimentPlan, shape: str, lr: float) -> dict:
+    """Worker for one (shape, learning rate) cell; returns an index entry."""
+    entry = {"shape": shape, "learning_rate": lr, "status": "ok"}
+    out_dir = Path(plan.out_dir)
     try:
         config = RunConfig(
-            shape=ShapeKind(task["shape"]),
-            learning_rate=task["learning_rate"],
-            epochs=task["epochs"],
-            data_seed=task["data_seed"],
-            init_seed=task["init_seed"],
-            capture_every=task["capture_every"],
+            shape=ShapeKind(shape),
+            learning_rate=lr,
+            epochs=plan.epochs,
+            data_seed=plan.data_seed,
+            init_seed=plan.init_seed,
+            capture_every=plan.capture_every,
         )
-        stem = _run_stem(config.shape.value, config.learning_rate, config.epochs)
-        run_path = out_dir / f"{stem}.nfl"
-        train_run_to_file(config, run_path, created_utc=task["created_utc"])
+        run_path = out_dir / f"{_run_stem(config)}.nfl"
+        train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name
-        entry.update(
-            _emit_run_artifacts(run_path, out_dir, task["epsilon"], task["bins"])
-        )
+        with RunAccessor(run_path) as acc:
+            entry.update(summarize_run(acc, out_dir, plan.epsilon, plan.bins))
     except Exception as exc:  # noqa: BLE001 - a failed cell must not sink the plan
         entry["status"] = "failed"
         entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -226,41 +251,18 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     (index dict, exit code)."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        {
-            "shape": shape,
-            "learning_rate": lr,
-            "epochs": plan.epochs,
-            "data_seed": plan.data_seed,
-            "init_seed": plan.init_seed,
-            "capture_every": plan.capture_every,
-            "epsilon": plan.epsilon,
-            "bins": plan.bins,
-            "out_dir": str(out_dir),
-            "created_utc": plan.created_utc,
-        }
-        for shape in plan.shapes
-        for lr in plan.learning_rates
-    ]
+    cells = [(shape, lr) for shape in plan.shapes for lr in plan.learning_rates]
     if plan.parallelism > 1:
         with ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            entries = list(pool.map(_execute_run, tasks))
+            futures = [pool.submit(_execute_run, plan, shape, lr) for shape, lr in cells]
+            entries = [f.result() for f in futures]
     else:
-        entries = [_execute_run(t) for t in tasks]
+        entries = [_execute_run(plan, shape, lr) for shape, lr in cells]
 
     comparison_figures = []
     for shape in plan.shapes:
         ok = [e for e in entries if e["shape"] == shape and e["status"] == "ok"]
-        if len(ok) < 2:
-            continue
-        for channel in ANALYSIS_CHANNELS:
-            children = [(out_dir / e["hist_figures"][channel]).read_bytes() for e in ok]
-            blob = stack_svgs(
-                children, title=f"{shape}: {channel} spread across learning rates"
-            )
-            name = f"{shape}_hist_{channel}_all.svg"
-            _write_bytes(out_dir / name, blob)
-            comparison_figures.append(name)
+        comparison_figures += write_comparisons(out_dir, shape, ok)
 
     index = {
         "schema_version": INDEX_SCHEMA_VERSION,
@@ -293,8 +295,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         init_seed=args.init_seed,
         capture_every=args.capture_every,
     )
-    stem = _run_stem(config.shape.value, config.learning_rate, config.epochs)
-    out = Path(args.out) if args.out else Path(args.outdir) / f"{stem}.nfl"
+    out = Path(args.out) if args.out else Path(args.outdir) / f"{_run_stem(config)}.nfl"
     try:
         final_loss = train_run_to_file(config, out, created_utc=_default_timestamp())
     except TrainingDivergedError as exc:
@@ -309,8 +310,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_run(run_path, epsilon=args.epsilon, bins=args.bins, mode=args.mode)
     json_path = Path(args.json) if args.json else run_path.with_suffix(".report.json")
     csv_path = Path(args.csv) if args.csv else run_path.with_suffix(".neurons.csv")
-    _write_bytes(json_path, canonical_json_bytes(report.to_json_dict()) + b"\n")
-    _write_bytes(csv_path, report.neuron_csv().encode("utf-8"))
+    _write_report(report, json_path, csv_path)
     print(json_path)
     print(csv_path)
     for ch in ANALYSIS_CHANNELS:
@@ -325,32 +325,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.outdir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     run_paths = [Path(p) for p in args.runs.split(",") if p]
     if not run_paths:
         print("error: --runs needs at least one run file", file=sys.stderr)
         return 2
-    entries = []
-    for run_path in run_paths:
-        entry = _emit_run_artifacts(run_path, out_dir, args.epsilon, args.bins)
-        manifest, acc = read_run(run_path)
-        acc.close()
-        entries.append((manifest.config, entry))
-        for name in entry["figures"] + [entry["table_md"], entry["table_csv"]]:
-            print(out_dir / name)
-    shapes = {cfg.shape.value for cfg, _ in entries}
-    if len(entries) > 1 and len(shapes) == 1:
-        shape = shapes.pop()
-        for channel in ANALYSIS_CHANNELS:
-            children = [
-                (out_dir / entry["hist_figures"][channel]).read_bytes()
-                for _, entry in entries
-            ]
-            name = f"{shape}_hist_{channel}_all.svg"
-            _write_bytes(
-                out_dir / name,
-                stack_svgs(children, title=f"{shape}: {channel} spread across learning rates"),
-            )
+    with ExitStack() as stack:
+        runs = [stack.enter_context(RunAccessor(p)) for p in run_paths]
+        shared = _duplicates([_run_stem(acc.manifest.config) for acc in runs])
+        if shared:
+            raise ValueError(f"runs share artifact names: {', '.join(shared)}")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        entries = []
+        for acc in runs:
+            entry = summarize_run(acc, out_dir, args.epsilon, args.bins)
+            entries.append(entry)
+            for name in entry["figures"] + [entry["table_md"], entry["table_csv"]]:
+                print(out_dir / name)
+    shapes = {e["shape"] for e in entries}
+    if len(shapes) == 1:
+        for name in write_comparisons(out_dir, shapes.pop(), entries):
             print(out_dir / name)
     return 0
 
@@ -362,20 +355,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     shapes = set()
     for path in args.runs:
-        manifest, acc = read_run(path)
-        with acc:
-            shapes.add(manifest.config.shape.value)
+        with RunAccessor(path) as acc:
+            cfg = acc.manifest.config
+            shapes.add(cfg.shape.value)
             if len(shapes) > 1:
                 print(f"error: runs mix shapes {sorted(shapes)}", file=sys.stderr)
                 return 2
             report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins)
             rows.append(
                 {
-                    "lr": manifest.config.learning_rate,
+                    "lr": cfg.learning_rate,
                     "final_mse": float(acc.losses()[-1]),
-                    "inactive": {
-                        ch: len(report.channels[ch].inactive) for ch in ANALYSIS_CHANNELS
-                    },
+                    "inactive": _inactive_counts(report),
                     "sos": {
                         ch: {
                             h: report.channels[ch].halves[h].spread_of_spread

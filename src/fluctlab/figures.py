@@ -32,7 +32,6 @@ class FigureSpec:
     y_label: str = "y"
     width: int = 800
     height: int = 600
-    path: str | None = None
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:

@@ -97,12 +97,6 @@ class NetworkState:
     layers: list[LayerState]
     spec: ArchitectureSpec
 
-    def clone(self) -> "NetworkState":
-        return NetworkState(
-            layers=[LayerState(l.weights.copy(), l.biases.copy()) for l in self.layers],
-            spec=self.spec,
-        )
-
 
 @dataclass
 class ForwardTrace:

@@ -214,8 +214,8 @@ class RunAccessor:
     """Random-access reader over a finished (or partial) run file.
 
     Supports sequential iteration, index access via frame-length skipping,
-    whole-channel time series, and single-neuron time series without loading
-    the rest of the file.
+    and whole-channel or single-neuron time series without loading the rest
+    of the file.
     """
 
     def __init__(self, source: str | Path | IO[bytes]):
@@ -338,17 +338,10 @@ class RunAccessor:
     def neuron_series(self, layer: int, channel: str, index: int) -> np.ndarray:
         """One neuron's values over time: (T, in_dim) for weight channels
         (the neuron's incoming row), (T,) for vector channels."""
-        offset, shape = self._channel_info(layer, channel)
-        out_dim = shape[0]
-        if not 0 <= index < out_dim:
-            raise ValueError(f"neuron index {index} out of range [0, {out_dim})")
-        row = shape[1] if len(shape) == 2 else 1
-        start = offset + 4 * index * row
-        out = np.empty((len(self._offsets), row), dtype=np.float64)
-        for i, pos in enumerate(self._offsets):
-            self._stream.seek(pos + 4 + start)
-            out[i] = np.frombuffer(self._stream.read(4 * row), dtype="<f4")
-        return out if len(shape) == 2 else out[:, 0]
+        _, shape = self._channel_info(layer, channel)
+        if not 0 <= index < shape[0]:
+            raise ValueError(f"neuron index {index} out of range [0, {shape[0]})")
+        return self.channel_series(layer, channel)[:, index]
 
     def close(self) -> None:
         if self._owns_stream:

@@ -132,6 +132,36 @@ class TestReport:
         for ch in ("weights", "biases", "activations", "weight_grads", "bias_grads"):
             assert (outdir / f"spiral_hist_{ch}_all.svg").exists()
 
+    def test_runs_differing_only_in_seed_usage_error(self, tmp_path, capsys):
+        runs = []
+        for init_seed in (1, 2):
+            cfg = RunConfig(
+                shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=2, init_seed=init_seed
+            )
+            runs.append(tmp_path / f"seed{init_seed}.nfl")
+            train_run_to_file(cfg, runs[-1])
+        outdir = tmp_path / "rep"
+        code = run_cli(["report", "--runs", ",".join(map(str, runs)), "--outdir", str(outdir)])
+        assert code == 2
+        assert "circle_0.01_2" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_same_run_twice_usage_error(self, two_runs, tmp_path):
+        outdir = tmp_path / "rep"
+        runs = f"{two_runs[0.01]},{two_runs[0.01]}"
+        assert run_cli(["report", "--runs", runs, "--outdir", str(outdir)]) == 2
+        assert not outdir.exists()
+
+    def test_report_rewrites_the_bytes_of_all(self, tmp_path):
+        exp, rep = tmp_path / "exp", tmp_path / "rep"
+        args = ["all", "--shapes", "spiral", "--lrs", "0.01,0.001", "--epochs", "4"]
+        assert run_cli(args + ["--outdir", str(exp)]) == 0
+        runs = ",".join(str(exp / f"spiral_{lr}_4.nfl") for lr in ("0.01", "0.001"))
+        assert run_cli(["report", "--runs", runs, "--outdir", str(rep)]) == 0
+        written = tree_hashes(rep)
+        assert len(written) == 2 * 10 + 5
+        assert written == {name: h for name, h in tree_hashes(exp).items() if name in written}
+
 
 class TestCompare:
     def test_table_and_flags(self, two_runs, capsys):
@@ -251,6 +281,17 @@ class TestAll:
         manifest, acc = read_run(outdir / "circle_0.01_3.nfl")
         acc.close()
         assert manifest.config.epochs == 3
+
+    @pytest.mark.parametrize(
+        "cells", [["--shapes", "circle,circle"], ["--lrs", "0.01,0.010"]]
+    )
+    def test_repeated_cell_usage_error(self, tmp_path, cells, capsys):
+        argv = ["all", "--shapes", "circle", "--lrs", "0.01", "--epochs", "2"]
+        outdir = tmp_path / "dup"
+        code = run_cli(argv + cells + ["--outdir", str(outdir)])
+        assert code == 2
+        assert "circle_0.01" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as err:

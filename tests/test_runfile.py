@@ -140,6 +140,9 @@ class TestAccess:
                 series = acc.neuron_series(layer, channel, idx)
                 naive = np.array([getattr(s, channel)[layer][idx] for s in full])
                 assert np.array_equal(series, naive)
+            for idx in (-1, 4):  # layer 0 has 4 neurons
+                with pytest.raises(ValueError, match="neuron index"):
+                    acc.neuron_series(0, "weights", idx)
 
     def test_channel_series_shape(self, tmp_path):
         path = tmp_path / "cs.nfl"
