@@ -48,7 +48,6 @@ from .train import (
     OptimizerState,
     RunConfig,
     adam_step,
-    probe_activations,
     train,
 )
 

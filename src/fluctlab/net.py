@@ -147,27 +147,42 @@ def _as_batch(inputs, in_dim: int) -> np.ndarray:
     return arr
 
 
-def forward(net: NetworkState, inputs) -> ForwardTrace:
+def _empty_trace(spec: ArchitectureSpec, x: np.ndarray) -> ForwardTrace:
+    pre, post = [], []
+    for out_dim, relu in zip(spec.out_dims, spec.relu_flags):
+        z = np.empty((len(x), out_dim), dtype=np.float64)
+        pre.append(z)
+        post.append(np.empty_like(z) if relu else z)
+    return ForwardTrace(inputs=x, pre=pre, post=post, latent_index=spec.encoder_layer_count - 1)
+
+
+def forward(net: NetworkState, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the full encoder/decoder chain; the trace keeps every intermediate.
 
     `inputs` is (n, 2) (a single (2,) point is promoted to a 1-row batch).
     Raises NumericOverflowError naming the first layer that produces a
-    non-finite value.
+    non-finite value.  When `out` is a trace of the same batch size from a
+    network of the same geometry, its arrays are overwritten and `out` is
+    returned; otherwise a new trace is allocated.
     """
     x = _as_batch(inputs, net.spec.layer_shapes[0][0])
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
+    # widths and latent layer fix where ReLU follows, so where post aliases pre
+    shapes = [(len(x), d) for d in net.spec.out_dims]
+    latent = net.spec.encoder_layer_count - 1
+    if out is None or out.latent_index != latent or [z.shape for z in out.pre] != shapes:
+        out = _empty_trace(net.spec, x)
+    out.inputs = x
     relu = net.spec.relu_flags
-    pre, post = [], []
     a = x
     for k, layer in enumerate(net.layers):
-        z = a @ layer.weights.T + layer.biases
+        z = np.matmul(a, layer.weights.T, out=out.pre[k])
+        z += layer.biases
         if not np.isfinite(z).all():
             raise NumericOverflowError(k)
-        a = np.maximum(z, 0.0) if relu[k] else z
-        pre.append(z)
-        post.append(a)
-    return ForwardTrace(inputs=x, pre=pre, post=post, latent_index=net.spec.encoder_layer_count - 1)
+        a = np.maximum(z, 0.0, out=out.post[k]) if relu[k] else z
+    return out
 
 
 def mse(targets, outputs) -> float:
@@ -179,11 +194,15 @@ def mse(targets, outputs) -> float:
     return float(np.mean((t - o) ** 2))
 
 
-def backward(net: NetworkState, targets, trace: ForwardTrace) -> GradientSet:
+def backward(
+    net: NetworkState, targets, trace: ForwardTrace, out: GradientSet | None = None
+) -> GradientSet:
     """Exact gradient of the batch-mean MSE for every weight and bias.
 
     The trace must come from `forward` on the same network and batch.
-    ReLU's subgradient at 0 is taken as 0.
+    ReLU's subgradient at 0 is taken as 0.  When `out` holds arrays of the
+    network's parameter shapes, they are overwritten and `out` is returned;
+    otherwise a new gradient set is allocated.
     """
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
@@ -196,18 +215,22 @@ def backward(net: NetworkState, targets, trace: ForwardTrace) -> GradientSet:
     for k, layer in enumerate(net.layers):
         if trace.pre[k].shape[1] != layer.weights.shape[0]:
             raise ValueError(f"trace layer {k} width does not match network")
+    shapes = [l.weights.shape for l in net.layers] + [l.biases.shape for l in net.layers]
+    if out is None or [g.shape for g in out.weight_grads + out.bias_grads] != shapes:
+        out = GradientSet(
+            weight_grads=[np.empty(l.weights.shape, dtype=np.float64) for l in net.layers],
+            bias_grads=[np.empty(l.biases.shape, dtype=np.float64) for l in net.layers],
+        )
 
     relu = net.spec.relu_flags
-    weight_grads = [np.empty(0)] * n_layers
-    bias_grads = [np.empty(0)] * n_layers
     # d(mean over all t.size components)/d(output)
     g = (trace.post[-1] - t) * (2.0 / t.size)
     for k in range(n_layers - 1, -1, -1):
         if relu[k]:
-            g = g * (trace.pre[k] > 0.0)
+            g *= trace.pre[k] > 0.0
         a_prev = trace.inputs if k == 0 else trace.post[k - 1]
-        weight_grads[k] = g.T @ a_prev
-        bias_grads[k] = g.sum(axis=0)
+        np.matmul(g.T, a_prev, out=out.weight_grads[k])
+        g.sum(axis=0, out=out.bias_grads[k])
         if k > 0:
             g = g @ net.layers[k].weights
-    return GradientSet(weight_grads=weight_grads, bias_grads=bias_grads)
+    return out

@@ -1,10 +1,12 @@
 """Full-batch Adam training with per-epoch capture.
 
-One epoch = one forward/backward over the whole 500-point dataset followed
-by one Adam step, so runs are deterministic and "per-epoch change" means
-exactly one optimizer step.  After the step the network is probed on the
-same dataset to record the post-step loss and per-neuron mean activations;
-captured epochs emit an EpochSnapshot to the provided sink.
+One epoch = one backward over the whole 500-point dataset followed by one
+Adam step, so runs are deterministic and "per-epoch change" means exactly
+one optimizer step.  After the step the network is probed with a forward on
+the same dataset to record the post-step loss and per-neuron mean
+activations; captured epochs emit an EpochSnapshot to the provided sink.
+That probe has the parameters and batch of the next epoch's step, so its
+trace feeds the next backward: a run makes epochs + 1 forwards.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .net import (
     init,
     mse,
 )
-from .shapes import ShapeDataset, ShapeKind, generate
+from .shapes import ShapeKind, generate
 
 TRAIN_SAMPLE_COUNT = 500
 DEFAULT_LEARNING_RATES = (0.01, 0.001, 0.0001)
@@ -169,15 +171,6 @@ def adam_step(
     return net, opt
 
 
-def probe_activations(net: NetworkState, dataset: ShapeDataset | np.ndarray) -> list[np.ndarray]:
-    """Per-layer, per-neuron mean post-activation over the full dataset."""
-    pts = dataset.points if isinstance(dataset, ShapeDataset) else np.asarray(dataset)
-    if pts.size == 0:
-        raise ValueError("dataset must be non-empty")
-    trace = forward(net, pts)
-    return [p.mean(axis=0) for p in trace.post]
-
-
 def train(
     config: RunConfig,
     capture_sink: Callable[[EpochSnapshot], None] | None = None,
@@ -187,22 +180,31 @@ def train(
     Snapshots are taken at every epoch e with e % capture_every == 0, plus
     epoch 1 always, so delta series start at the first step.  Returns the
     final network and the post-step loss of the last epoch.
+
+    One forward before the loop traces the initial network; each epoch's
+    post-step probe is the forward the next epoch's backward uses, so a run
+    makes epochs + 1 forwards.  The trace and the gradient set are
+    overwritten in place every epoch; snapshots hold copies.
     """
     dataset = generate(config.shape, TRAIN_SAMPLE_COUNT, config.data_seed)
     pts = dataset.points
     net = init(ArchitectureSpec(), config.init_seed)
     opt = init_optimizer(net)
 
+    try:
+        trace = forward(net, pts)
+    except (NumericOverflowError, FloatingPointError) as exc:
+        raise TrainingDivergedError(1, str(exc)) from exc
+    grads = None
     loss = float("nan")
     for epoch in range(1, config.epochs + 1):
         try:
-            trace = forward(net, pts)
-            grads = backward(net, pts, trace)
+            grads = backward(net, pts, trace, out=grads)
             adam_step(net, grads, opt, config.learning_rate, config.adam)
-            probe = forward(net, pts)
+            trace = forward(net, pts, out=trace)
         except (NumericOverflowError, FloatingPointError) as exc:
             raise TrainingDivergedError(epoch, str(exc)) from exc
-        loss = mse(pts, probe.output)
+        loss = mse(pts, trace.output)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, f"loss is {loss}")
         if capture_sink is not None and (epoch == 1 or epoch % config.capture_every == 0):
@@ -214,7 +216,7 @@ def train(
                     biases=[l.biases.copy() for l in net.layers],
                     weight_grads=[g.copy() for g in grads.weight_grads],
                     bias_grads=[g.copy() for g in grads.bias_grads],
-                    activation_means=[p.mean(axis=0) for p in probe.post],
+                    activation_means=[p.mean(axis=0) for p in trace.post],
                 )
             )
     return net, loss

@@ -236,3 +236,81 @@ class TestBackward:
             for k, layer in enumerate(net.layers):
                 assert grads.weight_grads[k].shape == layer.weights.shape
                 assert grads.bias_grads[k].shape == layer.biases.shape
+
+
+class TestOutBuffers:
+    def test_reused_trace_equals_fresh_and_keeps_arrays(self):
+        net = init(ArchitectureSpec(), 21)
+        rng = np.random.default_rng(21)
+        first, second = rng.uniform(-1, 1, size=(2, 50, 2))
+        trace = forward(net, first)
+        arrays = [*trace.pre, *trace.post]
+        got = forward(net, second, out=trace)
+        fresh = forward(net, second)
+        assert got is trace
+        assert all(a is b for a, b in zip(arrays, [*got.pre, *got.post]))
+        for a, b in zip(got.pre + got.post, fresh.pre + fresh.post):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got.inputs, second)
+
+    def test_reused_gradients_equal_fresh_and_keep_arrays(self):
+        net = init(ArchitectureSpec(), 22)
+        rng = np.random.default_rng(22)
+        first, second = rng.uniform(-1, 1, size=(2, 50, 2))
+        grads = backward(net, first, forward(net, first))
+        arrays = grads.weight_grads + grads.bias_grads
+        got = backward(net, second, forward(net, second), out=grads)
+        fresh = backward(net, second, forward(net, second))
+        assert got is grads
+        assert all(a is b for a, b in zip(arrays, got.weight_grads + got.bias_grads))
+        for a, b in zip(got.weight_grads + got.bias_grads, fresh.weight_grads + fresh.bias_grads):
+            assert np.array_equal(a, b)
+
+    def test_other_batch_size_gets_new_trace(self):
+        net = init(ArchitectureSpec(), 23)
+        rng = np.random.default_rng(23)
+        small = forward(net, rng.uniform(-1, 1, size=(5, 2)))
+        saved = [a.copy() for a in small.pre + small.post]
+        batch = rng.uniform(-1, 1, size=(8, 2))
+        got = forward(net, batch, out=small)
+        assert got is not small
+        assert got.output.shape == (8, 2)
+        assert np.array_equal(got.output, forward(net, batch).output)
+        for before, after in zip(saved, small.pre + small.post):
+            assert np.array_equal(before, after)
+
+    def test_other_geometry_gets_new_buffers(self):
+        net = init(GRADCHECK_ARCH, 24)
+        other = init(ArchitectureSpec(), 24)
+        batch = np.random.default_rng(24).uniform(-1, 1, size=(4, 2))
+        trace = forward(other, batch)
+        assert forward(net, batch, out=trace) is not trace
+        grads = backward(other, batch, trace)
+        own = forward(net, batch)
+        got = backward(net, batch, own, out=grads)
+        assert got is not grads
+        for a, b in zip(got.weight_grads, backward(net, batch, own).weight_grads):
+            assert np.array_equal(a, b)
+
+    def test_other_relu_layout_gets_new_trace(self):
+        # equal layer widths, but ReLU follows layer 1 in one and not the other
+        net = init(ArchitectureSpec(encoder_dims=(2, 3, 1), decoder_dims=(1, 3, 2)), 25)
+        other = init(ArchitectureSpec(encoder_dims=(2, 3, 1, 3), decoder_dims=(3, 2)), 25)
+        assert net.spec.out_dims == other.spec.out_dims
+        assert net.spec.relu_flags != other.spec.relu_flags
+        batch = np.random.default_rng(25).uniform(-1, 1, size=(6, 2))
+        trace = forward(other, batch)
+        got = forward(net, batch, out=trace)
+        assert got is not trace
+        fresh = forward(net, batch)
+        for a, b in zip(got.pre + got.post, fresh.pre + fresh.post):
+            assert np.array_equal(a, b)
+
+    def test_overflow_names_layer_with_reused_trace(self):
+        net = init(ArchitectureSpec(), 3)
+        batch = np.array([[0.5, 0.5]])
+        trace = forward(net, batch)
+        net.layers[2].weights[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError) as err:
+            forward(net, batch, out=trace)
+        assert err.value.layer == 2

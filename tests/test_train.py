@@ -1,9 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from fluctlab.net import ArchitectureSpec, forward, init, mse
+from fluctlab.net import ArchitectureSpec, LayerState, NetworkState, backward, forward, init, mse
 from fluctlab.shapes import ShapeKind, generate
 from fluctlab.train import (
     AdamParams,
@@ -11,9 +12,11 @@ from fluctlab.train import (
     TrainingDivergedError,
     adam_step,
     init_optimizer,
-    probe_activations,
     train,
 )
+
+# the module, not the `train` function that fluctlab's package namespace exports
+train_module = importlib.import_module("fluctlab.train")
 
 TINY = ArchitectureSpec(encoder_dims=(2, 4, 3, 1), decoder_dims=(1, 3, 4, 2))
 
@@ -126,21 +129,30 @@ class TestAdamStep:
             adam_step(net, unit_gradients(other), init_optimizer(net), 0.01, AdamParams())
 
 
+def mean_activations(net, pts):
+    return [p.mean(axis=0) for p in forward(net, pts).post]
+
+
+def snapshot_network(snap):
+    return NetworkState(
+        layers=[LayerState(w, b) for w, b in zip(snap.weights, snap.biases)],
+        spec=ArchitectureSpec(),
+    )
+
+
 class TestProbe:
     def test_zero_network_probes_zero(self):
-        from fluctlab.net import LayerState, NetworkState
-
         net = NetworkState(
             layers=[LayerState(np.zeros((o, i)), np.zeros(o)) for i, o in TINY.layer_shapes],
             spec=TINY,
         )
-        means = probe_activations(net, generate(ShapeKind.CIRCLE, 50, 1))
+        means = mean_activations(net, generate(ShapeKind.CIRCLE, 50, 1).points)
         assert all(np.all(m == 0.0) for m in means)
 
     def test_single_point_equals_trace(self):
         net = init(TINY, 7)
         pts = np.array([[0.25, -0.5]])
-        means = probe_activations(net, pts)
+        means = mean_activations(net, pts)
         trace = forward(net, pts)
         for m, p in zip(means, trace.post):
             assert np.array_equal(m, p[0])
@@ -149,8 +161,17 @@ class TestProbe:
         net = init(TINY, 8)
         pts = np.random.default_rng(8).uniform(-1, 1, size=(20, 2))
         doubled = np.repeat(pts, 2, axis=0)
-        for a, b in zip(probe_activations(net, pts), probe_activations(net, doubled)):
+        for a, b in zip(mean_activations(net, pts), mean_activations(net, doubled)):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_snapshot_means_match_fresh_forward(self):
+        got = []
+        cfg = RunConfig(shape=ShapeKind.HEXAGON, learning_rate=0.01, epochs=6, data_seed=4)
+        train(cfg, got.append)
+        pts = generate(ShapeKind.HEXAGON, 500, 4).points
+        for snap in got:
+            for a, b in zip(snap.activation_means, mean_activations(snapshot_network(snap), pts)):
+                assert np.array_equal(a, b)
 
 
 class TestTrain:
@@ -199,14 +220,9 @@ class TestTrain:
         got = []
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=5, data_seed=2)
         train(cfg, got.append)
-        from fluctlab.net import LayerState, NetworkState
-
         dataset = generate(ShapeKind.CIRCLE, 500, 2)
         snap = got[-1]
-        net = NetworkState(
-            layers=[LayerState(w, b) for w, b in zip(snap.weights, snap.biases)],
-            spec=ArchitectureSpec(),
-        )
+        net = snapshot_network(snap)
         replay = mse(dataset.points, forward(net, dataset.points).output)
         assert abs(replay - snap.loss) <= 1e-15
 
@@ -215,7 +231,63 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
                 train(cfg, None)
-        assert err.value.epoch >= 1
+        assert err.value.epoch == 1
+        assert "loss is inf" in str(err.value)
+
+    def test_divergence_before_first_step_names_epoch_one(self, monkeypatch):
+        def overflowing_init(spec, seed):
+            net = init(spec, seed)
+            net.layers[0].weights[:] = np.inf
+            return net
+
+        monkeypatch.setattr(train_module, "init", overflowing_init)
+        cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=5)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
+            train(cfg, None)
+        assert err.value.epoch == 1
+        assert "layer 0" in str(err.value)
+
+    def test_one_forward_per_epoch_plus_one(self, monkeypatch):
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "forward", counting_forward)
+        cfg = RunConfig(shape=ShapeKind.SQUARE, learning_rate=0.01, epochs=7, capture_every=3)
+        train(cfg, None)
+        assert len(calls) == cfg.epochs + 1
+
+    def test_carried_trace_matches_two_forward_reference(self):
+        # reference: the two-forward epoch, with fresh buffers on every call
+        cfg = RunConfig(
+            shape=ShapeKind.SPIRAL, learning_rate=0.01, epochs=30, data_seed=2, init_seed=102
+        )
+        got = []
+        train(cfg, got.append)
+        pts = generate(ShapeKind.SPIRAL, 500, cfg.data_seed).points
+        net = init(ArchitectureSpec(), cfg.init_seed)
+        opt = init_optimizer(net)
+        assert [s.epoch for s in got] == list(range(1, cfg.epochs + 1))
+        for snap in got:
+            grads = backward(net, pts, forward(net, pts))
+            adam_step(net, grads, opt, cfg.learning_rate, cfg.adam)
+            probe = forward(net, pts)
+            assert snap.loss == mse(pts, probe.output)
+            expected = (
+                [l.weights for l in net.layers],
+                [l.biases for l in net.layers],
+                grads.weight_grads,
+                grads.bias_grads,
+                [p.mean(axis=0) for p in probe.post],
+            )
+            actual = (
+                snap.weights, snap.biases, snap.weight_grads, snap.bias_grads, snap.activation_means
+            )
+            for want, have in zip(expected, actual):
+                assert len(want) == len(have) == len(net.layers)
+                assert all(np.array_equal(w, h) for w, h in zip(want, have))
 
     def test_sink_failure_propagates(self):
         def sink(_snapshot):
