@@ -9,12 +9,13 @@ Layout (all integers little-endian, no padding between fields):
                space-padded to a fixed 4096-byte region
     offset 4104  snapshot frames, back to back
 
-    frame      u32 payload length, then the payload:
-                 u32   epoch number
-                 f64   loss
-                 per layer, in order: weights, biases, weight_grads,
-                 bias_grads, activation_means - each as raw f32 values,
-                 matrices row-major
+    frame      one packed record of frame_dtype(architecture): u32 payload
+               length, u32 epoch, f64 loss, then per layer the raw f32
+               weights, biases, weight_grads, bias_grads and
+               activation_means, matrices row-major
+
+All frames of a run have that record's size, so frame i starts at
+DATA_START + i * itemsize and is read by index, by writer and reader alike.
 
 The manifest region is rewritten on finalize to set the actual snapshot
 count and the complete flag, so a crashed run is detectable.  Values are
@@ -25,8 +26,7 @@ from __future__ import annotations
 
 import io
 import json
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -39,6 +39,8 @@ MAGIC = b"NFL1"
 MANIFEST_REGION = 4096
 DATA_START = 8 + MANIFEST_REGION
 FORMAT_VERSION = 1
+# The two u32 fields that open every frame: the scan reads them alone.
+FRAME_HEAD = np.dtype([("length", "<u4"), ("epoch", "<u4")])
 
 STORAGE_CHANNELS = ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
 
@@ -90,28 +92,22 @@ def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _channel_layout(arch: ArchitectureSpec) -> list[dict[str, tuple[int, tuple[int, ...]]]]:
-    """Per layer: channel name -> (byte offset within the payload, array shape)."""
-    layout = []
-    offset = 12  # u32 epoch + f64 loss come first
-    for in_dim, out_dim in arch.layer_shapes:
-        per_layer = {}
-        for name, shape in (
-            ("weights", (out_dim, in_dim)),
-            ("biases", (out_dim,)),
-            ("weight_grads", (out_dim, in_dim)),
-            ("bias_grads", (out_dim,)),
-            ("activation_means", (out_dim,)),
-        ):
-            per_layer[name] = (offset, shape)
-            offset += 4 * int(np.prod(shape))
-        layout.append(per_layer)
-    return layout
+def _open(target: str | Path | IO[bytes], mode: str) -> tuple[IO[bytes], bool]:
+    """The stream for target, and whether it was opened here (and so must be closed here)."""
+    if isinstance(target, (str, Path)):
+        return open(target, mode), True
+    return target, False
 
 
-def frame_payload_bytes(arch: ArchitectureSpec) -> int:
-    total_floats = sum(2 * (o * i) + 3 * o for i, o in arch.layer_shapes)
-    return 12 + 4 * total_floats
+def frame_dtype(arch: ArchitectureSpec) -> np.dtype:
+    """One frame as a packed record: the head, the f64 loss, then per layer k the
+    f32 fields {channel}{k} in STORAGE_CHANNELS order.  Its itemsize is the frame size."""
+    fields = FRAME_HEAD.descr + [("loss", "<f8")]
+    for k, (in_dim, out_dim) in enumerate(arch.layer_shapes):
+        matrix, vector = (out_dim, in_dim), (out_dim,)
+        shapes = (matrix, vector, matrix, vector, vector)  # in STORAGE_CHANNELS order
+        fields += [(f"{name}{k}", "<f4", shape) for name, shape in zip(STORAGE_CHANNELS, shapes)]
+    return np.dtype(fields)
 
 
 class RunWriter:
@@ -120,35 +116,33 @@ class RunWriter:
     stays flagged incomplete."""
 
     def __init__(self, destination: str | Path | IO[bytes], manifest: RunManifest):
-        if isinstance(destination, (str, Path)):
-            self._stream: IO[bytes] = open(destination, "wb")
-            self._owns_stream = True
-        else:
-            self._stream = destination
-            self._owns_stream = False
         self._manifest = manifest
-        self._arch = manifest.architecture
-        self._layout = _channel_layout(self._arch)
-        self._payload_len = frame_payload_bytes(self._arch)
+        self._layers = len(manifest.architecture.layer_shapes)
+        # One record, refilled by every append.
+        self._record = np.zeros((), dtype=frame_dtype(manifest.architecture))
+        self._record["length"] = self._record.itemsize - 4
         self._count = 0
         self._last_epoch = 0
-        self._frame_bytes = 0
         self._finalized = False
-        self._write_manifest(snapshot_count=0, complete=False)
-        self._stream.seek(DATA_START)
+        self._stream, self._owns_stream = _open(destination, "wb")
+        try:
+            self._write_manifest(snapshot_count=0, complete=False)
+            self._stream.seek(DATA_START)
+        except BaseException:
+            if self._owns_stream:
+                self._stream.close()
+            raise
 
     def _write_manifest(self, snapshot_count: int, complete: bool) -> None:
-        d = self._manifest.to_json_dict()
-        d["snapshot_count"] = snapshot_count
-        d["complete"] = complete
-        blob = canonical_json_bytes(d)
+        manifest = replace(self._manifest, snapshot_count=snapshot_count, complete=complete)
+        blob = canonical_json_bytes(manifest.to_json_dict())
         if len(blob) > MANIFEST_REGION:
             raise RunFormatError(
                 f"manifest is {len(blob)} bytes; the reserved region holds {MANIFEST_REGION}"
             )
         self._stream.seek(0)
         self._stream.write(MAGIC)
-        self._stream.write(struct.pack("<I", len(blob)))
+        self._stream.write(len(blob).to_bytes(4, "little"))
         self._stream.write(blob.ljust(MANIFEST_REGION, b" "))
 
     def append(self, snapshot: EpochSnapshot) -> None:
@@ -158,21 +152,20 @@ class RunWriter:
             raise RunFormatError(
                 f"epochs must strictly increase: {snapshot.epoch} after {self._last_epoch}"
             )
-        parts = [struct.pack("<Id", snapshot.epoch, snapshot.loss)]
-        for k, per_layer in enumerate(self._layout):
+        for k in range(self._layers):
             for name in STORAGE_CHANNELS:
                 arr = np.asarray(getattr(snapshot, name)[k])
-                if arr.shape != per_layer[name][1]:
+                field = self._record[f"{name}{k}"]
+                if arr.shape != field.shape:
                     raise RunFormatError(
                         f"snapshot {name} shape {arr.shape} does not match "
-                        f"architecture {per_layer[name][1]} at layer {k}"
+                        f"architecture {field.shape} at layer {k}"
                     )
-                parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        payload = b"".join(parts)
-        assert len(payload) == self._payload_len
-        self._stream.write(struct.pack("<I", len(payload)))
-        self._stream.write(payload)
-        self._frame_bytes += 4 + len(payload)
+                # Assigning casts f64 to f32 with the same rounding as astype.
+                field[...] = arr
+        self._record["epoch"] = snapshot.epoch
+        self._record["loss"] = snapshot.loss
+        self._stream.write(self._record.tobytes())
         self._count += 1
         self._last_epoch = snapshot.epoch
 
@@ -184,7 +177,7 @@ class RunWriter:
             self._finalized = True
             if self._owns_stream:
                 self._stream.close()
-        return DATA_START + self._frame_bytes
+        return DATA_START + self._count * self._record.itemsize
 
     def __enter__(self) -> "RunWriter":
         return self
@@ -200,43 +193,37 @@ def write_run(
     destination: str | Path | IO[bytes],
     complete: bool = True,
 ) -> int:
-    writer = RunWriter(destination, manifest)
-    try:
+    with RunWriter(destination, manifest) as writer:
         for snap in snapshots:
             writer.append(snap)
-    except BaseException:
-        writer.finalize(complete=False)
-        raise
-    return writer.finalize(complete=complete)
+        return writer.finalize(complete=complete)
 
 
 class RunAccessor:
     """Random-access reader over a finished (or partial) run file.
 
-    Supports sequential iteration, index access via frame-length skipping,
-    and whole-channel or single-neuron time series without loading the rest
-    of the file.
+    Supports sequential iteration, access to any frame by index, and
+    whole-channel or single-neuron time series without loading the rest of
+    the file.
     """
 
     def __init__(self, source: str | Path | IO[bytes]):
-        if isinstance(source, (str, Path)):
-            self._stream: IO[bytes] = open(source, "rb")
-            self._owns_stream = True
-        else:
-            self._stream = source
-            self._owns_stream = False
-        self.manifest = self._read_manifest()
-        self._arch = self.manifest.architecture
-        self._layout = _channel_layout(self._arch)
-        self._payload_len = frame_payload_bytes(self._arch)
-        self._offsets, self.epochs = self._scan_frames()
+        self._stream, self._owns_stream = _open(source, "rb")
+        try:
+            self.manifest = self._read_manifest()
+            self._frame = frame_dtype(self.manifest.architecture)
+            self._layers = len(self.manifest.architecture.layer_shapes)
+            self.epochs = self._scan_frames()
+        except BaseException:
+            self.close()
+            raise
 
     def _read_manifest(self) -> RunManifest:
         self._stream.seek(0)
         head = self._stream.read(8)
         if len(head) < 8 or head[:4] != MAGIC:
             raise RunFormatError(f"not a run file: expected magic {MAGIC!r}")
-        (length,) = struct.unpack("<I", head[4:8])
+        length = int.from_bytes(head[4:8], "little")
         if length > MANIFEST_REGION:
             raise RunFormatError(f"manifest length {length} exceeds region {MANIFEST_REGION}")
         region = self._stream.read(MANIFEST_REGION)
@@ -247,101 +234,89 @@ class RunAccessor:
         except (ValueError, KeyError) as exc:
             raise RunFormatError(f"unreadable manifest: {exc}") from exc
 
-    def _scan_frames(self) -> tuple[list[int], list[int]]:
+    def _scan_frames(self) -> list[int]:
         size = self._stream.seek(0, io.SEEK_END)
-        offsets: list[int] = []
+        frame_size = self._frame.itemsize
         epochs: list[int] = []
         pos = DATA_START
         while pos < size:
-            idx = len(offsets)
-            if size - pos < 8:
+            idx = len(epochs)
+            if size - pos < FRAME_HEAD.itemsize:
                 raise RunCorruptionError("truncated frame header", idx - 1)
             self._stream.seek(pos)
-            length, epoch = struct.unpack("<II", self._stream.read(8))
-            if length != self._payload_len:
+            head = self._stream.read(FRAME_HEAD.itemsize)
+            length, epoch = np.frombuffer(head, FRAME_HEAD)[0].item()
+            if length != frame_size - 4:
                 raise RunCorruptionError(
                     f"frame {idx} declares {length} payload bytes, architecture needs "
-                    f"{self._payload_len}",
+                    f"{frame_size - 4}",
                     idx - 1,
                 )
-            if size - pos - 4 < length:
+            if size - pos < frame_size:
                 raise RunCorruptionError(f"frame {idx} is cut short", idx - 1)
             if epochs and epoch <= epochs[-1]:
                 raise RunCorruptionError(
                     f"epoch {epoch} at frame {idx} does not increase", idx - 1
                 )
-            offsets.append(pos)
             epochs.append(epoch)
-            pos += 4 + length
-        if self.manifest.complete and len(offsets) != self.manifest.snapshot_count:
+            pos += frame_size
+        if self.manifest.complete and len(epochs) != self.manifest.snapshot_count:
             raise RunCorruptionError(
                 f"manifest promises {self.manifest.snapshot_count} snapshots, "
-                f"found {len(offsets)}",
-                len(offsets) - 1,
+                f"found {len(epochs)}",
+                len(epochs) - 1,
             )
-        return offsets, epochs
+        return epochs
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self.epochs)
 
     def snapshot(self, index: int) -> EpochSnapshot:
-        if not 0 <= index < len(self._offsets):
-            raise IndexError(f"snapshot index {index} out of range [0, {len(self._offsets)})")
-        self._stream.seek(self._offsets[index] + 4)
-        payload = self._stream.read(self._payload_len)
-        epoch, loss = struct.unpack_from("<Id", payload, 0)
-        channels: dict[str, list[np.ndarray]] = {name: [] for name in STORAGE_CHANNELS}
-        for per_layer in self._layout:
-            for name in STORAGE_CHANNELS:
-                offset, shape = per_layer[name]
-                count = int(np.prod(shape))
-                arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-                channels[name].append(arr.astype(np.float64).reshape(shape))
-        return EpochSnapshot(
-            epoch=epoch,
-            loss=loss,
-            weights=channels["weights"],
-            biases=channels["biases"],
-            weight_grads=channels["weight_grads"],
-            bias_grads=channels["bias_grads"],
-            activation_means=channels["activation_means"],
-        )
+        if not 0 <= index < len(self):
+            raise IndexError(f"snapshot index {index} out of range [0, {len(self)})")
+        self._stream.seek(DATA_START + index * self._frame.itemsize)
+        frame = np.frombuffer(self._stream.read(self._frame.itemsize), self._frame)[0]
+        channels = {
+            name: [frame[f"{name}{k}"].astype(np.float64) for k in range(self._layers)]
+            for name in STORAGE_CHANNELS
+        }
+        return EpochSnapshot(epoch=int(frame["epoch"]), loss=float(frame["loss"]), **channels)
 
     def __iter__(self) -> Iterator[EpochSnapshot]:
-        for i in range(len(self._offsets)):
-            yield self.snapshot(i)
+        return map(self.snapshot, range(len(self)))
+
+    def _field(self, name: str) -> np.ndarray:
+        """One frame field over all snapshots, time-major and widened to f64:
+        one positioned read per frame, each cast straight into the result."""
+        field, offset = self._frame.fields[name][:2]
+        out = np.empty((len(self), int(np.prod(field.shape))), dtype=np.float64)
+        for i in range(len(self)):
+            self._stream.seek(DATA_START + i * self._frame.itemsize + offset)
+            out[i] = np.frombuffer(self._stream.read(field.itemsize), field.base)
+        return out.reshape((len(self),) + field.shape)
 
     def losses(self) -> np.ndarray:
-        out = np.empty(len(self._offsets), dtype=np.float64)
-        for i, pos in enumerate(self._offsets):
-            self._stream.seek(pos + 8)
-            (out[i],) = struct.unpack("<d", self._stream.read(8))
-        return out
+        return self._field("loss")
 
-    def _channel_info(self, layer: int, channel: str) -> tuple[int, tuple[int, ...]]:
+    def _channel_field(self, layer: int, channel: str) -> str:
         if channel not in STORAGE_CHANNELS:
             raise ValueError(f"unknown channel {channel!r}; expected one of {STORAGE_CHANNELS}")
-        if not 0 <= layer < len(self._layout):
-            raise ValueError(f"layer {layer} out of range [0, {len(self._layout)})")
-        return self._layout[layer][channel]
+        if not 0 <= layer < self._layers:
+            raise ValueError(f"layer {layer} out of range [0, {self._layers})")
+        return f"{channel}{layer}"
 
     def channel_series(self, layer: int, channel: str) -> np.ndarray:
         """All snapshots of one layer channel, time-major: (T, out, in) or (T, out)."""
-        offset, shape = self._channel_info(layer, channel)
-        count = int(np.prod(shape))
-        out = np.empty((len(self._offsets), count), dtype=np.float64)
-        for i, pos in enumerate(self._offsets):
-            self._stream.seek(pos + 4 + offset)
-            out[i] = np.frombuffer(self._stream.read(4 * count), dtype="<f4")
-        return out.reshape((len(self._offsets),) + shape)
+        return self._field(self._channel_field(layer, channel))
 
     def neuron_series(self, layer: int, channel: str, index: int) -> np.ndarray:
         """One neuron's values over time: (T, in_dim) for weight channels
         (the neuron's incoming row), (T,) for vector channels."""
-        _, shape = self._channel_info(layer, channel)
-        if not 0 <= index < shape[0]:
-            raise ValueError(f"neuron index {index} out of range [0, {shape[0]})")
-        return self.channel_series(layer, channel)[:, index]
+        name = self._channel_field(layer, channel)
+        rows = self._frame[name].shape[0]
+        if not 0 <= index < rows:
+            raise ValueError(f"neuron index {index} out of range [0, {rows})")
+        return self._field(name)[:, index]
 
     def close(self) -> None:
         if self._owns_stream:

@@ -1,10 +1,12 @@
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import TINY_ARCH, make_manifest, make_snapshot, write_synthetic_run
+from fluctlab import runfile
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
@@ -64,6 +66,29 @@ class TestLayout:
         manifest = json.loads(blob[8 : 8 + length])
         assert manifest["format_version"] == 1
         assert blob[8 + length : DATA_START] == b" " * (MANIFEST_REGION - length)
+
+    def test_frame_bytes_match_struct_oracle(self, tmp_path):
+        """Each frame rebuilt by hand: u32 payload length, u32 epoch, f64 loss,
+        then every channel of every layer as little-endian f32 in storage
+        order.  The values are full float64, so the f32 rounding is pinned."""
+        rng = np.random.default_rng(11)
+        snaps = []
+        for epoch, loss in ((2, 0.123456789012345), (7, 3.0e-5)):
+            snap = make_snapshot(TINY_ARCH, epoch, loss, rng=rng)
+            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means"):
+                setattr(snap, channel, [rng.normal(0, 2, size=a.shape) for a in getattr(snap, channel)])
+            snaps.append(snap)
+        path = tmp_path / "oracle.nfl"
+        write_run(make_manifest(epochs=7), snaps, path)
+        expected = b""
+        for snap in snaps:
+            channels = b"".join(
+                getattr(snap, channel)[k].astype("<f4").tobytes()
+                for k in range(len(TINY_ARCH.layer_shapes))
+                for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
+            )
+            expected += struct.pack("<IId", 12 + len(channels), snap.epoch, snap.loss) + channels
+        assert path.read_bytes()[DATA_START:] == expected
 
     def test_byte_determinism(self, tmp_path):
         blobs = []
@@ -193,6 +218,64 @@ class TestErrors:
             read_run(path)
         assert err.value.last_valid_index == 1
         assert "1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "damage, fragment, last_valid",
+        [
+            ("short_header", "truncated frame header", 1),
+            ("wrong_length", "frame 1 declares", 0),
+            ("cut_short", "frame 2 is cut short", 1),
+            ("repeated_epoch", "epoch 2 at frame 2 does not increase", 1),
+            ("missing_frame", "manifest promises 3 snapshots, found 2", 1),
+        ],
+    )
+    def test_scan_rejects_damaged_frames(self, tmp_path, damage, fragment, last_valid):
+        path = tmp_path / "damaged.nfl"
+        write_synthetic_run(path, count=3)  # epochs 1, 2, 3; manifest complete
+        blob = bytearray(path.read_bytes())
+        frame = (len(blob) - DATA_START) // 3
+        if damage == "short_header":
+            blob = blob[: DATA_START + 2 * frame + 5]
+        elif damage == "wrong_length":
+            blob[DATA_START + frame : DATA_START + frame + 4] = (frame - 8).to_bytes(4, "little")
+        elif damage == "cut_short":
+            blob = blob[:-10]
+        elif damage == "repeated_epoch":
+            blob[DATA_START + 2 * frame + 4 : DATA_START + 2 * frame + 8] = (2).to_bytes(4, "little")
+        else:
+            blob = blob[:-frame]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(RunCorruptionError, match=fragment) as err:
+            read_run(path)
+        assert err.value.last_valid_index == last_valid
+
+    @pytest.mark.parametrize("owned", [True, False])
+    def test_failed_constructors_close_only_their_own_files(self, tmp_path, monkeypatch, owned):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(runfile, "open", recording_open, raising=False)
+        huge = ArchitectureSpec(encoder_dims=(2,) + (3,) * 2000 + (1,), decoder_dims=(1, 3, 2))
+        bad = tmp_path / "bad.nfl"
+        bad.write_bytes(b"ROOT" + b"\0" * 100)
+        if owned:
+            with pytest.raises(RunFormatError):
+                runfile.RunAccessor(bad)
+            with pytest.raises(RunFormatError):
+                RunWriter(tmp_path / "huge.nfl", make_manifest(arch=huge))
+            assert len(opened) == 2
+            assert all(f.closed for f in opened)
+        else:
+            with bad.open("rb") as source, open(tmp_path / "huge.nfl", "wb") as destination:
+                with pytest.raises(RunFormatError):
+                    runfile.RunAccessor(source)
+                with pytest.raises(RunFormatError):
+                    RunWriter(destination, make_manifest(arch=huge))
+                assert not source.closed and not destination.closed
+            assert opened == []
 
     def test_nonincreasing_epoch_rejected_by_writer(self, tmp_path):
         rng = np.random.default_rng(0)
