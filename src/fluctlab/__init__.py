@@ -4,8 +4,6 @@ per-epoch capture and per-neuron fluctuation analysis."""
 from .analysis import (
     ANALYSIS_CHANNELS,
     FluctuationReport,
-    NeuronId,
-    NeuronSpread,
     analyze_run,
     detect_inactive,
     histogram,
@@ -37,7 +35,6 @@ from .runfile import (
     RunAccessor,
     RunManifest,
     RunWriter,
-    read_run,
     standardize_channel,
     write_run,
 )

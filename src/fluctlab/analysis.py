@@ -8,17 +8,22 @@ The network-level scalar is the spread of the spread: the population
 standard deviation of the per-neuron spreads, reported separately for the
 encoder and decoder halves.  Neurons whose spread falls below a threshold
 epsilon are counted as inactive (no observable learning).
+
+Each channel holds its spreads as one float64 array over every neuron in
+(layer, index) order, so the encoder and decoder halves are the slices
+before and after arch.encoder_neurons, and the inactive neurons are a
+boolean mask in the same order.  (layer, index, half) rows are built only
+when a report is written out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
 
 import numpy as np
 
-from .runfile import RunAccessor, read_run
+from .net import ArchitectureSpec
+from .runfile import RunAccessor
 
 ANALYSIS_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
 _STORAGE_NAME = {"activations": "activation_means"}
@@ -34,23 +39,6 @@ class InsufficientDataError(ValueError):
     """The run holds too few snapshots to form deltas."""
 
 
-@dataclass(frozen=True, order=True)
-class NeuronId:
-    layer: int
-    index: int
-    half: str
-
-    def to_json_dict(self) -> dict:
-        return {"layer": self.layer, "index": self.index, "half": self.half}
-
-
-@dataclass(frozen=True)
-class NeuronSpread:
-    neuron: NeuronId
-    channel: str
-    spread: float
-
-
 @dataclass
 class HalfStats:
     spread_of_spread: float
@@ -61,8 +49,8 @@ class HalfStats:
 
 @dataclass
 class ChannelStats:
-    spreads: list[NeuronSpread]
-    inactive: list[NeuronId]
+    spreads: np.ndarray  # (total_neurons,) float64, (layer, index) order
+    inactive: np.ndarray  # bool mask, same order
     halves: dict[str, HalfStats]
 
 
@@ -77,8 +65,11 @@ class FluctuationReport:
     epsilon: float
     bins: int
     channels: dict[str, ChannelStats]
+    architecture: ArchitectureSpec
 
     def to_json_dict(self) -> dict:
+        # tolist() and int() keep numpy scalars out: json.dumps rejects them
+        rows = _neuron_rows(self.architecture)
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "shape": self.shape,
@@ -92,10 +83,12 @@ class FluctuationReport:
             "channels": {
                 ch: {
                     "spreads": [
-                        {**s.neuron.to_json_dict(), "spread": s.spread} for s in stats.spreads
+                        {**row, "spread": s} for row, s in zip(rows, stats.spreads.tolist())
                     ],
-                    "inactive": [n.to_json_dict() for n in stats.inactive],
-                    "inactive_count": len(stats.inactive),
+                    "inactive": [
+                        dict(row) for row, flag in zip(rows, stats.inactive.tolist()) if flag
+                    ],
+                    "inactive_count": int(stats.inactive.sum()),
                     "halves": {
                         half: {
                             "spread_of_spread": hs.spread_of_spread,
@@ -112,15 +105,14 @@ class FluctuationReport:
 
     def neuron_csv(self) -> str:
         """One row per (neuron, channel): layer, index, half, channel, spread, inactive."""
+        rows = _neuron_rows(self.architecture)
         lines = ["layer,index,half,channel,spread,inactive"]
         for ch in ANALYSIS_CHANNELS:
             stats = self.channels[ch]
-            inactive = set(stats.inactive)
-            for s in stats.spreads:
-                flag = 1 if s.neuron in inactive else 0
+            # repr of a Python float, not of np.float64, which prints its type
+            for row, s, flag in zip(rows, stats.spreads.tolist(), stats.inactive.tolist()):
                 lines.append(
-                    f"{s.neuron.layer},{s.neuron.index},{s.neuron.half},{ch},"
-                    f"{s.spread!r},{flag}"
+                    f"{row['layer']},{row['index']},{row['half']},{ch},{s!r},{int(flag)}"
                 )
         return "\n".join(lines) + "\n"
 
@@ -133,38 +125,48 @@ def spread(deltas) -> float:
     return float(np.std(arr))
 
 
-def _spread_values(spreads: Sequence) -> np.ndarray:
-    vals = [s.spread if isinstance(s, NeuronSpread) else float(s) for s in spreads]
-    return np.asarray(vals, dtype=np.float64)
+def _neuron_rows(arch: ArchitectureSpec) -> list[dict]:
+    """{layer, index, half} of every neuron, in (layer, index) order."""
+    split = arch.encoder_layer_count
+    return [
+        {"layer": layer, "index": index, "half": "encoder" if layer < split else "decoder"}
+        for layer, out_dim in enumerate(arch.out_dims)
+        for index in range(out_dim)
+    ]
 
 
-def spread_of_spread(spreads: Sequence) -> float:
+def half_slices(arch: ArchitectureSpec) -> dict[str, slice]:
+    """The encoder and decoder neurons of a (layer, index)-ordered array."""
+    split = arch.encoder_neurons
+    return {"encoder": slice(None, split), "decoder": slice(split, None)}
+
+
+def spread_of_spread(spreads: np.ndarray) -> float:
     """Population standard deviation across neurons of the per-neuron spreads.
 
     Values are sorted before the reduction so the result does not depend on
     neuron order, bit for bit.
     """
-    vals = _spread_values(spreads)
+    vals = np.asarray(spreads, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("spread_of_spread of an empty sequence is undefined")
     return float(np.std(np.sort(vals)))
 
 
-def detect_inactive(spreads: Sequence[NeuronSpread], epsilon: float) -> list[NeuronId]:
-    """Neurons with spread < epsilon, sorted by (layer, index)."""
+def detect_inactive(spreads: np.ndarray, epsilon: float) -> np.ndarray:
+    """Mask of the neurons with spread < epsilon, in the order of spreads."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    hits = [s.neuron for s in spreads if s.spread < epsilon]
-    return sorted(hits, key=lambda n: (n.layer, n.index))
+    return np.asarray(spreads, dtype=np.float64) < epsilon
 
 
-def histogram(spreads: Sequence, bins: int) -> tuple[list[float], list[int]]:
+def histogram(spreads: np.ndarray, bins: int) -> tuple[list[float], list[int]]:
     """Uniform bins over [0, max spread]; bins are left-closed, right-open,
     with the last bin closed.  All-zero spreads collapse to one degenerate
     bin, as does a range too small to subdivide on the float64 grid."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    vals = _spread_values(spreads)
+    vals = np.asarray(spreads, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("histogram of an empty sequence is undefined")
     top = float(vals.max())
@@ -177,7 +179,7 @@ def histogram(spreads: Sequence, bins: int) -> tuple[list[float], list[int]]:
     return [float(e) for e in edges], [int(c) for c in counts]
 
 
-def neuron_delta_series(run: RunAccessor, neuron: NeuronId, channel: str) -> np.ndarray:
+def neuron_delta_series(run: RunAccessor, layer: int, index: int, channel: str) -> np.ndarray:
     """Consecutive-epoch deltas for one neuron and channel, pooled flat.
 
     Weight channels pool the neuron's incoming row, so with k incoming
@@ -189,18 +191,18 @@ def neuron_delta_series(run: RunAccessor, neuron: NeuronId, channel: str) -> np.
         raise ValueError("run file is incomplete")
     if len(run) < 2:
         raise InsufficientDataError(f"need at least 2 snapshots, run has {len(run)}")
-    series = run.neuron_series(neuron.layer, _STORAGE_NAME.get(channel, channel), neuron.index)
+    series = run.neuron_series(layer, _STORAGE_NAME.get(channel, channel), index)
     return np.diff(series, axis=0).ravel()
 
 
 def calibrate_epsilon(
-    spread_values: Sequence[float],
+    spread_values: np.ndarray,
     count_range: tuple[int, int],
     epsilon_range: tuple[float, float],
 ) -> float | None:
     """Smallest threshold inside epsilon_range whose inactive count lands in
     count_range, or None if no such threshold exists."""
-    vals = np.sort(_spread_values(spread_values))
+    vals = np.sort(np.asarray(spread_values, dtype=np.float64))
     lo, hi = epsilon_range
     candidates = [lo] + [
         float(np.nextafter(v, np.inf)) for v in vals if lo <= np.nextafter(v, np.inf) <= hi
@@ -212,22 +214,13 @@ def calibrate_epsilon(
     return None
 
 
-def _neuron_ids(arch) -> list[list[NeuronId]]:
-    split = arch.encoder_layer_count
-    ids = []
-    for layer, out_dim in enumerate(arch.out_dims):
-        half = "encoder" if layer < split else "decoder"
-        ids.append([NeuronId(layer, i, half) for i in range(out_dim)])
-    return ids
-
-
 def analyze_run(
-    run: str | Path | IO[bytes] | RunAccessor,
+    run: RunAccessor,
     epsilon: float = DEFAULT_EPSILON,
     bins: int = DEFAULT_BINS,
     mode: str = "delta",
 ) -> FluctuationReport:
-    """Full fluctuation report for one complete run file.
+    """Full fluctuation report for one open, complete run file.
 
     mode "delta" (default) measures spreads of consecutive-epoch deltas;
     mode "raw" measures spreads of the raw per-epoch values instead.
@@ -236,57 +229,45 @@ def analyze_run(
         raise ValueError(f"mode must be 'delta' or 'raw', got {mode!r}")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if isinstance(run, RunAccessor):
-        acc, owns = run, False
-    else:
-        _, acc = read_run(run)
-        owns = True
-    try:
-        if not acc.manifest.complete:
-            raise ValueError("run file is incomplete; refusing to analyze")
-        needed = 2 if mode == "delta" else 1
-        if len(acc) < needed:
-            raise InsufficientDataError(
-                f"need at least {needed} snapshots for mode {mode!r}, run has {len(acc)}"
-            )
-        arch = acc.manifest.architecture
-        ids = _neuron_ids(arch)
-        channels: dict[str, ChannelStats] = {}
-        for ch in ANALYSIS_CHANNELS:
-            storage = _STORAGE_NAME.get(ch, ch)
-            per_neuron: list[NeuronSpread] = []
-            for layer in range(len(arch.layer_shapes)):
-                series = acc.channel_series(layer, storage)
-                data = np.diff(series, axis=0) if mode == "delta" else series
-                axis = (0, 2) if data.ndim == 3 else 0
-                vals = data.std(axis=axis)
-                per_neuron.extend(
-                    NeuronSpread(ids[layer][i], ch, float(v)) for i, v in enumerate(vals)
-                )
-            inactive = detect_inactive(per_neuron, epsilon)
-            halves: dict[str, HalfStats] = {}
-            for half in HALVES:
-                subset = [s for s in per_neuron if s.neuron.half == half]
-                edges, counts = histogram(subset, bins)
-                halves[half] = HalfStats(
-                    spread_of_spread=spread_of_spread(subset),
-                    inactive_count=sum(1 for n in inactive if n.half == half),
-                    hist_edges=edges,
-                    hist_counts=counts,
-                )
-            channels[ch] = ChannelStats(spreads=per_neuron, inactive=inactive, halves=halves)
-        cfg = acc.manifest.config
-        return FluctuationReport(
-            shape=cfg.shape.value,
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            snapshots=len(acc),
-            capture_stride=cfg.capture_every,
-            mode=mode,
-            epsilon=epsilon,
-            bins=bins,
-            channels=channels,
+    if not run.manifest.complete:
+        raise ValueError("run file is incomplete; refusing to analyze")
+    needed = 2 if mode == "delta" else 1
+    if len(run) < needed:
+        raise InsufficientDataError(
+            f"need at least {needed} snapshots for mode {mode!r}, run has {len(run)}"
         )
-    finally:
-        if owns:
-            acc.close()
+    arch = run.manifest.architecture
+    channels: dict[str, ChannelStats] = {}
+    for ch in ANALYSIS_CHANNELS:
+        storage = _STORAGE_NAME.get(ch, ch)
+        per_layer = []
+        for layer in range(len(arch.layer_shapes)):
+            series = run.channel_series(layer, storage)
+            data = np.diff(series, axis=0) if mode == "delta" else series
+            axis = (0, 2) if data.ndim == 3 else 0
+            per_layer.append(data.std(axis=axis))
+        spreads = np.concatenate(per_layer)
+        inactive = detect_inactive(spreads, epsilon)
+        halves: dict[str, HalfStats] = {}
+        for half, part in half_slices(arch).items():
+            edges, counts = histogram(spreads[part], bins)
+            halves[half] = HalfStats(
+                spread_of_spread=spread_of_spread(spreads[part]),
+                inactive_count=int(inactive[part].sum()),
+                hist_edges=edges,
+                hist_counts=counts,
+            )
+        channels[ch] = ChannelStats(spreads=spreads, inactive=inactive, halves=halves)
+    cfg = run.manifest.config
+    return FluctuationReport(
+        shape=cfg.shape.value,
+        learning_rate=cfg.learning_rate,
+        epochs=cfg.epochs,
+        snapshots=len(run),
+        capture_stride=cfg.capture_every,
+        mode=mode,
+        epsilon=epsilon,
+        bins=bins,
+        channels=channels,
+        architecture=arch,
+    )

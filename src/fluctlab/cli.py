@@ -134,7 +134,7 @@ def _write_report(report: FluctuationReport, json_path: Path, csv_path: Path) ->
 
 
 def _inactive_counts(report: FluctuationReport) -> dict[str, int]:
-    return {ch: len(report.channels[ch].inactive) for ch in ANALYSIS_CHANNELS}
+    return {ch: int(report.channels[ch].inactive.sum()) for ch in ANALYSIS_CHANNELS}
 
 
 def summarize_run(acc: RunAccessor, out_dir: Path, epsilon: float, bins: int) -> dict:
@@ -182,10 +182,9 @@ def summarize_run(acc: RunAccessor, out_dir: Path, epsilon: float, bins: int) ->
     _write_bytes(table_md, md_blob)
     _write_bytes(table_csv, csv_blob)
 
-    weight_spreads = [s.spread for s in report.channels["weights"].spreads]
-    default_count = len(report.channels["weights"].inactive)
+    default_count = int(report.channels["weights"].inactive.sum())
     calibrated = calibrate_epsilon(
-        weight_spreads, INACTIVE_TARGET_RANGE, INACTIVE_EPSILON_RANGE
+        report.channels["weights"].spreads, INACTIVE_TARGET_RANGE, INACTIVE_EPSILON_RANGE
     )
     flags = []
     if default_count < INACTIVE_TARGET_RANGE[0] and calibrated is None:
@@ -307,17 +306,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     run_path = Path(args.run)
-    report = analyze_run(run_path, epsilon=args.epsilon, bins=args.bins, mode=args.mode)
     json_path = Path(args.json) if args.json else run_path.with_suffix(".report.json")
     csv_path = Path(args.csv) if args.csv else run_path.with_suffix(".neurons.csv")
+    # beside a run file of `all` or `report`, the default names are the
+    # report files of those commands: only an explicit path may replace one
+    defaults = [p for p, given in ((json_path, args.json), (csv_path, args.csv)) if not given]
+    taken = [str(p) for p in defaults if p.exists()]
+    if taken:
+        raise ValueError(f"{', '.join(taken)} exists; name the outputs with --json and --csv")
+    with RunAccessor(run_path) as acc:
+        report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins, mode=args.mode)
     _write_report(report, json_path, csv_path)
     print(json_path)
     print(csv_path)
+    inactive = _inactive_counts(report)
     for ch in ANALYSIS_CHANNELS:
         stats = report.channels[ch]
         sos = {h: stats.halves[h].spread_of_spread for h in stats.halves}
         print(
-            f"{ch}: inactive={len(stats.inactive)} "
+            f"{ch}: inactive={inactive[ch]} "
             f"spread_of_spread encoder={sos['encoder']:.6g} decoder={sos['decoder']:.6g}"
         )
     return 0

@@ -6,14 +6,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
-from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport
+from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, half_slices
 from .net import LayerState, NetworkState, forward, mse
-from .runfile import RunAccessor, read_run
+from .runfile import RunAccessor
 from .shapes import ShapeDataset, ShapeKind
 
 DATA_FRAME = 1.2  # scatter plots cover [-1.2, 1.2]^2
@@ -56,39 +54,30 @@ class ReconstructionResult:
             )
 
 
-def reconstruct(run: str | Path | IO[bytes] | RunAccessor, dataset: ShapeDataset) -> ReconstructionResult:
-    """Load the final network from a run file and reconstruct the dataset."""
-    if isinstance(run, RunAccessor):
-        acc, owns = run, False
-    else:
-        _, acc = read_run(run)
-        owns = True
-    try:
-        manifest = acc.manifest
-        if not manifest.complete or len(acc) == 0:
-            raise ValueError("run file is incomplete; cannot reconstruct")
-        cfg = manifest.config
-        if cfg.shape is not dataset.kind or cfg.data_seed != dataset.seed:
-            raise ValueError(
-                f"dataset ({dataset.kind.value}, seed {dataset.seed}) does not match "
-                f"run manifest ({cfg.shape.value}, seed {cfg.data_seed})"
-            )
-        snap = acc.snapshot(len(acc) - 1)
-        net = NetworkState(
-            layers=[LayerState(w, b) for w, b in zip(snap.weights, snap.biases)],
-            spec=manifest.architecture,
+def reconstruct(run: RunAccessor, dataset: ShapeDataset) -> ReconstructionResult:
+    """Load the final network from an open run file and reconstruct the dataset."""
+    manifest = run.manifest
+    if not manifest.complete or len(run) == 0:
+        raise ValueError("run file is incomplete; cannot reconstruct")
+    cfg = manifest.config
+    if cfg.shape is not dataset.kind or cfg.data_seed != dataset.seed:
+        raise ValueError(
+            f"dataset ({dataset.kind.value}, seed {dataset.seed}) does not match "
+            f"run manifest ({cfg.shape.value}, seed {cfg.data_seed})"
         )
-        output = forward(net, dataset.points).output
-        return ReconstructionResult(
-            shape=dataset.kind,
-            learning_rate=cfg.learning_rate,
-            original=dataset.points,
-            reconstructed=output,
-            final_mse=mse(dataset.points, output),
-        )
-    finally:
-        if owns:
-            acc.close()
+    snap = run.snapshot(len(run) - 1)
+    net = NetworkState(
+        layers=[LayerState(w, b) for w, b in zip(snap.weights, snap.biases)],
+        spec=manifest.architecture,
+    )
+    output = forward(net, dataset.points).output
+    return ReconstructionResult(
+        shape=dataset.kind,
+        learning_rate=cfg.learning_rate,
+        original=dataset.points,
+        reconstructed=output,
+        final_mse=mse(dataset.points, output),
+    )
 
 
 def _escape(text: str) -> str:
@@ -281,11 +270,12 @@ def fluctuation_table(report: FluctuationReport) -> tuple[bytes, bytes]:
         "max_spread",
         "spread_of_spread",
     ]
+    parts = half_slices(report.architecture)
     rows = []
     for ch in ANALYSIS_CHANNELS:
         stats = report.channels[ch]
         for half in HALVES:
-            vals = np.array([s.spread for s in stats.spreads if s.neuron.half == half])
+            vals = stats.spreads[parts[half]]
             hs = stats.halves[half]
             rows.append(
                 [

@@ -329,11 +329,6 @@ class RunAccessor:
         self.close()
 
 
-def read_run(source: str | Path | IO[bytes]) -> tuple[RunManifest, RunAccessor]:
-    accessor = RunAccessor(source)
-    return accessor.manifest, accessor
-
-
 def standardize_channel(values) -> np.ndarray:
     """(x - mean) / std with the population std; all zeros if std < 1e-12."""
     arr = np.asarray(values, dtype=np.float64).ravel()

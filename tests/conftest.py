@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fluctlab.analysis import analyze_run
 from fluctlab.net import ArchitectureSpec
-from fluctlab.runfile import RunManifest, write_run
+from fluctlab.runfile import RunAccessor, RunManifest, write_run
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import EpochSnapshot, RunConfig
 
@@ -66,3 +67,9 @@ def write_synthetic_run(path, arch=TINY_ARCH, snapshots=None, seed=0, count=3, *
     manifest = make_manifest(arch=arch, epochs=len(snapshots), **manifest_kw)
     write_run(manifest, snapshots, path)
     return snapshots
+
+
+def analyze_file(path, **kwargs):
+    """analyze_run over a run file opened for the one call."""
+    with RunAccessor(path) as acc:
+        return analyze_run(acc, **kwargs)

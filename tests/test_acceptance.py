@@ -21,7 +21,7 @@ from conftest import ACCEPTANCE_VERDICTS, TINY_ARCH, make_manifest, make_snapsho
 from fluctlab.analysis import analyze_run, calibrate_epsilon, detect_inactive, spread_of_spread
 from fluctlab.cli import main, train_run_to_file
 from fluctlab.net import ArchitectureSpec, backward, forward, init, mse
-from fluctlab.runfile import read_run, standardize_channel, write_run
+from fluctlab.runfile import RunAccessor, standardize_channel, write_run
 from fluctlab.shapes import ShapeKind, export_csv, generate
 from fluctlab.train import AdamParams, RunConfig, adam_step, init_optimizer, train
 from test_net import finite_difference_grads, gradcheck_case, GRADCHECK_ARCH
@@ -64,29 +64,28 @@ def spiral_study(tmp_path_factory):
             path = base / f"{data_seed}_{lr}.nfl"
             loss = train_run_to_file(cfg, path)
             study["losses"][(pair, lr)] = loss
-            report = analyze_run(path)
-            study["act_inactive"][(pair, lr)] = len(report.channels["activations"].inactive)
-            if pair == SEED_PAIRS[0] and lr == 0.01:
-                _, acc = read_run(path)
-                with acc:
+            with RunAccessor(path) as acc:
+                report = analyze_run(acc)
+                act_inactive = report.channels["activations"].inactive
+                study["act_inactive"][(pair, lr)] = int(act_inactive.sum())
+                if pair == SEED_PAIRS[0] and lr == 0.01:
                     study["snapshots"] = len(acc)
-                study["weights_spreads"] = [
-                    s.spread for s in report.channels["weights"].spreads
-                ]
-                study["weights_inactive_default"] = len(report.channels["weights"].inactive)
-                study["hist_sums"] = {
-                    half: sum(report.channels["weights"].halves[half].hist_counts)
-                    for half in ("encoder", "decoder")
-                }
-                study["grad_vs_weight_medians"] = (
-                    float(np.median([s.spread for s in report.channels["weight_grads"].spreads])),
-                    float(np.median([s.spread for s in report.channels["weights"].spreads])),
-                )
-                raw = analyze_run(path, mode="raw")
-                study["grad_vs_weight_medians_raw"] = (
-                    float(np.median([s.spread for s in raw.channels["weight_grads"].spreads])),
-                    float(np.median([s.spread for s in raw.channels["weights"].spreads])),
-                )
+                    weights = report.channels["weights"]
+                    study["weights_spreads"] = weights.spreads
+                    study["weights_inactive_default"] = int(weights.inactive.sum())
+                    study["hist_sums"] = {
+                        half: sum(report.channels["weights"].halves[half].hist_counts)
+                        for half in ("encoder", "decoder")
+                    }
+                    study["grad_vs_weight_medians"] = (
+                        float(np.median(report.channels["weight_grads"].spreads)),
+                        float(np.median(report.channels["weights"].spreads)),
+                    )
+                    raw = analyze_run(acc, mode="raw")
+                    study["grad_vs_weight_medians_raw"] = (
+                        float(np.median(raw.channels["weight_grads"].spreads)),
+                        float(np.median(raw.channels["weights"].spreads)),
+                    )
             path.unlink()
         net = init(ArchitectureSpec(), init_seed)
         pts = generate(ShapeKind.SPIRAL, 500, data_seed).points
@@ -258,8 +257,7 @@ def test_criterion_8_format_round_trips(tmp_path):
     snaps = [make_snapshot(TINY_ARCH, e, 0.25 * e, rng=rng) for e in (1, 2, 3)]
     path = tmp_path / "rt.nfl"
     write_run(make_manifest(epochs=3), snaps, path)
-    _, acc = read_run(path)
-    with acc:
+    with RunAccessor(path) as acc:
         run_ok = all(
             np.array_equal(getattr(acc.snapshot(i), ch)[k], getattr(snaps[i], ch)[k])
             for i in range(3)

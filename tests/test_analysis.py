@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_ARCH, make_snapshot, write_synthetic_run
+from conftest import TINY_ARCH, analyze_file, make_snapshot, write_synthetic_run
 from fluctlab.analysis import (
     ANALYSIS_CHANNELS,
     InsufficientDataError,
-    NeuronId,
-    NeuronSpread,
     analyze_run,
     calibrate_epsilon,
     detect_inactive,
@@ -19,7 +17,7 @@ from fluctlab.analysis import (
     spread,
     spread_of_spread,
 )
-from fluctlab.runfile import read_run, write_run
+from fluctlab.runfile import RunAccessor, canonical_json_bytes, write_run
 
 
 def two_pass_std_oracle(values):
@@ -29,11 +27,9 @@ def two_pass_std_oracle(values):
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def _spreads(values, channel="weights"):
-    return [
-        NeuronSpread(NeuronId(0, i, "encoder"), channel, float(v))
-        for i, v in enumerate(values)
-    ]
+def neuron_keys(arch):
+    """(layer, index) of every neuron, in the order of a spreads array."""
+    return [(layer, i) for layer, out_dim in enumerate(arch.out_dims) for i in range(out_dim)]
 
 
 class TestSpread:
@@ -88,15 +84,15 @@ class TestSpread:
 
 class TestSpreadOfSpread:
     def test_equal_spreads_give_zero(self):
-        assert spread_of_spread(_spreads([0.5] * 17)) == 0.0
+        assert spread_of_spread(np.array([0.5] * 17)) == 0.0
 
     def test_two_point_case(self):
-        assert spread_of_spread(_spreads([0.0, 2.0])) == 1.0
+        assert spread_of_spread(np.array([0.0, 2.0])) == 1.0
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(4)
         vals = rng.uniform(0, 1, size=195).tolist()
-        assert abs(spread_of_spread(_spreads(vals)) - two_pass_std_oracle(vals)) <= 1e-12
+        assert abs(spread_of_spread(np.array(vals)) - two_pass_std_oracle(vals)) <= 1e-12
 
     @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=1, max_size=195))
     @settings(max_examples=200, deadline=None)
@@ -114,24 +110,12 @@ class TestSpreadOfSpread:
 class TestDetectInactive:
     def test_threshold_straddle(self):
         eps = 1e-4
-        flagged = detect_inactive(_spreads([0.5 * eps, 2 * eps]), eps)
-        assert flagged == [NeuronId(0, 0, "encoder")]
-
-    def test_sorted_by_layer_then_index(self):
-        spreads = [
-            NeuronSpread(NeuronId(4, 2, "decoder"), "weights", 0.0),
-            NeuronSpread(NeuronId(0, 7, "encoder"), "weights", 0.0),
-            NeuronSpread(NeuronId(0, 1, "encoder"), "weights", 0.0),
-        ]
-        assert [(n.layer, n.index) for n in detect_inactive(spreads, 1.0)] == [
-            (0, 1),
-            (0, 7),
-            (4, 2),
-        ]
+        flagged = detect_inactive(np.array([0.5 * eps, 2 * eps]), eps)
+        assert flagged.tolist() == [True, False]
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
-            detect_inactive(_spreads([0.1]), 0.0)
+            detect_inactive(np.array([0.1]), 0.0)
 
     @given(
         vals=st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=100),
@@ -141,23 +125,23 @@ class TestDetectInactive:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_epsilon(self, vals, e1, e2):
         lo, hi = sorted((e1, e2))
-        spreads = _spreads(vals)
-        assert set(detect_inactive(spreads, lo)) <= set(detect_inactive(spreads, hi))
+        spreads = np.array(vals)
+        assert np.all(detect_inactive(spreads, lo) <= detect_inactive(spreads, hi))
 
 
 class TestHistogram:
     def test_all_zero_collapses_to_one_bin(self):
-        edges, counts = histogram(_spreads([0.0] * 9), 30)
+        edges, counts = histogram(np.array([0.0] * 9), 30)
         assert edges == [0.0, 0.0]
         assert counts == [9]
 
     def test_even_split(self):
-        edges, counts = histogram(_spreads([0.0, 1.0, 2.0, 3.0]), 2)
+        edges, counts = histogram(np.array([0.0, 1.0, 2.0, 3.0]), 2)
         assert edges == [0.0, 1.5, 3.0]
         assert counts == [2, 2]
 
     def test_last_bin_closed(self):
-        _, counts = histogram(_spreads([1.0, 2.0, 4.0]), 4)
+        _, counts = histogram(np.array([1.0, 2.0, 4.0]), 4)
         assert counts == [0, 1, 1, 1]
 
     @given(
@@ -166,22 +150,22 @@ class TestHistogram:
     )
     @settings(max_examples=300, deadline=None)
     def test_counts_always_sum_to_input_size(self, vals, bins):
-        _, counts = histogram(_spreads(vals), bins)
+        _, counts = histogram(np.array(vals), bins)
         assert sum(counts) == len(vals)
 
 
 class TestCalibrateEpsilon:
     def test_finds_threshold_in_window(self):
         vals = [0.0, 5e-7, 2e-6, 5e-4, 2e-3, 3e-3]
-        eps = calibrate_epsilon(vals, (2, 3), (1e-6, 1e-3))
+        eps = calibrate_epsilon(np.array(vals), (2, 3), (1e-6, 1e-3))
         assert eps is not None and 1e-6 <= eps <= 1e-3
         assert 2 <= sum(1 for v in vals if v < eps) <= 3
 
     def test_none_when_counts_jump_over_window(self):
-        assert calibrate_epsilon([0.0, 0.0, 0.0, 0.0], (1, 2), (1e-6, 1e-3)) is None
+        assert calibrate_epsilon(np.zeros(4), (1, 2), (1e-6, 1e-3)) is None
 
     def test_none_when_all_above_range(self):
-        assert calibrate_epsilon([0.5, 0.7], (1, 2), (1e-6, 1e-3)) is None
+        assert calibrate_epsilon(np.array([0.5, 0.7]), (1, 2), (1e-6, 1e-3)) is None
 
 
 def ramp_run(path, count=3):
@@ -199,9 +183,8 @@ class TestDeltaSeries:
         from conftest import make_manifest
 
         write_run(make_manifest(epochs=3), snaps, path)
-        _, acc = read_run(path)
-        with acc:
-            deltas = neuron_delta_series(acc, NeuronId(1, 0, "encoder"), "weights")
+        with RunAccessor(path) as acc:
+            deltas = neuron_delta_series(acc, 1, 0, "weights")
             assert np.all(deltas == 0.0)
 
     def test_single_weight_neuron_consecutive_differences(self, tmp_path):
@@ -213,9 +196,8 @@ class TestDeltaSeries:
         from conftest import make_manifest
 
         write_run(make_manifest(epochs=3), snaps, path)
-        _, acc = read_run(path)
-        with acc:
-            deltas = neuron_delta_series(acc, NeuronId(3, 0, "decoder"), "weights")
+        with RunAccessor(path) as acc:
+            deltas = neuron_delta_series(acc, 3, 0, "weights")
             assert deltas.tolist() == [1.0, 2.0]
 
     def test_two_weight_neuron_pools_four_deltas(self, tmp_path):
@@ -226,19 +208,17 @@ class TestDeltaSeries:
         from conftest import make_manifest
 
         write_run(make_manifest(epochs=3), snaps, path)
-        _, acc = read_run(path)
-        with acc:
-            deltas = neuron_delta_series(acc, NeuronId(0, 1, "encoder"), "weights")
+        with RunAccessor(path) as acc:
+            deltas = neuron_delta_series(acc, 0, 1, "weights")
             assert sorted(deltas.tolist()) == [1.0, 2.0, 2.0, 3.0]
             assert deltas.size == 4
 
     def test_too_few_snapshots(self, tmp_path):
         path = tmp_path / "short.nfl"
         write_synthetic_run(path, count=1)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             with pytest.raises(InsufficientDataError):
-                neuron_delta_series(acc, NeuronId(0, 0, "encoder"), "weights")
+                neuron_delta_series(acc, 0, 0, "weights")
 
     def test_activations_channel_reads_probe_means(self, tmp_path):
         path = tmp_path / "act.nfl"
@@ -247,9 +227,8 @@ class TestDeltaSeries:
         from conftest import make_manifest
 
         write_run(make_manifest(epochs=2), snaps, path)
-        _, acc = read_run(path)
-        with acc:
-            deltas = neuron_delta_series(acc, NeuronId(2, 0, "encoder"), "activations")
+        with RunAccessor(path) as acc:
+            deltas = neuron_delta_series(acc, 2, 0, "activations")
             assert deltas.tolist() == [4.0]
 
 
@@ -260,17 +239,17 @@ class TestAnalyzeRun:
         from conftest import make_manifest
 
         write_run(make_manifest(epochs=3), snaps, path)
-        report = analyze_run(path)
+        report = analyze_file(path)
         for ch in ANALYSIS_CHANNELS:
             stats = report.channels[ch]
-            assert len(stats.inactive) == TINY_ARCH.total_neurons
+            assert stats.inactive.sum() == TINY_ARCH.total_neurons
             for half in ("encoder", "decoder"):
                 assert stats.halves[half].spread_of_spread == 0.0
 
     def test_report_structure(self, tmp_path):
         path = tmp_path / "st.nfl"
         write_synthetic_run(path, count=4)
-        report = analyze_run(path, bins=10)
+        report = analyze_file(path, bins=10)
         assert len(report.channels) == 5
         for ch in ANALYSIS_CHANNELS:
             stats = report.channels[ch]
@@ -282,35 +261,36 @@ class TestAnalyzeRun:
     def test_spread_matches_delta_series_definition(self, tmp_path):
         path = tmp_path / "match.nfl"
         write_synthetic_run(path, count=5, seed=11)
-        report = analyze_run(path)
-        _, acc = read_run(path)
-        with acc:
-            for s in report.channels["weights"].spreads[:6]:
-                deltas = neuron_delta_series(acc, s.neuron, "weights")
-                assert abs(s.spread - spread(deltas)) <= 1e-15
-            for s in report.channels["activations"].spreads[:6]:
-                deltas = neuron_delta_series(acc, s.neuron, "activations")
-                assert abs(s.spread - spread(deltas)) <= 1e-15
+        # epsilon between the smallest and largest spreads flags some neurons
+        with RunAccessor(path) as acc:
+            report = analyze_run(acc, epsilon=0.5)
+            for ch in ANALYSIS_CHANNELS:
+                stats = report.channels[ch]
+                assert stats.spreads.shape == (TINY_ARCH.total_neurons,)
+                for (layer, index), s in zip(neuron_keys(TINY_ARCH), stats.spreads):
+                    deltas = neuron_delta_series(acc, layer, index, ch)
+                    assert abs(s - spread(deltas)) <= 1e-15
+                assert np.array_equal(stats.inactive, stats.spreads < report.epsilon)
+        flagged = sum(int(report.channels[ch].inactive.sum()) for ch in ANALYSIS_CHANNELS)
+        assert 0 < flagged < len(ANALYSIS_CHANNELS) * TINY_ARCH.total_neurons
 
     def test_deterministic(self, tmp_path):
         path = tmp_path / "det.nfl"
         write_synthetic_run(path, count=4, seed=2)
-        a = analyze_run(path).to_json_dict()
-        b = analyze_run(path).to_json_dict()
+        a = analyze_file(path).to_json_dict()
+        b = analyze_file(path).to_json_dict()
         assert a == b
 
     def test_raw_mode_differs_from_delta_on_ramp(self, tmp_path):
         path = tmp_path / "ramp.nfl"
         ramp_run(path, count=3)
-        delta_report = analyze_run(path, mode="delta")
-        raw_report = analyze_run(path, mode="raw")
+        delta_report = analyze_file(path, mode="delta")
+        raw_report = analyze_file(path, mode="raw")
         # constant unit deltas: no fluctuation in delta mode
-        assert all(
-            s.spread == 0.0 for s in delta_report.channels["weights"].spreads
-        )
+        assert np.all(delta_report.channels["weights"].spreads == 0.0)
         expected = two_pass_std_oracle([1.0, 2.0, 3.0])
         for s in raw_report.channels["weights"].spreads:
-            assert abs(s.spread - expected) <= 1e-12
+            assert abs(s - expected) <= 1e-12
 
     def test_incomplete_run_rejected(self, tmp_path):
         from conftest import make_manifest, make_snapshot as ms
@@ -321,20 +301,44 @@ class TestAnalyzeRun:
         with RunWriter(path, make_manifest()) as writer:
             writer.append(ms(TINY_ARCH, 1, 0.5, rng=rng))
             writer.append(ms(TINY_ARCH, 2, 0.5, rng=rng))
-        with pytest.raises(ValueError, match="incomplete"):
-            analyze_run(path)
+        with RunAccessor(path) as acc, pytest.raises(ValueError, match="incomplete"):
+            analyze_run(acc)
 
     def test_single_snapshot_insufficient_for_deltas(self, tmp_path):
         path = tmp_path / "one.nfl"
         write_synthetic_run(path, count=1)
-        with pytest.raises(InsufficientDataError):
-            analyze_run(path)
-        analyze_run(path, mode="raw")  # raw mode accepts a single snapshot
+        with RunAccessor(path) as acc:
+            with pytest.raises(InsufficientDataError):
+                analyze_run(acc)
+            analyze_run(acc, mode="raw")  # raw mode accepts a single snapshot
 
     def test_csv_has_one_row_per_neuron_channel(self, tmp_path):
         path = tmp_path / "csv.nfl"
         write_synthetic_run(path, count=3)
-        report = analyze_run(path)
+        report = analyze_file(path)
         lines = report.neuron_csv().strip().split("\n")
         assert lines[0] == "layer,index,half,channel,spread,inactive"
         assert len(lines) == 1 + 17 * 5
+
+    def test_csv_and_json_hold_plain_python_numbers(self, tmp_path):
+        path = tmp_path / "plain.nfl"
+        write_synthetic_run(path, count=4, seed=5)
+        report = analyze_file(path, epsilon=0.5)
+        keys = neuron_keys(TINY_ARCH)
+        rows = [line.split(",") for line in report.neuron_csv().strip().split("\n")[1:]]
+        doc = report.to_json_dict()
+        canonical_json_bytes(doc)  # json.dumps raises TypeError on numpy integers
+        for k, ch in enumerate(ANALYSIS_CHANNELS):
+            stats = report.channels[ch]
+            channel_rows = rows[k * len(keys) : (k + 1) * len(keys)]
+            for row, key, s, flag in zip(channel_rows, keys, stats.spreads, stats.inactive):
+                assert (int(row[0]), int(row[1]), row[3]) == (*key, ch)
+                assert float(row[4]) == s  # a repr of np.float64 does not parse
+                assert row[5] == str(int(flag))
+            entry = doc["channels"][ch]
+            assert all(type(e["spread"]) is float for e in entry["spreads"])
+            assert type(entry["inactive_count"]) is int
+            assert [(n["layer"], n["index"]) for n in entry["inactive"]] == [
+                keys[i] for i in np.flatnonzero(stats.inactive)
+            ]
+        assert any(doc["channels"][ch]["inactive"] for ch in ANALYSIS_CHANNELS)

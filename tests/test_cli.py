@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fluctlab.cli import main, train_run_to_file
-from fluctlab.runfile import read_run
+from fluctlab.runfile import RunAccessor
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import RunConfig
 
@@ -69,9 +69,8 @@ class TestTrain:
             ["train", "--shape", "circle", "--lr", "0.01", "--epochs", "2", "--out", str(out)]
         )
         assert code == 0
-        manifest, acc = read_run(out)
-        with acc:
-            assert manifest.complete is True
+        with RunAccessor(out) as acc:
+            assert acc.manifest.complete is True
             assert len(acc) == 2
         assert "final_loss=" in capsys.readouterr().out
 
@@ -82,9 +81,8 @@ class TestTrain:
                 ["train", "--shape", "circle", "--lr", "1e30", "--epochs", "50", "--out", str(out)]
             )
         assert code == 1
-        manifest, acc = read_run(out)
-        with acc:
-            assert manifest.complete is False
+        with RunAccessor(out) as acc:
+            assert acc.manifest.complete is False
 
 
 class TestAnalyze:
@@ -111,6 +109,23 @@ class TestAnalyze:
         assert len(doc["channels"]) == 5
         assert cpath.read_text().startswith("layer,index,half,channel,spread,inactive")
         assert "inactive=" in capsys.readouterr().out
+
+    def test_default_outputs_never_replace_an_all_tree(self, tmp_path, capsys):
+        outdir = tmp_path / "exp"
+        argv = ["all", "--shapes", "spiral", "--lrs", "0.01", "--epochs", "4"]
+        assert run_cli(argv + ["--outdir", str(outdir)]) == 0
+        before = tree_hashes(outdir)
+        run = str(outdir / "spiral_0.01_4.nfl")
+        assert run_cli(["analyze", "--run", run, "--epsilon", "1e-4"]) == 2
+        assert "spiral_0.01_4.report.json" in capsys.readouterr().err
+        assert tree_hashes(outdir) == before
+        # explicit paths still overwrite
+        jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
+        jpath.write_text("old")
+        cpath.write_text("old")
+        assert run_cli(["analyze", "--run", run, "--json", str(jpath), "--csv", str(cpath)]) == 0
+        assert jpath.read_bytes() == (outdir / "spiral_0.01_4.report.json").read_bytes()
+        assert cpath.read_bytes() == (outdir / "spiral_0.01_4.neurons.csv").read_bytes()
 
 
 class TestReport:
@@ -172,8 +187,7 @@ class TestCompare:
         # oracle: read the final losses straight from the run files
         losses = {}
         for lr, path in two_runs.items():
-            _, acc = read_run(path)
-            with acc:
+            with RunAccessor(path) as acc:
                 losses[lr] = float(acc.losses()[-1])
         best = min(losses, key=losses.get)
         assert f"lowest final MSE: lr {best:g}" in out
@@ -278,9 +292,8 @@ class TestAll:
             ["all", "--config", str(cfg_path), "--epochs", "3", "--outdir", str(outdir)]
         )
         assert code == 0
-        manifest, acc = read_run(outdir / "circle_0.01_3.nfl")
-        acc.close()
-        assert manifest.config.epochs == 3
+        with RunAccessor(outdir / "circle_0.01_3.nfl") as acc:
+            assert acc.manifest.config.epochs == 3
 
     @pytest.mark.parametrize(
         "cells", [["--shapes", "circle,circle"], ["--lrs", "0.01,0.010"]]

@@ -4,8 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import make_manifest, make_snapshot
-from fluctlab.analysis import analyze_run
+from conftest import analyze_file, make_manifest, make_snapshot
 from fluctlab.cli import train_run_to_file
 from fluctlab.figures import (
     FigureSpec,
@@ -17,7 +16,7 @@ from fluctlab.figures import (
     stack_svgs,
 )
 from fluctlab.net import ArchitectureSpec
-from fluctlab.runfile import write_run
+from fluctlab.runfile import RunAccessor, write_run
 from fluctlab.shapes import ShapeKind, generate
 from fluctlab.train import RunConfig
 
@@ -58,7 +57,8 @@ class TestReconstruct:
         snaps = [make_snapshot(arch, 1, 0.5, fill=0.0)]
         write_run(make_manifest(arch=arch, shape=ShapeKind.CIRCLE, data_seed=3, epochs=1), snaps, path)
         dataset = generate(ShapeKind.CIRCLE, 500, 3)
-        result = reconstruct(path, dataset)
+        with RunAccessor(path) as acc:
+            result = reconstruct(acc, dataset)
         assert np.all(result.reconstructed == 0.0)
         # analytic: mean over components of the squared targets
         assert result.final_mse == pytest.approx(float(np.mean(dataset.points**2)), abs=1e-15)
@@ -66,23 +66,26 @@ class TestReconstruct:
     def test_deterministic(self, spiral_run):
         path, cfg, _ = spiral_run
         dataset = generate(cfg.shape, 500, cfg.data_seed)
-        a = reconstruct(path, dataset)
-        b = reconstruct(path, dataset)
+        with RunAccessor(path) as acc:
+            a = reconstruct(acc, dataset)
+            b = reconstruct(acc, dataset)
         assert np.array_equal(a.reconstructed, b.reconstructed)
         assert a.final_mse == b.final_mse
 
     def test_final_mse_matches_stored_loss(self, spiral_run):
         path, cfg, stored_loss = spiral_run
         dataset = generate(cfg.shape, 500, cfg.data_seed)
-        result = reconstruct(path, dataset)
+        with RunAccessor(path) as acc:
+            result = reconstruct(acc, dataset)
         assert abs(result.final_mse - stored_loss) <= 1e-6
 
     def test_dataset_mismatch_rejected(self, spiral_run):
         path, cfg, _ = spiral_run
-        with pytest.raises(ValueError, match="does not match"):
-            reconstruct(path, generate(cfg.shape, 500, cfg.data_seed + 1))
-        with pytest.raises(ValueError, match="does not match"):
-            reconstruct(path, generate(ShapeKind.CIRCLE, 500, cfg.data_seed))
+        with RunAccessor(path) as acc:
+            with pytest.raises(ValueError, match="does not match"):
+                reconstruct(acc, generate(cfg.shape, 500, cfg.data_seed + 1))
+            with pytest.raises(ValueError, match="does not match"):
+                reconstruct(acc, generate(ShapeKind.CIRCLE, 500, cfg.data_seed))
 
 
 class TestScatterSvg:
@@ -102,7 +105,8 @@ class TestScatterSvg:
     def test_byte_determinism(self, spiral_run):
         path, cfg, _ = spiral_run
         dataset = generate(cfg.shape, 500, cfg.data_seed)
-        result = reconstruct(path, dataset)
+        with RunAccessor(path) as acc:
+            result = reconstruct(acc, dataset)
         spec = FigureSpec(title="spiral")
         assert scatter_svg(result, spec) == scatter_svg(result, spec)
 
@@ -137,7 +141,7 @@ class TestScatterSvg:
 class TestHistSvg:
     def test_bar_count_and_label_sums(self, spiral_run):
         path, _, _ = spiral_run
-        report = analyze_run(path)
+        report = analyze_file(path)
         blob = hist_svg(report, "weights", FigureSpec(title="w")).decode()
         counts = [int(c) for c in re.findall(r'data-count="(\d+)"', blob)]
         assert len(counts) == 2 * report.bins
@@ -146,18 +150,18 @@ class TestHistSvg:
         assert_well_formed_svg(blob.encode())
 
     def test_all_zero_spreads_single_full_bar(self, frozen_run):
-        report = analyze_run(frozen_run)
+        report = analyze_file(frozen_run)
         blob = hist_svg(report, "biases", FigureSpec(title="b")).decode()
         counts = [int(c) for c in re.findall(r'data-count="(\d+)"', blob)]
         assert counts == [97, 98]
 
     def test_channel_must_exist(self, frozen_run):
-        report = analyze_run(frozen_run)
+        report = analyze_file(frozen_run)
         with pytest.raises(ValueError):
             hist_svg(report, "momenta", FigureSpec(title="x"))
 
     def test_byte_determinism(self, frozen_run):
-        report = analyze_run(frozen_run)
+        report = analyze_file(frozen_run)
         spec = FigureSpec(title="b")
         assert hist_svg(report, "weights", spec) == hist_svg(report, "weights", spec)
 
@@ -165,14 +169,14 @@ class TestHistSvg:
 class TestFluctuationTable:
     def test_row_count(self, spiral_run):
         path, _, _ = spiral_run
-        md, csv_blob = fluctuation_table(analyze_run(path))
+        md, csv_blob = fluctuation_table(analyze_file(path))
         csv_lines = csv_blob.decode().strip().split("\n")
         assert len(csv_lines) == 1 + 5 * 2  # header + channels x halves
         md_lines = md.decode().strip().split("\n")
         assert len(md_lines) == 2 + 5 * 2  # header + separator + rows
 
     def test_frozen_run_all_zero_medians(self, frozen_run):
-        report = analyze_run(frozen_run)
+        report = analyze_file(frozen_run)
         _, csv_blob = fluctuation_table(report)
         rows = [line.split(",") for line in csv_blob.decode().strip().split("\n")[1:]]
         for row in rows:
@@ -183,13 +187,14 @@ class TestFluctuationTable:
 
     def test_values_match_report_exactly(self, spiral_run):
         path, _, _ = spiral_run
-        report = analyze_run(path)
+        report = analyze_file(path)
         _, csv_blob = fluctuation_table(report)
         rows = [line.split(",") for line in csv_blob.decode().strip().split("\n")[1:]]
+        split = ArchitectureSpec().encoder_neurons
         for row in rows:
             ch, half = row[0], row[1]
             stats = report.channels[ch]
-            vals = [s.spread for s in stats.spreads if s.neuron.half == half]
+            vals = stats.spreads[:split] if half == "encoder" else stats.spreads[split:]
             assert float(row[2]) == len(vals)
             assert float(row[4]) == min(vals)
             assert float(row[6]) == max(vals)
@@ -198,7 +203,7 @@ class TestFluctuationTable:
 
 class TestStackSvgs:
     def test_composes_vertically(self, frozen_run):
-        report = analyze_run(frozen_run)
+        report = analyze_file(frozen_run)
         a = hist_svg(report, "weights", FigureSpec(title="a", height=300))
         b = hist_svg(report, "biases", FigureSpec(title="b", height=200))
         stacked = stack_svgs([a, b], title="both")

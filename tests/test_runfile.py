@@ -12,9 +12,9 @@ from fluctlab.runfile import (
     DATA_START,
     MANIFEST_REGION,
     RunCorruptionError,
+    RunAccessor,
     RunFormatError,
     RunWriter,
-    read_run,
     standardize_channel,
     write_run,
 )
@@ -42,9 +42,8 @@ class TestLayout:
         size = write_run(make_manifest(), [], path, complete=False)
         assert size == 8 + MANIFEST_REGION
         assert path.stat().st_size == 8 + MANIFEST_REGION
-        manifest, acc = read_run(path)
-        with acc:
-            assert manifest.snapshot_count == 0
+        with RunAccessor(path) as acc:
+            assert acc.manifest.snapshot_count == 0
             assert len(acc) == 0
 
     def test_single_snapshot_frame_bytes(self, tmp_path):
@@ -105,8 +104,7 @@ class TestRoundTrip:
     def test_snapshots_identical(self, tmp_path):
         path = tmp_path / "rt.nfl"
         written = write_synthetic_run(path, count=4)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             assert len(acc) == 4
             for i, snap in enumerate(written):
                 got = acc.snapshot(i)
@@ -119,8 +117,8 @@ class TestRoundTrip:
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "man.nfl"
         write_synthetic_run(path, count=2, lr=0.0001, data_seed=9, init_seed=8)
-        manifest, acc = read_run(path)
-        acc.close()
+        with RunAccessor(path) as acc:
+            manifest = acc.manifest
         assert manifest.complete is True
         assert manifest.snapshot_count == 2
         assert manifest.config.learning_rate == 0.0001
@@ -133,17 +131,16 @@ class TestRoundTrip:
         snaps = [make_snapshot(TINY_ARCH, 1, 0.25, rng=rng)]
         write_run(make_manifest(epochs=1), snaps, buf)
         buf.seek(0)
-        manifest, acc = read_run(buf)
-        assert len(acc) == 1
-        assert acc.snapshot(0).loss == 0.25
+        with RunAccessor(buf) as acc:
+            assert len(acc) == 1
+            assert acc.snapshot(0).loss == 0.25
 
 
 class TestAccess:
     def test_random_access_equals_sequential(self, tmp_path):
         path = tmp_path / "ra.nfl"
         write_synthetic_run(path, count=5)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             sequential = list(acc)
             for i in (4, 0, 2, 3, 1):
                 got = acc.snapshot(i)
@@ -154,8 +151,7 @@ class TestAccess:
     def test_neuron_series_matches_full_load_oracle(self, tmp_path):
         path = tmp_path / "ns.nfl"
         write_synthetic_run(path, count=6, seed=3)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             full = list(acc)  # naive oracle: load everything sequentially
             for layer, channel, idx in ((0, "weights", 3), (4, "weight_grads", 1)):
                 series = acc.neuron_series(layer, channel, idx)
@@ -172,16 +168,14 @@ class TestAccess:
     def test_channel_series_shape(self, tmp_path):
         path = tmp_path / "cs.nfl"
         write_synthetic_run(path, count=3)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             assert acc.channel_series(0, "weights").shape == (3, 4, 2)
             assert acc.channel_series(5, "bias_grads").shape == (3, 2)
 
     def test_losses(self, tmp_path):
         path = tmp_path / "ls.nfl"
         written = write_synthetic_run(path, count=4)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             assert acc.losses().tolist() == [s.loss for s in written]
 
     def test_epoch_values_preserved(self, tmp_path):
@@ -189,15 +183,13 @@ class TestAccess:
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, rng=rng) for e in (1, 3, 6, 9)]
         path = tmp_path / "ep.nfl"
         write_run(make_manifest(epochs=9, capture_every=3), snaps, path)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             assert acc.epochs == [1, 3, 6, 9]
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "ior.nfl"
         write_synthetic_run(path, count=2)
-        _, acc = read_run(path)
-        with acc:
+        with RunAccessor(path) as acc:
             with pytest.raises(IndexError):
                 acc.snapshot(2)
 
@@ -207,7 +199,7 @@ class TestErrors:
         path = tmp_path / "bad.nfl"
         path.write_bytes(b"ROOT" + b"\0" * 100)
         with pytest.raises(RunFormatError):
-            read_run(path)
+            RunAccessor(path)
 
     def test_truncated_frame_names_last_snapshot(self, tmp_path):
         path = tmp_path / "trunc.nfl"
@@ -215,7 +207,7 @@ class TestErrors:
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])  # cut into the third frame
         with pytest.raises(RunCorruptionError) as err:
-            read_run(path)
+            RunAccessor(path)
         assert err.value.last_valid_index == 1
         assert "1" in str(err.value)
 
@@ -246,7 +238,7 @@ class TestErrors:
             blob = blob[:-frame]
         path.write_bytes(bytes(blob))
         with pytest.raises(RunCorruptionError, match=fragment) as err:
-            read_run(path)
+            RunAccessor(path)
         assert err.value.last_valid_index == last_valid
 
     @pytest.mark.parametrize("owned", [True, False])
@@ -304,10 +296,9 @@ class TestErrors:
         rng = np.random.default_rng(0)
         with RunWriter(path, make_manifest()) as writer:
             writer.append(make_snapshot(TINY_ARCH, 1, 0.5, rng=rng))
-        manifest, acc = read_run(path)
-        with acc:
-            assert manifest.complete is False
-            assert manifest.snapshot_count == 1
+        with RunAccessor(path) as acc:
+            assert acc.manifest.complete is False
+            assert acc.manifest.snapshot_count == 1
 
 
 class TestStandardize:
