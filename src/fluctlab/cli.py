@@ -93,6 +93,20 @@ class ExperimentPlan:
         )
         if repeated:
             raise ValueError(f"plan repeats cells: {', '.join(repeated)}")
+        # a cell that cannot run is a bad plan: reject it before anything is written
+        for shape in self.shapes:
+            for lr in self.learning_rates:
+                self.run_config(shape, lr)
+
+    def run_config(self, shape: str, lr: float) -> RunConfig:
+        return RunConfig(
+            shape=ShapeKind(shape),
+            learning_rate=lr,
+            epochs=self.epochs,
+            data_seed=self.data_seed,
+            init_seed=self.init_seed,
+            capture_every=self.capture_every,
+        )
 
     def to_json_dict(self) -> dict:
         # parallelism is a scheduling knob, not an experiment parameter, so it
@@ -226,14 +240,7 @@ def _execute_run(plan: ExperimentPlan, shape: str, lr: float) -> dict:
     entry = {"shape": shape, "learning_rate": lr, "status": "ok"}
     out_dir = Path(plan.out_dir)
     try:
-        config = RunConfig(
-            shape=ShapeKind(shape),
-            learning_rate=lr,
-            epochs=plan.epochs,
-            data_seed=plan.data_seed,
-            init_seed=plan.init_seed,
-            capture_every=plan.capture_every,
-        )
+        config = plan.run_config(shape, lr)
         run_path = out_dir / f"{_run_stem(config)}.nfl"
         train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, half_slices
-from .net import LayerState, NetworkState, forward, mse
+from .net import NetworkState, forward, mse
 from .runfile import RunAccessor
 from .shapes import ShapeDataset, ShapeKind
 
@@ -66,10 +66,7 @@ def reconstruct(run: RunAccessor, dataset: ShapeDataset) -> ReconstructionResult
             f"run manifest ({cfg.shape.value}, seed {cfg.data_seed})"
         )
     snap = run.snapshot(len(run) - 1)
-    net = NetworkState(
-        layers=[LayerState(w, b) for w, b in zip(snap.weights, snap.biases)],
-        spec=manifest.architecture,
-    )
+    net = NetworkState.from_arrays(manifest.architecture, snap.weights, snap.biases)
     output = forward(net, dataset.points).output
     return ReconstructionResult(
         shape=dataset.kind,

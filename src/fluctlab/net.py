@@ -3,7 +3,8 @@
 The network is a fixed chain of linear layers: an encoder half followed by a
 decoder half, ReLU after every layer except the last layer of each half.
 The default geometry is 2-64-32-1 (encoder) and 1-32-64-2 (decoder).  All
-arithmetic is float64.
+arithmetic is float64.  The parameters of all layers live in one flat vector,
+and the per-layer weight and bias arrays are views into it.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class ArchitectureSpec:
         return tuple([True] * (enc - 1) + [False] + [True] * (dec - 1) + [False])
 
     @property
+    def parameter_count(self) -> int:
+        """Length of the flat parameter vector: every weight and bias."""
+        return sum(out * (in_dim + 1) for in_dim, out in self.layer_shapes)
+
+    @property
     def out_dims(self) -> tuple[int, ...]:
         return tuple(out for _, out in self.layer_shapes)
 
@@ -86,16 +92,57 @@ class ArchitectureSpec:
         return cls(tuple(d["encoder_dims"]), tuple(d["decoder_dims"]))
 
 
-@dataclass
+def layer_views(
+    flat: np.ndarray, spec: ArchitectureSpec
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight (out_dim, in_dim) and bias (out_dim,) views into a flat
+    vector laid out in layer order: W_0 row-major, b_0, W_1, b_1, ..."""
+    if flat.shape != (spec.parameter_count,):
+        raise ValueError(f"expected {spec.parameter_count} flat values, got shape {flat.shape}")
+    weights, biases = [], []
+    start = 0
+    for in_dim, out_dim in spec.layer_shapes:
+        stop = start + out_dim * in_dim
+        weights.append(flat[start:stop].reshape(out_dim, in_dim))
+        biases.append(flat[stop : stop + out_dim])
+        start = stop + out_dim
+    return weights, biases
+
+
+@dataclass(frozen=True)
 class LayerState:
-    weights: np.ndarray  # (out_dim, in_dim)
-    biases: np.ndarray  # (out_dim,)
+    weights: np.ndarray  # (out_dim, in_dim), a view into NetworkState.theta
+    biases: np.ndarray  # (out_dim,), a view into NetworkState.theta
 
 
-@dataclass
 class NetworkState:
-    layers: list[LayerState]
-    spec: ArchitectureSpec
+    """All parameters in one flat float64 vector `theta` (see `layer_views`);
+    `layers[k]` holds views into it, so an edit through either is seen by both."""
+
+    def __init__(self, spec: ArchitectureSpec):
+        self.spec = spec
+        self.theta = np.zeros(spec.parameter_count, dtype=np.float64)
+        self.layers = [LayerState(w, b) for w, b in zip(*layer_views(self.theta, spec))]
+
+    @classmethod
+    def from_arrays(cls, spec: ArchitectureSpec, weights, biases) -> "NetworkState":
+        """A network whose theta packs copies of per-layer weights and biases."""
+        net = cls(spec)
+        if len(weights) != len(net.layers) or len(biases) != len(net.layers):
+            raise ValueError(f"expected {len(net.layers)} weight and bias arrays")
+        for k, (layer, w, b) in enumerate(zip(net.layers, weights, biases)):
+            w, b = np.asarray(w), np.asarray(b)
+            if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
+                raise ValueError(f"layer {k} shapes {w.shape}, {b.shape} do not match the spec")
+            layer.weights[...] = w
+            layer.biases[...] = b
+        return net
+
+    def __deepcopy__(self, memo) -> "NetworkState":
+        # a member-wise copy would give each layer its own array, detached from theta
+        copy = NetworkState(self.spec)
+        copy.theta[...] = self.theta
+        return copy
 
 
 @dataclass
@@ -114,10 +161,14 @@ class ForwardTrace:
         return self.post[-1]
 
 
-@dataclass
 class GradientSet:
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
+    """Gradients in one flat vector `grad`, laid out like NetworkState.theta
+    and zero until written; `weight_grads[k]` and `bias_grads[k]` are views
+    into it."""
+
+    def __init__(self, spec: ArchitectureSpec):
+        self.grad = np.zeros(spec.parameter_count, dtype=np.float64)
+        self.weight_grads, self.bias_grads = layer_views(self.grad, spec)
 
 
 def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
@@ -127,15 +178,14 @@ def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
     weight matrix row-major; biases consume no draws.
     """
     rng = SplitMix64(seed)
-    layers = []
-    for in_dim, out_dim in spec.layer_shapes:
+    net = NetworkState(spec)
+    for layer, (in_dim, out_dim) in zip(net.layers, spec.layer_shapes):
         bound = (1.0 / in_dim) ** 0.5
-        w = np.empty((out_dim, in_dim), dtype=np.float64)
+        w = layer.weights
         for r in range(out_dim):
             for c in range(in_dim):
                 w[r, c] = rng.uniform(-bound, bound)
-        layers.append(LayerState(weights=w, biases=np.zeros(out_dim, dtype=np.float64)))
-    return NetworkState(layers=layers, spec=spec)
+    return net
 
 
 def _as_batch(inputs, in_dim: int) -> np.ndarray:
@@ -202,7 +252,8 @@ def backward(
     The trace must come from `forward` on the same network and batch.
     ReLU's subgradient at 0 is taken as 0.  When `out` holds arrays of the
     network's parameter shapes, they are overwritten and `out` is returned;
-    otherwise a new gradient set is allocated.
+    otherwise a new gradient set is allocated.  The products and sums write
+    straight into the per-layer views of the flat gradient.
     """
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
@@ -217,10 +268,7 @@ def backward(
             raise ValueError(f"trace layer {k} width does not match network")
     shapes = [l.weights.shape for l in net.layers] + [l.biases.shape for l in net.layers]
     if out is None or [g.shape for g in out.weight_grads + out.bias_grads] != shapes:
-        out = GradientSet(
-            weight_grads=[np.empty(l.weights.shape, dtype=np.float64) for l in net.layers],
-            bias_grads=[np.empty(l.biases.shape, dtype=np.float64) for l in net.layers],
-        )
+        out = GradientSet(net.spec)
 
     relu = net.spec.relu_flags
     # d(mean over all t.size components)/d(output)

@@ -19,6 +19,7 @@ Doubles are derived from the top 53 bits: (z >> 11) * 2**-53, uniform in
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
+SEED_MAX = _MASK64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -31,7 +32,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
+        if not 0 <= seed <= SEED_MAX:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self._state = seed
 

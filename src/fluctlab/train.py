@@ -11,6 +11,8 @@ trace feeds the next backward: a run makes epochs + 1 forwards.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,8 +26,10 @@ from .net import (
     backward,
     forward,
     init,
+    layer_views,
     mse,
 )
+from .rng import SEED_MAX
 from .shapes import ShapeKind, generate
 
 TRAIN_SAMPLE_COUNT = 500
@@ -49,8 +53,8 @@ class AdamParams:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be positive and finite")
 
     def to_json_dict(self) -> dict:
         return {"beta1": self.beta1, "beta2": self.beta2, "epsilon": self.epsilon}
@@ -71,12 +75,16 @@ class RunConfig:
     capture_every: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.capture_every < 1:
-            raise ValueError("capture_every must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be positive and finite")
+        for name in ("data_seed", "init_seed"):
+            seed = getattr(self, name)
+            if not (isinstance(seed, numbers.Integral) and 0 <= seed <= SEED_MAX):
+                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
+        for name in ("epochs", "capture_every"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,20 +127,15 @@ class EpochSnapshot:
 
 @dataclass
 class OptimizerState:
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    """Adam's moment estimates, flat and laid out like NetworkState.theta."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_optimizer(net: NetworkState) -> OptimizerState:
-    return OptimizerState(
-        m_weights=[np.zeros_like(l.weights) for l in net.layers],
-        m_biases=[np.zeros_like(l.biases) for l in net.layers],
-        v_weights=[np.zeros_like(l.weights) for l in net.layers],
-        v_biases=[np.zeros_like(l.biases) for l in net.layers],
-    )
+    return OptimizerState(m=np.zeros_like(net.theta), v=np.zeros_like(net.theta))
 
 
 def adam_step(
@@ -143,31 +146,36 @@ def adam_step(
     params: AdamParams,
 ) -> tuple[NetworkState, OptimizerState]:
     """One Adam update, in place: m and v track the moments, parameters move by
-    -lr * m_hat / (sqrt(v_hat) + eps) with the usual 1/(1-beta^t) bias correction."""
-    if len(grads.weight_grads) != len(net.layers):
-        raise ValueError("gradient depth does not match network")
-    for k, layer in enumerate(net.layers):
-        if grads.weight_grads[k].shape != layer.weights.shape:
-            raise ValueError(f"weight gradient shape mismatch at layer {k}")
-        if grads.bias_grads[k].shape != layer.biases.shape:
-            raise ValueError(f"bias gradient shape mismatch at layer {k}")
-        if not (np.isfinite(grads.weight_grads[k]).all() and np.isfinite(grads.bias_grads[k]).all()):
-            raise FloatingPointError(f"non-finite gradient at layer {k}")
+    -lr * m_hat / (sqrt(v_hat) + eps) with the usual 1/(1-beta^t) bias correction.
+
+    The update runs once over the flat vectors; Adam is elementwise, so this
+    gives the same bits as a pass over each layer's arrays."""
+    g = grads.grad
+    if g.shape != net.theta.shape:
+        raise ValueError("gradient shape does not match network")
+    # an array rebound in place of its view would miss, or never feed, the update
+    if not all(a.base is net.theta for l in net.layers for a in (l.weights, l.biases)):
+        raise ValueError("network layers are not views of its theta")
+    if not all(a.base is g for a in grads.weight_grads + grads.bias_grads):
+        raise ValueError("gradient arrays are not views of its flat vector")
+    if not np.isfinite(g).all():
+        k = next(
+            k
+            for k, (wg, bg) in enumerate(zip(grads.weight_grads, grads.bias_grads))
+            if not (np.isfinite(wg).all() and np.isfinite(bg).all())
+        )
+        raise FloatingPointError(f"non-finite gradient at layer {k}")
 
     opt.t += 1
     b1, b2, eps = params.beta1, params.beta2, params.epsilon
     mc = 1.0 - b1**opt.t
     vc = 1.0 - b2**opt.t
-    for k, layer in enumerate(net.layers):
-        for p, g, m, v in (
-            (layer.weights, grads.weight_grads[k], opt.m_weights[k], opt.v_weights[k]),
-            (layer.biases, grads.bias_grads[k], opt.m_biases[k], opt.v_biases[k]),
-        ):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / mc) / (np.sqrt(v / vc) + eps)
+    m, v = opt.m, opt.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    net.theta -= lr * (m / mc) / (np.sqrt(v / vc) + eps)
     return net, opt
 
 
@@ -184,7 +192,8 @@ def train(
     One forward before the loop traces the initial network; each epoch's
     post-step probe is the forward the next epoch's backward uses, so a run
     makes epochs + 1 forwards.  The trace and the gradient set are
-    overwritten in place every epoch; snapshots hold copies.
+    overwritten in place every epoch; a snapshot copies the flat parameter
+    and gradient vectors and holds per-layer views into those copies.
     """
     dataset = generate(config.shape, TRAIN_SAMPLE_COUNT, config.data_seed)
     pts = dataset.points
@@ -208,14 +217,16 @@ def train(
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, f"loss is {loss}")
         if capture_sink is not None and (epoch == 1 or epoch % config.capture_every == 0):
+            weights, biases = layer_views(net.theta.copy(), net.spec)
+            weight_grads, bias_grads = layer_views(grads.grad.copy(), net.spec)
             capture_sink(
                 EpochSnapshot(
                     epoch=epoch,
                     loss=loss,
-                    weights=[l.weights.copy() for l in net.layers],
-                    biases=[l.biases.copy() for l in net.layers],
-                    weight_grads=[g.copy() for g in grads.weight_grads],
-                    bias_grads=[g.copy() for g in grads.bias_grads],
+                    weights=weights,
+                    biases=biases,
+                    weight_grads=weight_grads,
+                    bias_grads=bias_grads,
                     activation_means=[p.mean(axis=0) for p in trace.post],
                 )
             )

@@ -226,19 +226,14 @@ def test_criterion_7_adam_unit_behavior():
 
     from fluctlab.net import GradientSet
 
-    zeros = GradientSet(
-        weight_grads=[np.zeros_like(l.weights) for l in net.layers],
-        bias_grads=[np.zeros_like(l.biases) for l in net.layers],
-    )
+    zeros = GradientSet(net.spec)
     opt = init_optimizer(net)
     adam_step(net, zeros, opt, 0.01, AdamParams())
     after = [l.weights for l in net.layers] + [l.biases for l in net.layers]
     drift = max(float(np.abs(a - b).max()) for a, b in zip(after, before))
 
-    ones = GradientSet(
-        weight_grads=[np.ones_like(l.weights) for l in net.layers],
-        bias_grads=[np.ones_like(l.biases) for l in net.layers],
-    )
+    ones = GradientSet(net.spec)
+    ones.grad[:] = 1.0
     lr = 0.001
     net2 = init(GRADCHECK_ARCH, 6)
     w_before = net2.layers[0].weights[0, 0]

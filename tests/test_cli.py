@@ -85,6 +85,18 @@ class TestTrain:
             assert acc.manifest.complete is False
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lr", "nan"], ["--lr", "inf"], ["--init-seed", "-1"], ["--data-seed", str(2**64)]],
+    )
+    def test_bad_config_exits_2_before_writing(self, tmp_path, flags, capsys):
+        outdir = tmp_path / "out"
+        argv = ["train", "--shape", "circle", "--lr", "0.01", "--epochs", "2"]
+        assert run_cli(argv + flags + ["--outdir", str(outdir)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 class TestAnalyze:
     def test_writes_canonical_json_and_csv(self, two_runs, tmp_path, capsys):
         jpath = tmp_path / "r.json"
@@ -304,6 +316,26 @@ class TestAll:
         code = run_cli(argv + cells + ["--outdir", str(outdir)])
         assert code == 2
         assert "circle_0.01" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--init-seed", "-5"], ["--data-seed", str(2**64)], ["--lrs", "0"], ["--lrs", "0.01,nan"]],
+    )
+    def test_cell_that_cannot_run_is_usage_error(self, tmp_path, flags, capsys):
+        argv = ["all", "--shapes", "circle", "--lrs", "0.01", "--epochs", "2"]
+        outdir = tmp_path / "bad"
+        assert run_cli(argv + flags + ["--outdir", str(outdir)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_config_file_with_non_integer_seed_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "plan.json"
+        plan = {"shapes": ["circle"], "learning_rates": [0.01], "epochs": 1, "init_seed": 1.5}
+        cfg_path.write_text(json.dumps(plan))
+        outdir = tmp_path / "cfg"
+        assert run_cli(["all", "--config", str(cfg_path), "--outdir", str(outdir)]) == 2
+        assert "init_seed" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_unknown_command_usage_error(self):

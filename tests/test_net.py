@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from fluctlab.net import (
     ArchitectureSpec,
-    LayerState,
     NetworkState,
     NumericOverflowError,
     backward,
@@ -19,12 +19,7 @@ GRADCHECK_ARCH = ArchitectureSpec(encoder_dims=(2, 4, 3, 1), decoder_dims=(1, 3,
 
 
 def zero_net(arch):
-    return NetworkState(
-        layers=[
-            LayerState(np.zeros((o, i)), np.zeros(o)) for i, o in arch.layer_shapes
-        ],
-        spec=arch,
-    )
+    return NetworkState(arch)
 
 
 class TestArchitecture:
@@ -314,3 +309,64 @@ class TestOutBuffers:
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError) as err:
             forward(net, batch, out=trace)
         assert err.value.layer == 2
+
+
+def layer_order(weights, biases):
+    """Oracle for the flat layout: W_0 row-major, b_0, W_1, b_1, ..."""
+    return np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
+
+
+class TestFlatParameters:
+    def test_parameter_count(self):
+        assert ArchitectureSpec().parameter_count == 4611
+        assert init(ArchitectureSpec(), 1).theta.shape == (4611,)
+
+    def test_layers_view_theta_after_init_deepcopy_and_packing(self):
+        net = init(GRADCHECK_ARCH, 31)
+        rng = np.random.default_rng(31)
+        for layer in net.layers:
+            layer.biases[:] = rng.uniform(-1, 1, size=layer.biases.shape)
+        weights = [l.weights.copy() for l in net.layers]
+        biases = [l.biases.copy() for l in net.layers]
+        copied = copy.deepcopy(net)
+        packed = NetworkState.from_arrays(GRADCHECK_ARCH, weights, biases)
+        for n in (net, copied, packed):
+            for layer in n.layers:
+                assert np.shares_memory(layer.weights, n.theta)
+                assert np.shares_memory(layer.biases, n.theta)
+            assert np.array_equal(n.theta, layer_order(weights, biases))
+        assert not np.shares_memory(copied.theta, net.theta)
+        assert not any(np.shares_memory(packed.theta, a) for a in weights + biases)
+
+    def test_packing_checks_shapes(self):
+        net = init(GRADCHECK_ARCH, 32)
+        weights = [l.weights for l in net.layers]
+        biases = [l.biases for l in net.layers]
+        with pytest.raises(ValueError, match="layer 0"):
+            NetworkState.from_arrays(GRADCHECK_ARCH, [weights[0].T] + weights[1:], biases)
+        with pytest.raises(ValueError):
+            NetworkState.from_arrays(GRADCHECK_ARCH, weights[:-1], biases[:-1])
+
+    def test_backward_fills_views_of_one_flat_gradient(self):
+        net = init(ArchitectureSpec(), 33)
+        rng = np.random.default_rng(33)
+        first, second = rng.uniform(-1, 1, size=(2, 40, 2))
+        grads = backward(net, first, forward(net, first))
+        got = backward(net, second, forward(net, second), out=grads)
+        assert got is grads
+        for g in got.weight_grads + got.bias_grads:
+            assert np.shares_memory(g, got.grad)
+        fresh = backward(net, second, forward(net, second))
+        assert np.array_equal(got.grad, layer_order(fresh.weight_grads, fresh.bias_grads))
+
+    def test_layer_arrays_cannot_be_rebound(self):
+        net = init(GRADCHECK_ARCH, 34)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.layers[0].weights = np.zeros((4, 2))
+
+    def test_edit_through_theta_reaches_forward(self):
+        net = init(ArchitectureSpec(), 35)
+        net.theta[:] = 0.0
+        net.theta[-2:] = (0.25, -0.5)  # b_5, the output bias
+        out = forward(net, np.random.default_rng(35).uniform(-1, 1, size=(3, 2))).output
+        assert out.tolist() == [[0.25, -0.5]] * 3

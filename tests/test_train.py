@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from fluctlab.net import ArchitectureSpec, LayerState, NetworkState, backward, forward, init, mse
+from fluctlab.net import (
+    ArchitectureSpec,
+    GradientSet,
+    LayerState,
+    NetworkState,
+    backward,
+    forward,
+    init,
+    mse,
+)
 from fluctlab.shapes import ShapeKind, generate
 from fluctlab.train import (
     AdamParams,
@@ -22,12 +31,9 @@ TINY = ArchitectureSpec(encoder_dims=(2, 4, 3, 1), decoder_dims=(1, 3, 4, 2))
 
 
 def unit_gradients(net, value=1.0):
-    from fluctlab.net import GradientSet
-
-    return GradientSet(
-        weight_grads=[np.full_like(l.weights, value) for l in net.layers],
-        bias_grads=[np.full_like(l.biases, value) for l in net.layers],
-    )
+    grads = GradientSet(net.spec)
+    grads.grad[:] = value
+    return grads
 
 
 def adam_delta_oracle(steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8, g=1.0):
@@ -56,6 +62,24 @@ class TestParams:
         with pytest.raises(ValueError):
             AdamParams(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-8])
+    def test_adam_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            AdamParams(epsilon=epsilon)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.01])
+    def test_run_config_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            RunConfig(shape=ShapeKind.CIRCLE, learning_rate=lr)
+
+    @pytest.mark.parametrize("name", ["data_seed", "init_seed"])
+    def test_run_config_seeds_are_u64(self, name):
+        for seed in (0, 2**64 - 1):
+            RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: seed})
+        for seed in (-1, 2**64, 1.5, 2.0):
+            with pytest.raises(ValueError, match=name):
+                RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: seed})
+
     def test_run_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.0)
@@ -63,6 +87,33 @@ class TestParams:
             RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=0)
         with pytest.raises(ValueError):
             RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, capture_every=0)
+
+    @pytest.mark.parametrize("name", ["epochs", "capture_every"])
+    def test_run_config_counts_are_integers(self, name):
+        RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: np.int64(3)})
+        with pytest.raises(ValueError, match=name):
+            RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: 2.5})
+
+
+def per_layer_adam_step(weights, biases, grads, m, v, t, lr, params):
+    """Reference: Adam as a loop over each layer's arrays, in place.  m and v
+    hold the weight moments of every layer, then the bias moments."""
+    b1, b2, eps = params.beta1, params.beta2, params.epsilon
+    mc = 1.0 - b1**t
+    vc = 1.0 - b2**t
+    for p, g, mk, vk in zip(weights + biases, grads.weight_grads + grads.bias_grads, m, v):
+        mk *= b1
+        mk += (1.0 - b1) * g
+        vk *= b2
+        vk += (1.0 - b2) * g * g
+        p -= lr * (mk / mc) / (np.sqrt(vk / vc) + eps)
+
+
+def layer_order(per_layer, layers):
+    """Flat layer-order vector (W_0, b_0, W_1, ...) from weight-then-bias lists."""
+    return np.concatenate(
+        [a.ravel() for k in range(layers) for a in (per_layer[k], per_layer[layers + k])]
+    )
 
 
 class TestAdamStep:
@@ -104,16 +155,64 @@ class TestAdamStep:
         net = init(TINY, 4)
         opt = init_optimizer(net)
         rng = np.random.default_rng(0)
-        from fluctlab.net import GradientSet
-
+        grads = GradientSet(net.spec)
         for t in range(1, 6):
-            grads = GradientSet(
-                weight_grads=[rng.normal(size=l.weights.shape) for l in net.layers],
-                bias_grads=[rng.normal(size=l.biases.shape) for l in net.layers],
-            )
+            grads.grad[:] = rng.normal(size=grads.grad.shape)
             adam_step(net, grads, opt, 0.01, AdamParams())
             assert opt.t == t
-            assert all(np.all(v >= 0.0) for v in opt.v_weights)
+            assert np.all(opt.v >= 0.0)  # every weight and bias moment
+
+    @pytest.mark.parametrize("lr", [0.01, 0.0001])
+    def test_flat_step_matches_per_layer_oracle(self, lr):
+        net = init(ArchitectureSpec(), 40)
+        params = AdamParams()
+        oracle = [l.weights.copy() for l in net.layers] + [l.biases.copy() for l in net.layers]
+        m = [np.zeros_like(a) for a in oracle]
+        v = [np.zeros_like(a) for a in oracle]
+        opt = init_optimizer(net)
+        grads = GradientSet(net.spec)
+        rng = np.random.default_rng(41)
+        n = grads.grad.size
+        layers = len(net.layers)
+        for t in range(1, 2001):
+            # magnitudes from 1e-9 to 10, so eps matters for some entries
+            grads.grad[:] = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 1, size=n)
+            adam_step(net, grads, opt, lr, params)
+            per_layer_adam_step(oracle[:layers], oracle[layers:], grads, m, v, t, lr, params)
+        assert opt.t == 2000
+        assert net.theta.tobytes() == layer_order(oracle, layers).tobytes()
+        assert opt.m.tobytes() == layer_order(m, layers).tobytes()
+        assert opt.v.tobytes() == layer_order(v, layers).tobytes()
+
+    def test_nonfinite_gradient_names_first_bad_layer(self):
+        net = init(ArchitectureSpec(), 11)
+        grads = unit_gradients(net)
+        grads.bias_grads[3][0] = np.nan
+        grads.weight_grads[5][1, 0] = np.inf
+        opt = init_optimizer(net)
+        before = net.theta.copy()
+        with pytest.raises(FloatingPointError, match="layer 3"):
+            adam_step(net, grads, opt, 0.01, AdamParams())
+        assert opt.t == 0
+        assert np.array_equal(net.theta, before)
+
+    def test_rejects_arrays_detached_from_flat_vectors(self):
+        def detached_layer(net, grads):
+            layer = net.layers[2]
+            net.layers[2] = LayerState(layer.weights.copy(), layer.biases)
+
+        def rebound_theta(net, grads):
+            net.theta = net.theta.copy()
+
+        def detached_gradient(net, grads):
+            grads.bias_grads[1] = grads.bias_grads[1].copy()
+
+        for detach in (detached_layer, rebound_theta, detached_gradient):
+            net = init(TINY, 12)
+            grads = unit_gradients(net)
+            detach(net, grads)
+            with pytest.raises(ValueError, match="views"):
+                adam_step(net, grads, init_optimizer(net), 0.01, AdamParams())
 
     def test_nonfinite_gradient_rejected(self):
         net = init(TINY, 5)
@@ -134,18 +233,12 @@ def mean_activations(net, pts):
 
 
 def snapshot_network(snap):
-    return NetworkState(
-        layers=[LayerState(w, b) for w, b in zip(snap.weights, snap.biases)],
-        spec=ArchitectureSpec(),
-    )
+    return NetworkState.from_arrays(ArchitectureSpec(), snap.weights, snap.biases)
 
 
 class TestProbe:
     def test_zero_network_probes_zero(self):
-        net = NetworkState(
-            layers=[LayerState(np.zeros((o, i)), np.zeros(o)) for i, o in TINY.layer_shapes],
-            spec=TINY,
-        )
+        net = NetworkState(TINY)
         means = mean_activations(net, generate(ShapeKind.CIRCLE, 50, 1).points)
         assert all(np.all(m == 0.0) for m in means)
 
@@ -288,6 +381,18 @@ class TestTrain:
             for want, have in zip(expected, actual):
                 assert len(want) == len(have) == len(net.layers)
                 assert all(np.array_equal(w, h) for w, h in zip(want, have))
+
+    def test_snapshots_hold_their_own_copies(self):
+        got = []
+        cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=3, data_seed=3)
+        net, _ = train(cfg, got.append)
+        first, last = got[0], got[-1]
+        assert not np.array_equal(first.weights[0], last.weights[0])
+        packed = NetworkState.from_arrays(net.spec, last.weights, last.biases)
+        assert np.array_equal(packed.theta, net.theta)
+        for snap in got:
+            for a in snap.weights + snap.biases + snap.weight_grads + snap.bias_grads:
+                assert not np.shares_memory(a, net.theta)
 
     def test_sink_failure_propagates(self):
         def sink(_snapshot):
