@@ -18,6 +18,8 @@ when a report is written out.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,10 +155,18 @@ def spread_of_spread(spreads: np.ndarray) -> float:
     return float(np.std(np.sort(vals)))
 
 
+def check_analysis_settings(epsilon: float, bins: int = DEFAULT_BINS) -> None:
+    """Reject an inactivity threshold that is not positive and finite (NaN
+    would flag no neuron and write invalid JSON) or a bin count below 1."""
+    if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not (isinstance(bins, numbers.Integral) and bins >= 1):
+        raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
+
+
 def detect_inactive(spreads: np.ndarray, epsilon: float) -> np.ndarray:
     """Mask of the neurons with spread < epsilon, in the order of spreads."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    check_analysis_settings(epsilon)
     return np.asarray(spreads, dtype=np.float64) < epsilon
 
 
@@ -227,8 +237,7 @@ def analyze_run(
     """
     if mode not in ("delta", "raw"):
         raise ValueError(f"mode must be 'delta' or 'raw', got {mode!r}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    check_analysis_settings(epsilon, bins)
     if not run.manifest.complete:
         raise ValueError("run file is incomplete; refusing to analyze")
     needed = 2 if mode == "delta" else 1

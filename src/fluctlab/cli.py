@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .analysis import (
@@ -23,6 +23,7 @@ from .analysis import (
     FluctuationReport,
     analyze_run,
     calibrate_epsilon,
+    check_analysis_settings,
 )
 from .figures import (
     FigureSpec,
@@ -66,27 +67,46 @@ def _duplicates(names: list[str]) -> list[str]:
     return sorted({n for n in names if names.count(n) > 1})
 
 
+def _listed(value, key: str, item) -> list:
+    """A list setting given as a comma-separated string (a flag) or as a JSON
+    list (a config value), with item applied to each entry."""
+    entries = value.split(",") if isinstance(value, str) else value
+    if not isinstance(entries, list):
+        raise ValueError(f"{key} must be a list or a comma-separated string, got {value!r}")
+    try:
+        return [item(entry) for entry in entries]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 @dataclass
 class ExperimentPlan:
-    shapes: list[str]
+    """The settings of `all`; the only place that defaults them."""
+
+    shapes: list[str] = field(default_factory=lambda: list(SHAPE_NAMES))
     learning_rates: list[float] = field(default_factory=lambda: list(DEFAULT_LEARNING_RATES))
     epochs: int = 1000
     data_seed: int = 0
     init_seed: int = 0
     capture_every: int = 1
-    out_dir: str = "runs"
+    out_dir: str = field(default_factory=_default_outdir)
     epsilon: float = DEFAULT_EPSILON
     bins: int = DEFAULT_BINS
     parallelism: int = 1
     created_utc: int = 0
 
     def __post_init__(self):
+        if self.shapes == "all":
+            self.shapes = list(SHAPE_NAMES)
+        self.shapes = _listed(self.shapes, "shapes", lambda name: ShapeKind.from_name(name).value)
+        self.learning_rates = _listed(self.learning_rates, "learning_rates", float)
         if not self.shapes or not self.learning_rates:
             raise ValueError("plan needs at least one shape and one learning rate")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        for name in self.shapes:
-            ShapeKind.from_name(name)
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+        if not (isinstance(self.parallelism, int) and self.parallelism >= 1):
+            raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
+        check_analysis_settings(self.epsilon, self.bins)
         # two cells with one artifact stem would write the same files
         repeated = _duplicates(
             [f"{s}_{_format_lr(lr)}" for s in self.shapes for lr in self.learning_rates]
@@ -110,18 +130,11 @@ class ExperimentPlan:
 
     def to_json_dict(self) -> dict:
         # parallelism is a scheduling knob, not an experiment parameter, so it
-        # stays out of the recorded plan (artifacts must not depend on it)
-        return {
-            "shapes": list(self.shapes),
-            "learning_rates": list(self.learning_rates),
-            "epochs": self.epochs,
-            "data_seed": self.data_seed,
-            "init_seed": self.init_seed,
-            "capture_every": self.capture_every,
-            "epsilon": self.epsilon,
-            "bins": self.bins,
-            "created_utc": self.created_utc,
-        }
+        # stays out of the recorded plan (artifacts must not depend on it);
+        # so does out_dir, the directory the plan is recorded in
+        recorded = asdict(self)
+        del recorded["parallelism"], recorded["out_dir"]
+        return recorded
 
 
 def train_run_to_file(config: RunConfig, path: Path, created_utc: int = 0) -> float:
@@ -302,11 +315,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         capture_every=args.capture_every,
     )
     out = Path(args.out) if args.out else Path(args.outdir) / f"{_run_stem(config)}.nfl"
-    try:
-        final_loss = train_run_to_file(config, out, created_utc=_default_timestamp())
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    final_loss = train_run_to_file(config, out, created_utc=_default_timestamp())
     print(f"{out} final_loss={final_loss!r}")
     return 0
 
@@ -341,8 +350,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir = Path(args.outdir)
     run_paths = [Path(p) for p in args.runs.split(",") if p]
     if not run_paths:
-        print("error: --runs needs at least one run file", file=sys.stderr)
-        return 2
+        raise ValueError("--runs needs at least one run file")
+    check_analysis_settings(args.epsilon, args.bins)
     with ExitStack() as stack:
         runs = [stack.enter_context(RunAccessor(p)) for p in run_paths]
         shared = _duplicates([_run_stem(acc.manifest.config) for acc in runs])
@@ -364,8 +373,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.runs) < 2:
-        print("error: compare needs at least 2 run files", file=sys.stderr)
-        return 2
+        raise ValueError("compare needs at least 2 run files")
     rows = []
     shapes = set()
     for path in args.runs:
@@ -373,8 +381,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cfg = acc.manifest.config
             shapes.add(cfg.shape.value)
             if len(shapes) > 1:
-                print(f"error: runs mix shapes {sorted(shapes)}", file=sys.stderr)
-                return 2
+                raise ValueError(f"runs mix shapes {sorted(shapes)}")
             report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins)
             rows.append(
                 {
@@ -415,54 +422,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
+def _load_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError("cannot read config: config file must hold a JSON object")
     return data
 
 
-def _pick(flag, config: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
 def cmd_all(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config_file(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    shapes_arg = _pick(args.shapes, config, "shapes", "all")
-    if isinstance(shapes_arg, str):
-        shapes = list(SHAPE_NAMES) if shapes_arg == "all" else shapes_arg.split(",")
-    else:
-        shapes = list(shapes_arg)
-    lrs_arg = _pick(args.lrs, config, "learning_rates", list(DEFAULT_LEARNING_RATES))
-    lrs = [float(x) for x in (lrs_arg.split(",") if isinstance(lrs_arg, str) else lrs_arg)]
-    try:
-        plan = ExperimentPlan(
-            shapes=shapes,
-            learning_rates=lrs,
-            epochs=_pick(args.epochs, config, "epochs", 1000),
-            data_seed=_pick(args.data_seed, config, "data_seed", 0),
-            init_seed=_pick(args.init_seed, config, "init_seed", 0),
-            capture_every=_pick(args.capture_every, config, "capture_every", 1),
-            out_dir=_pick(args.outdir, config, "out_dir", _default_outdir()),
-            epsilon=_pick(args.epsilon, config, "epsilon", DEFAULT_EPSILON),
-            bins=_pick(args.bins, config, "bins", DEFAULT_BINS),
-            parallelism=_pick(args.parallelism, config, "parallelism", 1),
-            created_utc=_default_timestamp(),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the config keys and the dests of the flags are the plan's setting names;
+    # created_utc comes from SOURCE_DATE_EPOCH only
+    names = {f.name for f in fields(ExperimentPlan)} - {"created_utc"}
+    settings = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(settings) - names)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; expected keys {sorted(names)}")
+    settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    plan = ExperimentPlan(**settings, created_utc=_default_timestamp())
     index, code = run_plan(plan)
     for entry in index["entries"]:
         status = entry["status"]
@@ -525,17 +505,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.set_defaults(func=cmd_compare)
 
+    # dests are ExperimentPlan fields; a flag not given is None and leaves its
+    # setting to the config file or the ExperimentPlan default
     p = sub.add_parser("all", help="full pipeline over shapes x learning rates")
-    p.add_argument("--shapes", default=None, help='comma-separated shapes or "all"')
-    p.add_argument("--lrs", default=None, help="comma-separated learning rates")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--data-seed", type=int, default=None)
-    p.add_argument("--init-seed", type=int, default=None)
-    p.add_argument("--capture-every", type=int, default=None)
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--parallelism", type=int, default=None)
+    p.add_argument("--shapes", help='comma-separated shapes or "all"')
+    p.add_argument("--lrs", dest="learning_rates", help="comma-separated learning rates")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--data-seed", type=int)
+    p.add_argument("--init-seed", type=int)
+    p.add_argument("--capture-every", type=int)
+    p.add_argument("--outdir", dest="out_dir")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--parallelism", type=int)
     p.add_argument("--config", default=None, help="JSON config file (flags override it)")
     p.set_defaults(func=cmd_all)
 
@@ -547,12 +529,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, TrainingDivergedError) else 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ class ShapeKind(enum.Enum):
     def from_name(cls, name: str) -> "ShapeKind":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: not a string
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown shape {name!r}; expected one of: {valid}") from None
 

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fluctlab.cli import main, train_run_to_file
+import fluctlab
+import fluctlab.cli as cli
+from fluctlab.cli import SHAPE_NAMES, main, train_run_to_file
 from fluctlab.runfile import RunAccessor
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import RunConfig
@@ -140,6 +146,15 @@ class TestAnalyze:
         assert cpath.read_bytes() == (outdir / "spiral_0.01_4.neurons.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "0"], ["--bins", "0"]])
+    def test_bad_analysis_setting_exits_2_before_writing(self, two_runs, tmp_path, flags, capsys):
+        outdir = tmp_path / "an"
+        argv = ["analyze", "--run", str(two_runs[0.01]), "--json", str(outdir / "r.json")]
+        assert run_cli(argv + ["--csv", str(outdir / "r.csv")] + flags) == 2
+        assert flags[0][2:] in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 class TestReport:
     def test_single_run_artifacts(self, two_runs, tmp_path):
         outdir = tmp_path / "rep"
@@ -177,6 +192,23 @@ class TestReport:
         outdir = tmp_path / "rep"
         runs = f"{two_runs[0.01]},{two_runs[0.01]}"
         assert run_cli(["report", "--runs", runs, "--outdir", str(outdir)]) == 2
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--runs", ","],
+            ["--epsilon", "nan"],
+            ["--epsilon", "inf"],
+            ["--epsilon", "-0.5"],
+            ["--bins", "0"],
+        ],
+    )
+    def test_usage_error_before_creating_outdir(self, two_runs, tmp_path, flags, capsys):
+        outdir = tmp_path / "rep"
+        argv = ["report", "--runs", str(two_runs[0.01]), "--outdir", str(outdir)]
+        assert run_cli(argv + flags) == 2
+        assert "error:" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_report_rewrites_the_bytes_of_all(self, tmp_path):
@@ -221,6 +253,11 @@ class TestCompare:
 
     def test_single_run_usage_error(self, two_runs):
         assert run_cli(["compare", str(two_runs[0.01])]) == 2
+
+    def test_nan_epsilon_usage_error(self, two_runs, capsys):
+        runs = [str(two_runs[0.01]), str(two_runs[0.001])]
+        assert run_cli(["compare", *runs, "--epsilon", "nan"]) == 2
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
 
 
 ALL_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
@@ -338,7 +375,162 @@ class TestAll:
         assert "init_seed" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_config_plan_matches_flag_plan(self, tmp_path):
+        d_flags, d_cfg = tmp_path / "flags", tmp_path / "cfg"
+        flags = [
+            "all", "--shapes", "spiral", "--lrs", "0.01,0.001", "--epochs", "3",
+            "--data-seed", "2", "--init-seed", "7", "--capture-every", "1",
+            "--epsilon", "1e-4", "--bins", "12", "--parallelism", "1", "--outdir", str(d_flags),
+        ]
+        plan = {
+            "shapes": ["spiral"], "learning_rates": [0.01, 0.001], "epochs": 3, "data_seed": 2,
+            "init_seed": 7, "capture_every": 1, "epsilon": 1e-4, "bins": 12, "parallelism": 1,
+            "out_dir": str(d_cfg),
+        }
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(plan))
+        assert run_cli(flags) == 0
+        assert run_cli(["all", "--config", str(cfg_path)]) == 0
+        assert len(tree_hashes(d_flags)) == 2 * 11 + 5 + 1
+        assert tree_hashes(d_cfg) == tree_hashes(d_flags)
+
+    def test_shape_names_match_case_insensitively(self, tmp_path, capsys):
+        base = ["all", "--lrs", "0.01", "--epochs", "3"]
+        lower, mixed = tmp_path / "lower", tmp_path / "mixed"
+        assert run_cli(base + ["--shapes", "spiral", "--outdir", str(lower)]) == 0
+        assert run_cli(base + ["--shapes", "Spiral", "--outdir", str(mixed)]) == 0
+        assert tree_hashes(mixed) == tree_hashes(lower)
+        out = capsys.readouterr().out
+        assert out.count("spiral lr=0.01: ok") == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"epoch": 3},
+            {"created_utc": 5},
+            {"learning_rates": 0.01},
+            {"learning_rates": ["fast"]},
+            {"learning_rates": [None]},
+            {"shapes": [5]},
+            {"parallelism": "2"},
+            {"parallelism": 0},
+            {"out_dir": 5},
+            {"epochs": "3"},
+            {"epsilon": "1e-5"},
+            {"bins": 2.5},
+        ],
+    )
+    def test_bad_config_key_is_usage_error(self, tmp_path, config, capsys):
+        cfg_path = tmp_path / "plan.json"
+        outdir = tmp_path / "cfg"
+        plan = {"shapes": "circle", "learning_rates": [0.01], "epochs": 2, "out_dir": str(outdir)}
+        cfg_path.write_text(json.dumps({**plan, **config}))
+        assert run_cli(["all", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        key = next(iter(config))
+        assert key in err if key != "shapes" else "unknown shape 5" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon", "nan"],
+            ["--epsilon", "inf"],
+            ["--epsilon", "0"],
+            ["--epsilon", "-0.5"],
+            ["--bins", "0"],
+            ["--parallelism", "0"],
+        ],
+    )
+    def test_bad_setting_is_usage_error_before_training(self, tmp_path, flags, capsys):
+        argv = ["all", "--shapes", "circle", "--lrs", "0.01", "--epochs", "2"]
+        outdir = tmp_path / "bad"
+        assert run_cli(argv + flags + ["--outdir", str(outdir)]) == 2
+        assert flags[0][2:] in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text("[1, 2]")
+        for path in (cfg_path, tmp_path / "missing.json"):
+            assert run_cli(["all", "--config", str(path), "--outdir", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.startswith("error: cannot read config: ")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["frobnicate"])
         assert err.value.code == 2
+
+
+# setting: (flag, config value, value the flag gives, value the config gives, default)
+PRECEDENCE = {
+    "shapes": (["--shapes", "circle"], "square", ["circle"], ["square"], list(SHAPE_NAMES)),
+    "learning_rates": (["--lrs", "0.01"], [0.001], [0.01], [0.001], [0.01, 0.001, 0.0001]),
+    "epochs": (["--epochs", "1"], 2, 1, 2, 1000),
+    "data_seed": (["--data-seed", "3"], 4, 3, 4, 0),
+    "init_seed": (["--init-seed", "5"], 6, 5, 6, 0),
+    "capture_every": (["--capture-every", "3"], 2, 3, 2, 1),
+    "out_dir": (["--outdir", "flag"], "config", "flag", "config", "env"),
+    "epsilon": (["--epsilon", "1e-4"], 1e-3, 1e-4, 1e-3, 1e-5),
+    "bins": (["--bins", "7"], 9, 7, 9, 30),
+    "parallelism": (["--parallelism", "1"], 2, 1, 2, 1),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRECEDENCE))
+def test_flag_beats_config_beats_default(key, tmp_path, monkeypatch):
+    flag, config_value, from_flag, from_config, default = PRECEDENCE[key]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FLUCTLAB_OUT", "env")
+    base = {
+        "shapes": ["--shapes", "circle"],
+        "learning_rates": ["--lrs", "0.01"],
+        "epochs": ["--epochs", "1"],
+        "out_dir": ["--outdir", "out"],
+    }
+    base.pop(key, None)
+    argv = ["all"] + [arg for pair in base.values() for arg in pair]
+    plans = []
+    real_run_plan = cli.run_plan
+    monkeypatch.setattr(cli, "run_plan", lambda plan: plans.append(plan) or real_run_plan(plan))
+
+    def setting(extra, config=None):
+        if config is not None:
+            Path("plan.json").write_text(json.dumps(config))
+            extra = extra + ["--config", "plan.json"]
+        # one-epoch cells cannot be analyzed, so they are recorded as failed
+        assert run_cli(argv + extra) in (0, 1)
+        plan = plans.pop()
+        index = json.loads((Path(plan.out_dir) / "index.json").read_text())
+        return index["plan"][key] if key in index["plan"] else getattr(plan, key)
+
+    assert setting(flag, {key: config_value}) == from_flag
+    assert setting([], {key: config_value}) == from_config
+    assert setting([]) == default
+
+
+def test_entry_point_exit_codes_and_stdout(two_runs, tmp_path, capsys):
+    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def fluctlab_cli(*argv):
+        cmd = [sys.executable, "-m", "fluctlab.cli", *map(str, argv)]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+
+    usage = fluctlab_cli("report", "--runs", ",", "--outdir", tmp_path / "rep")
+    assert usage.returncode == 2
+    assert usage.stderr == "error: --runs needs at least one run file\n"
+    assert not (tmp_path / "rep").exists()
+
+    argv = ["--shape", "circle", "--lr", "1e30", "--epochs", "50", "--out", tmp_path / "d.nfl"]
+    diverged = fluctlab_cli("train", *argv)
+    assert diverged.returncode == 1
+    assert "error: run aborted at epoch" in diverged.stderr
+
+    runs = [two_runs[0.01], two_runs[0.001]]
+    compared = fluctlab_cli("compare", *runs)
+    assert compared.returncode == 0
+    assert run_cli(["compare", *map(str, runs)]) == 0
+    assert compared.stdout == capsys.readouterr().out
