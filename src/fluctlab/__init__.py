@@ -12,7 +12,6 @@ from .analysis import (
     spread_of_spread,
 )
 from .figures import (
-    FigureSpec,
     ReconstructionResult,
     fluctuation_table,
     hist_svg,
@@ -40,7 +39,6 @@ from .runfile import (
 )
 from .shapes import ShapeDataset, ShapeKind, export_csv, generate, normalize_to_unit_box
 from .train import (
-    AdamParams,
     EpochSnapshot,
     OptimizerState,
     RunConfig,

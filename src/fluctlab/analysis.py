@@ -164,6 +164,18 @@ def check_analysis_settings(epsilon: float, bins: int = DEFAULT_BINS) -> None:
         raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
 
 
+def check_analyzable(run: RunAccessor, mode: str = "delta") -> None:
+    """Reject a run that is incomplete, or that holds too few snapshots for
+    mode: deltas need two, raw values one."""
+    if not run.manifest.complete:
+        raise ValueError("run file is incomplete; refusing to analyze")
+    needed = 2 if mode == "delta" else 1
+    if len(run) < needed:
+        raise InsufficientDataError(
+            f"need at least {needed} snapshots for mode {mode!r}, run has {len(run)}"
+        )
+
+
 def detect_inactive(spreads: np.ndarray, epsilon: float) -> np.ndarray:
     """Mask of the neurons with spread < epsilon, in the order of spreads."""
     check_analysis_settings(epsilon)
@@ -197,10 +209,7 @@ def neuron_delta_series(run: RunAccessor, layer: int, index: int, channel: str) 
     """
     if channel not in ANALYSIS_CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {ANALYSIS_CHANNELS}")
-    if not run.manifest.complete:
-        raise ValueError("run file is incomplete")
-    if len(run) < 2:
-        raise InsufficientDataError(f"need at least 2 snapshots, run has {len(run)}")
+    check_analyzable(run)
     series = run.neuron_series(layer, _STORAGE_NAME.get(channel, channel), index)
     return np.diff(series, axis=0).ravel()
 
@@ -238,13 +247,7 @@ def analyze_run(
     if mode not in ("delta", "raw"):
         raise ValueError(f"mode must be 'delta' or 'raw', got {mode!r}")
     check_analysis_settings(epsilon, bins)
-    if not run.manifest.complete:
-        raise ValueError("run file is incomplete; refusing to analyze")
-    needed = 2 if mode == "delta" else 1
-    if len(run) < needed:
-        raise InsufficientDataError(
-            f"need at least {needed} snapshots for mode {mode!r}, run has {len(run)}"
-        )
+    check_analyzable(run, mode)
     arch = run.manifest.architecture
     channels: dict[str, ChannelStats] = {}
     for ch in ANALYSIS_CHANNELS:

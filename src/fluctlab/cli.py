@@ -24,9 +24,9 @@ from .analysis import (
     analyze_run,
     calibrate_epsilon,
     check_analysis_settings,
+    check_analyzable,
 )
 from .figures import (
-    FigureSpec,
     fluctuation_table,
     hist_svg,
     reconstruct,
@@ -34,9 +34,9 @@ from .figures import (
     stack_svgs,
 )
 from .net import ArchitectureSpec
-from .runfile import RunAccessor, RunManifest, RunWriter, canonical_json_bytes
+from .runfile import RunAccessor, RunFormatError, RunManifest, RunWriter, canonical_json_bytes
 from .shapes import ShapeKind, export_csv, generate
-from .train import DEFAULT_LEARNING_RATES, RunConfig, TrainingDivergedError, train
+from .train import DEFAULT_LEARNING_RATES, RunConfig, TrainingDivergedError, snapshot_count, train
 
 INDEX_SCHEMA_VERSION = 1
 SHAPE_NAMES = tuple(k.value for k in ShapeKind)
@@ -117,6 +117,13 @@ class ExperimentPlan:
         for shape in self.shapes:
             for lr in self.learning_rates:
                 self.run_config(shape, lr)
+        # every cell is analysed in delta mode, which needs two snapshots
+        kept = snapshot_count(self.epochs, self.capture_every)
+        if kept < 2:
+            raise ValueError(
+                f"epochs {self.epochs} with capture_every {self.capture_every} keeps "
+                f"{kept} snapshot; analysis needs at least 2"
+            )
 
     def run_config(self, shape: str, lr: float) -> RunConfig:
         return RunConfig(
@@ -182,25 +189,14 @@ def summarize_run(acc: RunAccessor, out_dir: Path, epsilon: float, bins: int) ->
     scatter_path = out_dir / f"{stem}_scatter.svg"
     _write_bytes(
         scatter_path,
-        scatter_svg(
-            result,
-            FigureSpec(title=f"{cfg.shape.value}: reconstruction at lr {lr_txt}"),
-        ),
+        scatter_svg(result, f"{cfg.shape.value}: reconstruction at lr {lr_txt}"),
     )
     hists = {}
     for channel in ANALYSIS_CHANNELS:
         hist_path = out_dir / f"{stem}_hist_{channel}.svg"
         _write_bytes(
             hist_path,
-            hist_svg(
-                report,
-                channel,
-                FigureSpec(
-                    title=f"{cfg.shape.value}: {channel} spread at lr {lr_txt}",
-                    x_label="per-neuron spread",
-                    y_label="neurons",
-                ),
-            ),
+            hist_svg(report, channel, f"{cfg.shape.value}: {channel} spread at lr {lr_txt}"),
         )
         hists[channel] = hist_path.name
     md_blob, csv_blob = fluctuation_table(report)
@@ -357,6 +353,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         shared = _duplicates([_run_stem(acc.manifest.config) for acc in runs])
         if shared:
             raise ValueError(f"runs share artifact names: {', '.join(shared)}")
+        for path, acc in zip(run_paths, runs):
+            try:
+                check_analyzable(acc)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         out_dir.mkdir(parents=True, exist_ok=True)
         entries = []
         for acc in runs:
@@ -529,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, TrainingDivergedError) as exc:
+    except (ValueError, OSError, RunFormatError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, TrainingDivergedError) else 2
 

@@ -20,20 +20,13 @@ RECONSTRUCTED_COLOR = "#e0482e"
 ENCODER_COLOR = "#3c6fb0"
 DECODER_COLOR = "#b06f3c"
 
+# the canvas of every scatter and histogram figure
+WIDTH, HEIGHT = 800, 600
+SCATTER_X_LABEL, SCATTER_Y_LABEL = "x", "y"
+HIST_X_LABEL = "per-neuron spread"
+STACK_TITLE_HEIGHT = 34
+
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
-
-
-@dataclass
-class FigureSpec:
-    title: str
-    x_label: str = "x"
-    y_label: str = "y"
-    width: int = 800
-    height: int = 600
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("canvas size must be positive")
 
 
 @dataclass
@@ -86,7 +79,7 @@ def _escape(text: str) -> str:
     )
 
 
-def scatter_svg(result: ReconstructionResult, spec: FigureSpec) -> bytes:
+def scatter_svg(result: ReconstructionResult, title: str) -> bytes:
     """Original vs reconstructed points on an equal-aspect [-1.2, 1.2]^2 frame.
 
     Points outside the frame are clipped onto its border so every marker
@@ -97,7 +90,7 @@ def scatter_svg(result: ReconstructionResult, spec: FigureSpec) -> bytes:
     if not (np.isfinite(result.original).all() and np.isfinite(result.reconstructed).all()):
         raise ValueError("figure coordinates must be finite")
 
-    w, h = spec.width, spec.height
+    w, h = WIDTH, HEIGHT
     m_left, m_right, m_top, m_bottom = 60, 20, 50, 45
     side = min(w - m_left - m_right, h - m_top - m_bottom)
     ox = m_left + (w - m_left - m_right - side) / 2.0
@@ -115,7 +108,7 @@ def scatter_svg(result: ReconstructionResult, spec: FigureSpec) -> bytes:
         f'viewBox="0 0 {w} {h}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
         f'<text x="{w / 2:.1f}" y="28" text-anchor="middle" font-size="18" '
-        f'font-family="sans-serif">{_escape(spec.title)}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
         f'<rect x="{ox:.2f}" y="{oy:.2f}" width="{side:.2f}" height="{side:.2f}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
@@ -140,12 +133,12 @@ def scatter_svg(result: ReconstructionResult, spec: FigureSpec) -> bytes:
         )
     lines.append(
         f'<text x="{ox + side / 2:.2f}" y="{oy + side + 36:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{_escape(spec.x_label)}</text>'
+        f'font-size="13" font-family="sans-serif">{_escape(SCATTER_X_LABEL)}</text>'
     )
     lines.append(
         f'<text x="{ox - 40:.2f}" y="{oy + side / 2:.2f}" text-anchor="middle" '
         f'font-size="13" font-family="sans-serif" '
-        f'transform="rotate(-90 {ox - 40:.2f} {oy + side / 2:.2f})">{_escape(spec.y_label)}</text>'
+        f'transform="rotate(-90 {ox - 40:.2f} {oy + side / 2:.2f})">{_escape(SCATTER_Y_LABEL)}</text>'
     )
     for x, y in result.original:
         px, py = to_px(float(x), float(y))
@@ -225,12 +218,12 @@ def _hist_panel(
         )
 
 
-def hist_svg(report: FluctuationReport, channel: str, spec: FigureSpec) -> bytes:
+def hist_svg(report: FluctuationReport, channel: str, title: str) -> bytes:
     """Side-by-side encoder/decoder spread histograms for one channel."""
     if channel not in report.channels:
         raise ValueError(f"channel {channel!r} not present in report")
     stats = report.channels[channel]
-    w, h = spec.width, spec.height
+    w, h = WIDTH, HEIGHT
     m_left, m_gap, m_right, m_top, m_bottom = 45, 50, 20, 70, 50
     pw = (w - m_left - m_gap - m_right) / 2.0
     ph = h - m_top - m_bottom
@@ -239,9 +232,9 @@ def hist_svg(report: FluctuationReport, channel: str, spec: FigureSpec) -> bytes
         f'viewBox="0 0 {w} {h}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
         f'<text x="{w / 2:.1f}" y="26" text-anchor="middle" font-size="17" '
-        f'font-family="sans-serif">{_escape(spec.title)}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
         f'<text x="{w / 2:.1f}" y="{h - 14:.1f}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif">{_escape(spec.x_label)}</text>',
+        f'font-family="sans-serif">{_escape(HIST_X_LABEL)}</text>',
     ]
     for i, (half, color) in enumerate(zip(HALVES, (ENCODER_COLOR, DECODER_COLOR))):
         hs = stats.halves[half]
@@ -305,7 +298,7 @@ def fluctuation_table(report: FluctuationReport) -> tuple[bytes, bytes]:
 _SVG_SIZE_RE = re.compile(rb'<svg[^>]*?\swidth="(\d+)"[^>]*?\sheight="(\d+)"')
 
 
-def stack_svgs(children: list[bytes], title: str | None = None) -> bytes:
+def stack_svgs(children: list[bytes], title: str) -> bytes:
     """Stack standalone SVG documents vertically into one composite SVG."""
     if not children:
         raise ValueError("nothing to stack")
@@ -316,19 +309,15 @@ def stack_svgs(children: list[bytes], title: str | None = None) -> bytes:
             raise ValueError("child SVG lacks integer width/height attributes")
         sizes.append((int(m.group(1)), int(m.group(2))))
     width = max(s[0] for s in sizes)
-    header_h = 34 if title else 0
-    height = header_h + sum(s[1] for s in sizes)
+    height = STACK_TITLE_HEIGHT + sum(s[1] for s in sizes)
     parts = [
         _XML_DECL
         + f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'viewBox="0 0 {width} {height}">',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="19" '
+        f'font-family="sans-serif">{_escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="19" '
-            f'font-family="sans-serif">{_escape(title)}</text>'
-        )
-    y = header_h
+    y = STACK_TITLE_HEIGHT
     for child, (cw, ch) in zip(children, sizes):
         body = child.decode("utf-8")
         if body.startswith("<?xml"):

@@ -28,7 +28,7 @@ import io
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -46,7 +46,7 @@ STORAGE_CHANNELS = ("weights", "biases", "weight_grads", "bias_grads", "activati
 
 
 class RunFormatError(Exception):
-    """The byte stream does not follow the run-file layout."""
+    """The file does not follow the run-file layout."""
 
 
 class RunCorruptionError(RunFormatError):
@@ -64,11 +64,10 @@ class RunManifest:
     snapshot_count: int = 0
     complete: bool = False
     created_utc: int = 0
-    format_version: int = FORMAT_VERSION
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "config": self.config.to_json_dict(),
             "architecture": self.architecture.to_json_dict(),
             "snapshot_count": self.snapshot_count,
@@ -78,25 +77,21 @@ class RunManifest:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunManifest":
+        if d["format_version"] != FORMAT_VERSION:
+            raise ValueError(
+                f"format version {d['format_version']!r}; this reader reads version {FORMAT_VERSION}"
+            )
         return cls(
             config=RunConfig.from_json_dict(d["config"]),
             architecture=ArchitectureSpec.from_json_dict(d["architecture"]),
             snapshot_count=d["snapshot_count"],
             complete=d["complete"],
             created_utc=d["created_utc"],
-            format_version=d["format_version"],
         )
 
 
 def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
-def _open(target: str | Path | IO[bytes], mode: str) -> tuple[IO[bytes], bool]:
-    """The stream for target, and whether it was opened here (and so must be closed here)."""
-    if isinstance(target, (str, Path)):
-        return open(target, mode), True
-    return target, False
 
 
 def frame_dtype(arch: ArchitectureSpec) -> np.dtype:
@@ -115,7 +110,7 @@ class RunWriter:
     finalize(complete=True) once training has finished, otherwise the file
     stays flagged incomplete."""
 
-    def __init__(self, destination: str | Path | IO[bytes], manifest: RunManifest):
+    def __init__(self, destination: str | Path, manifest: RunManifest):
         self._manifest = manifest
         self._layers = len(manifest.architecture.layer_shapes)
         # One record, refilled by every append.
@@ -124,13 +119,12 @@ class RunWriter:
         self._count = 0
         self._last_epoch = 0
         self._finalized = False
-        self._stream, self._owns_stream = _open(destination, "wb")
+        self._stream = open(destination, "wb")
         try:
             self._write_manifest(snapshot_count=0, complete=False)
             self._stream.seek(DATA_START)
         except BaseException:
-            if self._owns_stream:
-                self._stream.close()
+            self._stream.close()
             raise
 
     def _write_manifest(self, snapshot_count: int, complete: bool) -> None:
@@ -175,8 +169,7 @@ class RunWriter:
             self._write_manifest(snapshot_count=self._count, complete=complete)
             self._stream.flush()
             self._finalized = True
-            if self._owns_stream:
-                self._stream.close()
+            self._stream.close()
         return DATA_START + self._count * self._record.itemsize
 
     def __enter__(self) -> "RunWriter":
@@ -190,7 +183,7 @@ class RunWriter:
 def write_run(
     manifest: RunManifest,
     snapshots: Iterable[EpochSnapshot],
-    destination: str | Path | IO[bytes],
+    destination: str | Path,
     complete: bool = True,
 ) -> int:
     with RunWriter(destination, manifest) as writer:
@@ -207,8 +200,8 @@ class RunAccessor:
     the file.
     """
 
-    def __init__(self, source: str | Path | IO[bytes]):
-        self._stream, self._owns_stream = _open(source, "rb")
+    def __init__(self, source: str | Path):
+        self._stream = open(source, "rb")
         try:
             self.manifest = self._read_manifest()
             self._frame = frame_dtype(self.manifest.architecture)
@@ -319,8 +312,7 @@ class RunAccessor:
         return self._field(name)[:, index]
 
     def close(self) -> None:
-        if self._owns_stream:
-            self._stream.close()
+        self._stream.close()
 
     def __enter__(self) -> "RunAccessor":
         return self

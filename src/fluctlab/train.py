@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,6 +35,13 @@ from .shapes import ShapeKind, generate
 TRAIN_SAMPLE_COUNT = 500
 DEFAULT_LEARNING_RATES = (0.01, 0.001, 0.0001)
 
+# Adam's settings; the paper varies only the learning rate.  Manifests record
+# them, so a run file made with other values is rejected on read.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+ADAM_JSON = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILON}
+
 
 class TrainingDivergedError(RuntimeError):
     """Training produced a non-finite loss or gradient; carries the epoch."""
@@ -45,33 +52,12 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AdamParams:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive and finite")
-
-    def to_json_dict(self) -> dict:
-        return {"beta1": self.beta1, "beta2": self.beta2, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AdamParams":
-        return cls(beta1=d["beta1"], beta2=d["beta2"], epsilon=d["epsilon"])
-
-
-@dataclass(frozen=True)
 class RunConfig:
     shape: ShapeKind
     learning_rate: float
     epochs: int = 1000
     data_seed: int = 0
     init_seed: int = 0
-    adam: AdamParams = field(default_factory=AdamParams)
     capture_every: int = 1
 
     def __post_init__(self):
@@ -93,19 +79,20 @@ class RunConfig:
             "epochs": self.epochs,
             "data_seed": self.data_seed,
             "init_seed": self.init_seed,
-            "adam": self.adam.to_json_dict(),
+            "adam": dict(ADAM_JSON),
             "capture_every": self.capture_every,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
+        if d["adam"] != ADAM_JSON:
+            raise ValueError(f"adam settings {d['adam']!r} differ from the trainer's {ADAM_JSON!r}")
         return cls(
             shape=ShapeKind(d["shape"]),
             learning_rate=d["learning_rate"],
             epochs=d["epochs"],
             data_seed=d["data_seed"],
             init_seed=d["init_seed"],
-            adam=AdamParams.from_json_dict(d["adam"]),
             capture_every=d["capture_every"],
         )
 
@@ -143,7 +130,6 @@ def adam_step(
     grads: GradientSet,
     opt: OptimizerState,
     lr: float,
-    params: AdamParams,
 ) -> tuple[NetworkState, OptimizerState]:
     """One Adam update, in place: m and v track the moments, parameters move by
     -lr * m_hat / (sqrt(v_hat) + eps) with the usual 1/(1-beta^t) bias correction.
@@ -167,7 +153,7 @@ def adam_step(
         raise FloatingPointError(f"non-finite gradient at layer {k}")
 
     opt.t += 1
-    b1, b2, eps = params.beta1, params.beta2, params.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     mc = 1.0 - b1**opt.t
     vc = 1.0 - b2**opt.t
     m, v = opt.m, opt.v
@@ -177,6 +163,12 @@ def adam_step(
     v += (1.0 - b2) * g * g
     net.theta -= lr * (m / mc) / (np.sqrt(v / vc) + eps)
     return net, opt
+
+
+def snapshot_count(epochs: int, capture_every: int) -> int:
+    """How many snapshots train() emits under its capture rule: epoch 1 and
+    every epoch e with e % capture_every == 0."""
+    return epochs // capture_every + (capture_every > 1)
 
 
 def train(
@@ -209,7 +201,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         try:
             grads = backward(net, pts, trace, out=grads)
-            adam_step(net, grads, opt, config.learning_rate, config.adam)
+            adam_step(net, grads, opt, config.learning_rate)
             trace = forward(net, pts, out=trace)
         except (NumericOverflowError, FloatingPointError) as exc:
             raise TrainingDivergedError(epoch, str(exc)) from exc

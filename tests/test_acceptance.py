@@ -23,7 +23,7 @@ from fluctlab.cli import main, train_run_to_file
 from fluctlab.net import ArchitectureSpec, backward, forward, init, mse
 from fluctlab.runfile import RunAccessor, standardize_channel, write_run
 from fluctlab.shapes import ShapeKind, export_csv, generate
-from fluctlab.train import AdamParams, RunConfig, adam_step, init_optimizer, train
+from fluctlab.train import ADAM_EPSILON, RunConfig, adam_step, init_optimizer, train
 from test_net import finite_difference_grads, gradcheck_case, GRADCHECK_ARCH
 
 SEED_PAIRS = ((1, 101), (2, 102), (3, 103), (4, 104), (5, 105))
@@ -228,7 +228,7 @@ def test_criterion_7_adam_unit_behavior():
 
     zeros = GradientSet(net.spec)
     opt = init_optimizer(net)
-    adam_step(net, zeros, opt, 0.01, AdamParams())
+    adam_step(net, zeros, opt, 0.01)
     after = [l.weights for l in net.layers] + [l.biases for l in net.layers]
     drift = max(float(np.abs(a - b).max()) for a, b in zip(after, before))
 
@@ -237,9 +237,9 @@ def test_criterion_7_adam_unit_behavior():
     lr = 0.001
     net2 = init(GRADCHECK_ARCH, 6)
     w_before = net2.layers[0].weights[0, 0]
-    adam_step(net2, ones, init_optimizer(net2), lr, AdamParams())
+    adam_step(net2, ones, init_optimizer(net2), lr)
     step = w_before - net2.layers[0].weights[0, 0]
-    closed_form = lr * 1.0 / (1.0 + AdamParams().epsilon)  # m_hat = v_hat = 1 at t=1
+    closed_form = lr * 1.0 / (1.0 + ADAM_EPSILON)  # m_hat = v_hat = 1 at t=1
     ok = drift <= 1e-15 and abs(step - lr) <= 1e-8 and abs(step - closed_form) <= 1e-15
     assert verdict(
         7, f"zero-grad drift {drift:.1e}; first step {step:.12f} vs lr {lr}", ok

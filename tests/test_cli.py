@@ -10,10 +10,10 @@ import pytest
 
 import fluctlab
 import fluctlab.cli as cli
-from fluctlab.cli import SHAPE_NAMES, main, train_run_to_file
+from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main, train_run_to_file
 from fluctlab.runfile import RunAccessor
 from fluctlab.shapes import ShapeKind
-from fluctlab.train import RunConfig
+from fluctlab.train import RunConfig, TrainingDivergedError, snapshot_count
 
 
 def run_cli(argv):
@@ -146,6 +146,14 @@ class TestAnalyze:
         assert cpath.read_bytes() == (outdir / "spiral_0.01_4.neurons.csv").read_bytes()
 
 
+    def test_unknown_format_version_exits_2_before_writing(self, two_runs, tmp_path, capsys):
+        run = tmp_path / "v9.nfl"
+        run.write_bytes(two_runs[0.01].read_bytes().replace(b'"format_version":1', b'"format_version":9'))
+        jpath = tmp_path / "an" / "r.json"
+        assert run_cli(["analyze", "--run", str(run), "--json", str(jpath)]) == 2
+        assert "format version 9" in capsys.readouterr().err
+        assert not jpath.parent.exists()
+
     @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "0"], ["--bins", "0"]])
     def test_bad_analysis_setting_exits_2_before_writing(self, two_runs, tmp_path, flags, capsys):
         outdir = tmp_path / "an"
@@ -209,6 +217,24 @@ class TestReport:
         argv = ["report", "--runs", str(two_runs[0.01]), "--outdir", str(outdir)]
         assert run_cli(argv + flags) == 2
         assert "error:" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("defect", ["one_snapshot", "incomplete"])
+    def test_unanalyzable_run_is_usage_error_before_creating_outdir(
+        self, two_runs, tmp_path, defect, capsys
+    ):
+        bad = tmp_path / f"{defect}.nfl"
+        if defect == "one_snapshot":
+            train_run_to_file(RunConfig(shape=ShapeKind.SPIRAL, learning_rate=0.1, epochs=1), bad)
+        else:
+            cfg = RunConfig(shape=ShapeKind.SPIRAL, learning_rate=1e30, epochs=50)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TrainingDivergedError):
+                    train_run_to_file(cfg, bad)
+        outdir = tmp_path / "rep"
+        runs = f"{two_runs[0.01]},{bad}"
+        assert run_cli(["report", "--runs", runs, "--outdir", str(outdir)]) == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_report_rewrites_the_bytes_of_all(self, tmp_path):
@@ -375,6 +401,38 @@ class TestAll:
         assert "init_seed" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--epochs", "1"], ["--epochs", "3", "--capture-every", "5"], ["--capture-every", "3"]],
+    )
+    def test_plan_keeping_fewer_than_2_snapshots_is_usage_error(self, tmp_path, flags, capsys):
+        argv = ["all", "--shapes", "circle", "--lrs", "0.01", "--epochs", "2"]
+        outdir = tmp_path / "few"
+        assert run_cli(argv + flags + ["--outdir", str(outdir)]) == 2
+        assert "analysis needs at least 2" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_capture_rule_matches_frames_written(self, tmp_path):
+        for epochs in range(1, 7):
+            for capture_every in range(1, 8):
+                cfg = RunConfig(
+                    shape=ShapeKind.CIRCLE,
+                    learning_rate=0.01,
+                    epochs=epochs,
+                    capture_every=capture_every,
+                )
+                path = tmp_path / f"{epochs}_{capture_every}.nfl"
+                train_run_to_file(cfg, path)
+                with RunAccessor(path) as acc:
+                    frames = len(acc)
+                assert snapshot_count(epochs, capture_every) == frames
+                settings = {"epochs": epochs, "capture_every": capture_every}
+                if frames >= 2:
+                    ExperimentPlan(**settings)
+                else:
+                    with pytest.raises(ValueError, match="snapshot"):
+                        ExperimentPlan(**settings)
+
     def test_config_plan_matches_flag_plan(self, tmp_path):
         d_flags, d_cfg = tmp_path / "flags", tmp_path / "cfg"
         flags = [
@@ -468,7 +526,7 @@ class TestAll:
 PRECEDENCE = {
     "shapes": (["--shapes", "circle"], "square", ["circle"], ["square"], list(SHAPE_NAMES)),
     "learning_rates": (["--lrs", "0.01"], [0.001], [0.01], [0.001], [0.01, 0.001, 0.0001]),
-    "epochs": (["--epochs", "1"], 2, 1, 2, 1000),
+    "epochs": (["--epochs", "2"], 3, 2, 3, 1000),
     "data_seed": (["--data-seed", "3"], 4, 3, 4, 0),
     "init_seed": (["--init-seed", "5"], 6, 5, 6, 0),
     "capture_every": (["--capture-every", "3"], 2, 3, 2, 1),
@@ -487,7 +545,7 @@ def test_flag_beats_config_beats_default(key, tmp_path, monkeypatch):
     base = {
         "shapes": ["--shapes", "circle"],
         "learning_rates": ["--lrs", "0.01"],
-        "epochs": ["--epochs", "1"],
+        "epochs": ["--epochs", "3"],
         "out_dir": ["--outdir", "out"],
     }
     base.pop(key, None)
@@ -500,8 +558,7 @@ def test_flag_beats_config_beats_default(key, tmp_path, monkeypatch):
         if config is not None:
             Path("plan.json").write_text(json.dumps(config))
             extra = extra + ["--config", "plan.json"]
-        # one-epoch cells cannot be analyzed, so they are recorded as failed
-        assert run_cli(argv + extra) in (0, 1)
+        assert run_cli(argv + extra) == 0
         plan = plans.pop()
         index = json.loads((Path(plan.out_dir) / "index.json").read_text())
         return index["plan"][key] if key in index["plan"] else getattr(plan, key)

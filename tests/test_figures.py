@@ -7,7 +7,6 @@ import pytest
 from conftest import analyze_file, make_manifest, make_snapshot
 from fluctlab.cli import train_run_to_file
 from fluctlab.figures import (
-    FigureSpec,
     ReconstructionResult,
     fluctuation_table,
     hist_svg,
@@ -97,7 +96,7 @@ class TestScatterSvg:
             reconstructed=np.array([[0.1, -0.2]]),
             final_mse=0.1,
         )
-        blob = scatter_svg(result, FigureSpec(title="t"))
+        blob = scatter_svg(result, "t")
         assert blob.count(b'class="m-orig"') == 1
         assert blob.count(b'class="m-reco"') == 1
         assert_well_formed_svg(blob)
@@ -107,8 +106,7 @@ class TestScatterSvg:
         dataset = generate(cfg.shape, 500, cfg.data_seed)
         with RunAccessor(path) as acc:
             result = reconstruct(acc, dataset)
-        spec = FigureSpec(title="spiral")
-        assert scatter_svg(result, spec) == scatter_svg(result, spec)
+        assert scatter_svg(result, "spiral") == scatter_svg(result, "spiral")
 
     def test_markers_inside_viewbox(self):
         result = ReconstructionResult(
@@ -118,13 +116,26 @@ class TestScatterSvg:
             reconstructed=np.array([[5.0, 5.0], [-3.0, 0.2]]),  # clipped to the frame
             final_mse=0.1,
         )
-        spec = FigureSpec(title="t", width=640, height=480)
-        blob = scatter_svg(result, spec).decode()
+        blob = scatter_svg(result, "t").decode()
+        assert 'width="800" height="600" viewBox="0 0 800 600"' in blob
         coords = re.findall(r'class="m-\w+" cx="([0-9.]+)" cy="([0-9.]+)"', blob)
         assert len(coords) == 4
         for cx, cy in coords:
-            assert 0.0 <= float(cx) <= 640.0
-            assert 0.0 <= float(cy) <= 480.0
+            assert 0.0 <= float(cx) <= 800.0
+            assert 0.0 <= float(cy) <= 600.0
+
+    def test_title_and_axis_labels(self):
+        result = ReconstructionResult(
+            shape=ShapeKind.CIRCLE,
+            learning_rate=0.01,
+            original=np.array([[0.5, 0.5]]),
+            reconstructed=np.array([[0.1, -0.2]]),
+            final_mse=0.1,
+        )
+        root = ET.fromstring(scatter_svg(result, "a < b"))
+        texts = [t.text for t in root.iter() if t.tag.endswith("text")]
+        assert texts[0] == "a < b"
+        assert texts[-4:-2] == ["x", "y"]
 
     def test_nonfinite_rejected(self):
         result = ReconstructionResult(
@@ -135,14 +146,14 @@ class TestScatterSvg:
             final_mse=0.1,
         )
         with pytest.raises(ValueError):
-            scatter_svg(result, FigureSpec(title="t"))
+            scatter_svg(result, "t")
 
 
 class TestHistSvg:
     def test_bar_count_and_label_sums(self, spiral_run):
         path, _, _ = spiral_run
         report = analyze_file(path)
-        blob = hist_svg(report, "weights", FigureSpec(title="w")).decode()
+        blob = hist_svg(report, "weights", "w").decode()
         counts = [int(c) for c in re.findall(r'data-count="(\d+)"', blob)]
         assert len(counts) == 2 * report.bins
         assert sum(counts[: report.bins]) == 97  # encoder neurons
@@ -151,19 +162,25 @@ class TestHistSvg:
 
     def test_all_zero_spreads_single_full_bar(self, frozen_run):
         report = analyze_file(frozen_run)
-        blob = hist_svg(report, "biases", FigureSpec(title="b")).decode()
+        blob = hist_svg(report, "biases", "b").decode()
         counts = [int(c) for c in re.findall(r'data-count="(\d+)"', blob)]
         assert counts == [97, 98]
 
     def test_channel_must_exist(self, frozen_run):
         report = analyze_file(frozen_run)
         with pytest.raises(ValueError):
-            hist_svg(report, "momenta", FigureSpec(title="x"))
+            hist_svg(report, "momenta", "x")
 
     def test_byte_determinism(self, frozen_run):
         report = analyze_file(frozen_run)
-        spec = FigureSpec(title="b")
-        assert hist_svg(report, "weights", spec) == hist_svg(report, "weights", spec)
+        assert hist_svg(report, "weights", "b") == hist_svg(report, "weights", "b")
+
+    def test_title_and_axis_label(self, frozen_run):
+        report = analyze_file(frozen_run)
+        root = ET.fromstring(hist_svg(report, "weights", "spread of w"))
+        texts = [t.text for t in root.iter() if t.tag.endswith("text")]
+        assert texts[:2] == ["spread of w", "per-neuron spread"]
+        assert (root.attrib["width"], root.attrib["height"]) == ("800", "600")
 
 
 class TestFluctuationTable:
@@ -204,13 +221,14 @@ class TestFluctuationTable:
 class TestStackSvgs:
     def test_composes_vertically(self, frozen_run):
         report = analyze_file(frozen_run)
-        a = hist_svg(report, "weights", FigureSpec(title="a", height=300))
-        b = hist_svg(report, "biases", FigureSpec(title="b", height=200))
+        a = hist_svg(report, "weights", "a")
+        b = hist_svg(report, "biases", "b")
         stacked = stack_svgs([a, b], title="both")
         assert_well_formed_svg(stacked)
         root = ET.fromstring(stacked)
-        assert root.attrib["height"] == str(300 + 200 + 34)
+        assert root.attrib["height"] == str(600 + 600 + 34)
+        assert [t.text for t in root if t.tag.endswith("text")] == ["both"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            stack_svgs([])
+            stack_svgs([], title="t")

@@ -16,11 +16,14 @@ from fluctlab.net import (
 )
 from fluctlab.shapes import ShapeKind, generate
 from fluctlab.train import (
-    AdamParams,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     RunConfig,
     TrainingDivergedError,
     adam_step,
     init_optimizer,
+    snapshot_count,
     train,
 )
 
@@ -51,21 +54,28 @@ def adam_delta_oracle(steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8, g=1.0):
 
 class TestParams:
     def test_adam_defaults(self):
-        p = AdamParams()
-        assert (p.beta1, p.beta2, p.epsilon) == (0.9, 0.999, 1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
+        cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01).to_json_dict()
+        assert cfg["adam"] == {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}
+        assert RunConfig.from_json_dict(cfg) == RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01)
 
     def test_adam_validation(self):
-        with pytest.raises(ValueError):
-            AdamParams(beta1=1.0)
-        with pytest.raises(ValueError):
-            AdamParams(beta2=0.0)
-        with pytest.raises(ValueError):
-            AdamParams(epsilon=0.0)
+        # Adam's settings are fixed: a manifest that records others is rejected
+        for key, value in (("beta1", 1.0), ("beta2", 0.0), ("epsilon", 0.0), ("beta1", 0.95)):
+            cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01).to_json_dict()
+            cfg["adam"][key] = value
+            with pytest.raises(ValueError, match="adam settings"):
+                RunConfig.from_json_dict(cfg)
+        cfg["adam"] = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "amsgrad": True}
+        with pytest.raises(ValueError, match="adam settings"):
+            RunConfig.from_json_dict(cfg)
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1e-8])
     def test_adam_rejects_bad_epsilon(self, epsilon):
+        cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01).to_json_dict()
+        cfg["adam"]["epsilon"] = epsilon
         with pytest.raises(ValueError, match="epsilon"):
-            AdamParams(epsilon=epsilon)
+            RunConfig.from_json_dict(cfg)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.01])
     def test_run_config_rejects_bad_learning_rate(self, lr):
@@ -95,10 +105,10 @@ class TestParams:
             RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: 2.5})
 
 
-def per_layer_adam_step(weights, biases, grads, m, v, t, lr, params):
+def per_layer_adam_step(weights, biases, grads, m, v, t, lr):
     """Reference: Adam as a loop over each layer's arrays, in place.  m and v
     hold the weight moments of every layer, then the bias moments."""
-    b1, b2, eps = params.beta1, params.beta2, params.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     mc = 1.0 - b1**t
     vc = 1.0 - b2**t
     for p, g, mk, vk in zip(weights + biases, grads.weight_grads + grads.bias_grads, m, v):
@@ -121,7 +131,7 @@ class TestAdamStep:
         net = init(TINY, 1)
         before = [l.weights.copy() for l in net.layers]
         opt = init_optimizer(net)
-        adam_step(net, unit_gradients(net, 0.0), opt, 0.01, AdamParams())
+        adam_step(net, unit_gradients(net, 0.0), opt, 0.01)
         assert opt.t == 1
         for b, layer in zip(before, net.layers):
             assert np.abs(layer.weights - b).max() <= 1e-15
@@ -132,7 +142,7 @@ class TestAdamStep:
         before = [l.weights.copy() for l in net.layers]
         opt = init_optimizer(net)
         lr = 0.001
-        adam_step(net, unit_gradients(net), opt, lr, AdamParams())
+        adam_step(net, unit_gradients(net), opt, lr)
         (expected,) = adam_delta_oracle(1, lr=lr)
         assert abs(expected - 0.000999999990) < 1e-12
         for b, layer in zip(before, net.layers):
@@ -144,7 +154,7 @@ class TestAdamStep:
         lr = 0.001
         snapshots = [[l.weights.copy() for l in net.layers]]
         for _ in range(2):
-            adam_step(net, unit_gradients(net), opt, lr, AdamParams())
+            adam_step(net, unit_gradients(net), opt, lr)
             snapshots.append([l.weights.copy() for l in net.layers])
         deltas = adam_delta_oracle(2, lr=lr)
         step2 = snapshots[1][0][0, 0] - snapshots[2][0][0, 0]
@@ -158,14 +168,13 @@ class TestAdamStep:
         grads = GradientSet(net.spec)
         for t in range(1, 6):
             grads.grad[:] = rng.normal(size=grads.grad.shape)
-            adam_step(net, grads, opt, 0.01, AdamParams())
+            adam_step(net, grads, opt, 0.01)
             assert opt.t == t
             assert np.all(opt.v >= 0.0)  # every weight and bias moment
 
     @pytest.mark.parametrize("lr", [0.01, 0.0001])
     def test_flat_step_matches_per_layer_oracle(self, lr):
         net = init(ArchitectureSpec(), 40)
-        params = AdamParams()
         oracle = [l.weights.copy() for l in net.layers] + [l.biases.copy() for l in net.layers]
         m = [np.zeros_like(a) for a in oracle]
         v = [np.zeros_like(a) for a in oracle]
@@ -177,8 +186,8 @@ class TestAdamStep:
         for t in range(1, 2001):
             # magnitudes from 1e-9 to 10, so eps matters for some entries
             grads.grad[:] = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 1, size=n)
-            adam_step(net, grads, opt, lr, params)
-            per_layer_adam_step(oracle[:layers], oracle[layers:], grads, m, v, t, lr, params)
+            adam_step(net, grads, opt, lr)
+            per_layer_adam_step(oracle[:layers], oracle[layers:], grads, m, v, t, lr)
         assert opt.t == 2000
         assert net.theta.tobytes() == layer_order(oracle, layers).tobytes()
         assert opt.m.tobytes() == layer_order(m, layers).tobytes()
@@ -192,7 +201,7 @@ class TestAdamStep:
         opt = init_optimizer(net)
         before = net.theta.copy()
         with pytest.raises(FloatingPointError, match="layer 3"):
-            adam_step(net, grads, opt, 0.01, AdamParams())
+            adam_step(net, grads, opt, 0.01)
         assert opt.t == 0
         assert np.array_equal(net.theta, before)
 
@@ -212,20 +221,20 @@ class TestAdamStep:
             grads = unit_gradients(net)
             detach(net, grads)
             with pytest.raises(ValueError, match="views"):
-                adam_step(net, grads, init_optimizer(net), 0.01, AdamParams())
+                adam_step(net, grads, init_optimizer(net), 0.01)
 
     def test_nonfinite_gradient_rejected(self):
         net = init(TINY, 5)
         grads = unit_gradients(net)
         grads.weight_grads[0][0, 0] = np.nan
         with pytest.raises(FloatingPointError):
-            adam_step(net, grads, init_optimizer(net), 0.01, AdamParams())
+            adam_step(net, grads, init_optimizer(net), 0.01)
 
     def test_shape_mismatch_rejected(self):
         net = init(TINY, 6)
         other = init(ArchitectureSpec(), 6)
         with pytest.raises(ValueError):
-            adam_step(net, unit_gradients(other), init_optimizer(net), 0.01, AdamParams())
+            adam_step(net, unit_gradients(other), init_optimizer(net), 0.01)
 
 
 def mean_activations(net, pts):
@@ -365,7 +374,7 @@ class TestTrain:
         assert [s.epoch for s in got] == list(range(1, cfg.epochs + 1))
         for snap in got:
             grads = backward(net, pts, forward(net, pts))
-            adam_step(net, grads, opt, cfg.learning_rate, cfg.adam)
+            adam_step(net, grads, opt, cfg.learning_rate)
             probe = forward(net, pts)
             assert snap.loss == mse(pts, probe.output)
             expected = (
