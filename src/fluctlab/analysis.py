@@ -249,16 +249,22 @@ def analyze_run(
     check_analysis_settings(epsilon, bins)
     check_analyzable(run, mode)
     arch = run.manifest.architecture
+    # Layers first: each layer's block is read once and serves all five channels.
+    # Widening f32 to f64 is exact, so the deltas equal np.diff of the f64 series.
+    per_layer: dict[str, list[np.ndarray]] = {ch: [] for ch in ANALYSIS_CHANNELS}
+    for layer in range(len(arch.layer_shapes)):
+        block = run.layer_series(layer)
+        for ch in ANALYSIS_CHANNELS:
+            f = block[_STORAGE_NAME.get(ch, ch)]
+            if mode == "delta":
+                data = np.subtract(f[1:], f[:-1], dtype=np.float64)
+            else:
+                data = f.astype(np.float64)
+            axis = (0, 2) if data.ndim == 3 else 0
+            per_layer[ch].append(data.std(axis=axis))
     channels: dict[str, ChannelStats] = {}
     for ch in ANALYSIS_CHANNELS:
-        storage = _STORAGE_NAME.get(ch, ch)
-        per_layer = []
-        for layer in range(len(arch.layer_shapes)):
-            series = run.channel_series(layer, storage)
-            data = np.diff(series, axis=0) if mode == "delta" else series
-            axis = (0, 2) if data.ndim == 3 else 0
-            per_layer.append(data.std(axis=axis))
-        spreads = np.concatenate(per_layer)
+        spreads = np.concatenate(per_layer[ch])
         inactive = detect_inactive(spreads, epsilon)
         halves: dict[str, HalfStats] = {}
         for half, part in half_slices(arch).items():

@@ -39,8 +39,10 @@ MAGIC = b"NFL1"
 MANIFEST_REGION = 4096
 DATA_START = 8 + MANIFEST_REGION
 FORMAT_VERSION = 1
-# The two u32 fields that open every frame: the scan reads them alone.
-FRAME_HEAD = np.dtype([("length", "<u4"), ("epoch", "<u4")])
+# The fields that open every frame, read by the scan at open.  A frame needs
+# its two u32 fields (HEADER_BYTES) to be parsed at all.
+FRAME_HEAD = np.dtype([("length", "<u4"), ("epoch", "<u4"), ("loss", "<f8")])
+HEADER_BYTES = FRAME_HEAD.fields["loss"][1]
 
 STORAGE_CHANNELS = ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
 
@@ -95,9 +97,9 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def frame_dtype(arch: ArchitectureSpec) -> np.dtype:
-    """One frame as a packed record: the head, the f64 loss, then per layer k the
-    f32 fields {channel}{k} in STORAGE_CHANNELS order.  Its itemsize is the frame size."""
-    fields = FRAME_HEAD.descr + [("loss", "<f8")]
+    """One frame as a packed record: FRAME_HEAD, then per layer k the f32 fields
+    {channel}{k} in STORAGE_CHANNELS order.  Its itemsize is the frame size."""
+    fields = FRAME_HEAD.descr
     for k, (in_dim, out_dim) in enumerate(arch.layer_shapes):
         matrix, vector = (out_dim, in_dim), (out_dim,)
         shapes = (matrix, vector, matrix, vector, vector)  # in STORAGE_CHANNELS order
@@ -195,9 +197,11 @@ def write_run(
 class RunAccessor:
     """Random-access reader over a finished (or partial) run file.
 
-    Supports sequential iteration, access to any frame by index, and
-    whole-channel or single-neuron time series without loading the rest of
-    the file.
+    Opening scans every frame's head once, keeping the epochs and losses.
+    Snapshots are read by index.  Series are read one layer block per
+    frame: a layer's five channels sit next to each other in a frame, so
+    layer_series makes one positioned read per frame for all five, and the
+    channel and neuron series are views of it widened to f64.
     """
 
     def __init__(self, source: str | Path):
@@ -206,7 +210,7 @@ class RunAccessor:
             self.manifest = self._read_manifest()
             self._frame = frame_dtype(self.manifest.architecture)
             self._layers = len(self.manifest.architecture.layer_shapes)
-            self.epochs = self._scan_frames()
+            self.epochs, self._losses = self._scan_frames()
         except BaseException:
             self.close()
             raise
@@ -227,18 +231,20 @@ class RunAccessor:
         except (ValueError, KeyError) as exc:
             raise RunFormatError(f"unreadable manifest: {exc}") from exc
 
-    def _scan_frames(self) -> list[int]:
+    def _scan_frames(self) -> tuple[list[int], np.ndarray]:
         size = self._stream.seek(0, io.SEEK_END)
         frame_size = self._frame.itemsize
         epochs: list[int] = []
+        losses: list[float] = []
         pos = DATA_START
         while pos < size:
             idx = len(epochs)
-            if size - pos < FRAME_HEAD.itemsize:
+            if size - pos < HEADER_BYTES:
                 raise RunCorruptionError("truncated frame header", idx - 1)
             self._stream.seek(pos)
-            head = self._stream.read(FRAME_HEAD.itemsize)
-            length, epoch = np.frombuffer(head, FRAME_HEAD)[0].item()
+            # A frame cut inside its loss still parses; it is reported cut short below.
+            head = self._stream.read(FRAME_HEAD.itemsize).ljust(FRAME_HEAD.itemsize, b"\0")
+            length, epoch, loss = np.frombuffer(head, FRAME_HEAD)[0].item()
             if length != frame_size - 4:
                 raise RunCorruptionError(
                     f"frame {idx} declares {length} payload bytes, architecture needs "
@@ -252,6 +258,7 @@ class RunAccessor:
                     f"epoch {epoch} at frame {idx} does not increase", idx - 1
                 )
             epochs.append(epoch)
+            losses.append(loss)
             pos += frame_size
         if self.manifest.complete and len(epochs) != self.manifest.snapshot_count:
             raise RunCorruptionError(
@@ -259,7 +266,7 @@ class RunAccessor:
                 f"found {len(epochs)}",
                 len(epochs) - 1,
             )
-        return epochs
+        return epochs, np.array(losses, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -278,38 +285,47 @@ class RunAccessor:
     def __iter__(self) -> Iterator[EpochSnapshot]:
         return map(self.snapshot, range(len(self)))
 
-    def _field(self, name: str) -> np.ndarray:
-        """One frame field over all snapshots, time-major and widened to f64:
-        one positioned read per frame, each cast straight into the result."""
-        field, offset = self._frame.fields[name][:2]
-        out = np.empty((len(self), int(np.prod(field.shape))), dtype=np.float64)
-        for i in range(len(self)):
-            self._stream.seek(DATA_START + i * self._frame.itemsize + offset)
-            out[i] = np.frombuffer(self._stream.read(field.itemsize), field.base)
-        return out.reshape((len(self),) + field.shape)
-
     def losses(self) -> np.ndarray:
-        return self._field("loss")
+        """Every snapshot's loss, kept by the scan at open."""
+        return self._losses.copy()
 
-    def _channel_field(self, layer: int, channel: str) -> str:
-        if channel not in STORAGE_CHANNELS:
-            raise ValueError(f"unknown channel {channel!r}; expected one of {STORAGE_CHANNELS}")
+    def layer_series(self, layer: int) -> np.ndarray:
+        """All snapshots of one layer as a (T,) f32 record array whose fields are
+        STORAGE_CHANNELS: one seek and readinto per frame of the layer's block."""
         if not 0 <= layer < self._layers:
             raise ValueError(f"layer {layer} out of range [0, {self._layers})")
-        return f"{channel}{layer}"
+        fields = [self._frame.fields[f"{name}{layer}"] for name in STORAGE_CHANNELS]
+        start = fields[0][1]
+        block = np.dtype(
+            {
+                "names": list(STORAGE_CHANNELS),
+                "formats": [field for field, _ in fields],
+                "offsets": [offset - start for _, offset in fields],
+            }
+        )
+        out = np.empty(len(self), dtype=block)
+        buffer = memoryview(out.view(np.uint8))
+        step = block.itemsize
+        for i in range(len(self)):
+            self._stream.seek(DATA_START + i * self._frame.itemsize + start)
+            if self._stream.readinto(buffer[i * step : (i + 1) * step]) != step:
+                raise RunCorruptionError(f"frame {i} ended while reading layer {layer}", i - 1)
+        return out
 
     def channel_series(self, layer: int, channel: str) -> np.ndarray:
         """All snapshots of one layer channel, time-major: (T, out, in) or (T, out)."""
-        return self._field(self._channel_field(layer, channel))
+        if channel not in STORAGE_CHANNELS:
+            raise ValueError(f"unknown channel {channel!r}; expected one of {STORAGE_CHANNELS}")
+        return self.layer_series(layer)[channel].astype(np.float64)
 
     def neuron_series(self, layer: int, channel: str, index: int) -> np.ndarray:
         """One neuron's values over time: (T, in_dim) for weight channels
         (the neuron's incoming row), (T,) for vector channels."""
-        name = self._channel_field(layer, channel)
-        rows = self._frame[name].shape[0]
+        series = self.channel_series(layer, channel)
+        rows = series.shape[1]
         if not 0 <= index < rows:
             raise ValueError(f"neuron index {index} out of range [0, {rows})")
-        return self._field(name)[:, index]
+        return series[:, index]
 
     def close(self) -> None:
         self._stream.close()

@@ -5,19 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY_ARCH, analyze_file, make_snapshot, write_synthetic_run
+from conftest import TINY_ARCH, analyze_file, make_manifest, make_snapshot, write_synthetic_run
 from fluctlab.analysis import (
     ANALYSIS_CHANNELS,
     InsufficientDataError,
     analyze_run,
     calibrate_epsilon,
     detect_inactive,
+    half_slices,
     histogram,
     neuron_delta_series,
     spread,
     spread_of_spread,
 )
-from fluctlab.runfile import RunAccessor, canonical_json_bytes, write_run
+from fluctlab.net import ArchitectureSpec
+from fluctlab.runfile import (
+    STORAGE_CHANNELS,
+    RunAccessor,
+    RunManifest,
+    RunWriter,
+    canonical_json_bytes,
+    write_run,
+)
+from fluctlab.shapes import ShapeKind
+from fluctlab.train import RunConfig, train
 
 
 def two_pass_std_oracle(values):
@@ -171,8 +182,6 @@ class TestCalibrateEpsilon:
 def ramp_run(path, count=3):
     """Snapshots whose every stored value equals the epoch number."""
     snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=float(e)) for e in range(1, count + 1)]
-    from conftest import make_manifest
-
     write_run(make_manifest(epochs=count), snaps, path)
 
 
@@ -180,8 +189,6 @@ class TestDeltaSeries:
     def test_frozen_neuron_gives_zeros(self, tmp_path):
         path = tmp_path / "f.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.25) for e in (1, 2, 3)]
-        from conftest import make_manifest
-
         write_run(make_manifest(epochs=3), snaps, path)
         with RunAccessor(path) as acc:
             deltas = neuron_delta_series(acc, 1, 0, "weights")
@@ -193,8 +200,6 @@ class TestDeltaSeries:
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2, 3)]
         for snap, value in zip(snaps, (0.0, 1.0, 3.0)):
             snap.weights[3][0, 0] = value
-        from conftest import make_manifest
-
         write_run(make_manifest(epochs=3), snaps, path)
         with RunAccessor(path) as acc:
             deltas = neuron_delta_series(acc, 3, 0, "weights")
@@ -205,8 +210,6 @@ class TestDeltaSeries:
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2, 3)]
         for snap, row in zip(snaps, ([0.0, 0.0], [1.0, 2.0], [3.0, 5.0])):
             snap.weights[0][1, :] = row
-        from conftest import make_manifest
-
         write_run(make_manifest(epochs=3), snaps, path)
         with RunAccessor(path) as acc:
             deltas = neuron_delta_series(acc, 0, 1, "weights")
@@ -224,8 +227,6 @@ class TestDeltaSeries:
         path = tmp_path / "act.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2)]
         snaps[1].activation_means[2][0] = 4.0
-        from conftest import make_manifest
-
         write_run(make_manifest(epochs=2), snaps, path)
         with RunAccessor(path) as acc:
             deltas = neuron_delta_series(acc, 2, 0, "activations")
@@ -236,8 +237,6 @@ class TestAnalyzeRun:
     def test_frozen_run_all_inactive(self, tmp_path):
         path = tmp_path / "fr.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.125) for e in (1, 2, 3)]
-        from conftest import make_manifest
-
         write_run(make_manifest(epochs=3), snaps, path)
         report = analyze_file(path)
         for ch in ANALYSIS_CHANNELS:
@@ -293,14 +292,11 @@ class TestAnalyzeRun:
             assert abs(s - expected) <= 1e-12
 
     def test_incomplete_run_rejected(self, tmp_path):
-        from conftest import make_manifest, make_snapshot as ms
-        from fluctlab.runfile import RunWriter
-
         path = tmp_path / "inc.nfl"
         rng = np.random.default_rng(0)
         with RunWriter(path, make_manifest()) as writer:
-            writer.append(ms(TINY_ARCH, 1, 0.5, rng=rng))
-            writer.append(ms(TINY_ARCH, 2, 0.5, rng=rng))
+            writer.append(make_snapshot(TINY_ARCH, 1, 0.5, rng=rng))
+            writer.append(make_snapshot(TINY_ARCH, 2, 0.5, rng=rng))
         with RunAccessor(path) as acc, pytest.raises(ValueError, match="incomplete"):
             analyze_run(acc)
 
@@ -342,3 +338,74 @@ class TestAnalyzeRun:
                 keys[i] for i in np.flatnonzero(stats.inactive)
             ]
         assert any(doc["channels"][ch]["inactive"] for ch in ANALYSIS_CHANNELS)
+
+
+def inexact_run(path, count=6):
+    """A TINY_ARCH run of full float64 values, which the writer rounds to f32."""
+    rng = np.random.default_rng(13)
+    snaps = []
+    for epoch in range(1, count + 1):
+        snap = make_snapshot(TINY_ARCH, epoch, 0.5, fill=0.0)
+        for channel in STORAGE_CHANNELS:
+            setattr(snap, channel, [rng.normal(0, 2, size=a.shape) for a in getattr(snap, channel)])
+        snaps.append(snap)
+    write_run(make_manifest(epochs=count), snaps, path)
+
+
+def spiral_run(path, epochs=30):
+    """A trained spiral run of the paper's network, every epoch captured."""
+    config = RunConfig(
+        shape=ShapeKind.SPIRAL, learning_rate=0.01, epochs=epochs, data_seed=1, init_seed=101
+    )
+    with RunWriter(path, RunManifest(config=config, architecture=ArchitectureSpec())) as writer:
+        train(config, writer.append)
+        writer.finalize(complete=True)
+
+
+def per_field_spreads(acc, mode):
+    """Spreads by the per-field formula: each channel's series stacked from the
+    snapshots (widened to f64), differenced in delta mode, then .std over time
+    and, for weight channels, over the incoming weights."""
+    snaps = list(acc)
+    spreads = {}
+    for ch in ANALYSIS_CHANNELS:
+        storage = "activation_means" if ch == "activations" else ch
+        per_layer = []
+        for layer in range(len(acc.manifest.architecture.layer_shapes)):
+            series = np.stack([getattr(s, storage)[layer] for s in snaps])
+            data = np.diff(series, axis=0) if mode == "delta" else series
+            per_layer.append(data.std(axis=(0, 2) if data.ndim == 3 else 0))
+        spreads[ch] = np.concatenate(per_layer)
+    return spreads
+
+
+def f64_bytes(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestAnalyzeOracle:
+    @pytest.mark.parametrize("mode", ["delta", "raw"])
+    @pytest.mark.parametrize("make_run", [inexact_run, spiral_run], ids=["tiny", "spiral"])
+    def test_report_equals_per_field_formula_bit_for_bit(self, tmp_path, make_run, mode):
+        path = tmp_path / "run.nfl"
+        make_run(path)
+        with RunAccessor(path) as acc:
+            reference = per_field_spreads(acc, mode)
+            # the median spread flags some neurons and leaves others
+            epsilon = float(np.median(np.concatenate(list(reference.values()))))
+            report = analyze_run(acc, epsilon=epsilon, mode=mode)
+            arch = acc.manifest.architecture
+        flagged = 0
+        for ch, expected in reference.items():
+            stats = report.channels[ch]
+            assert f64_bytes(stats.spreads) == f64_bytes(expected)
+            assert np.array_equal(stats.inactive, expected < epsilon)
+            flagged += int(stats.inactive.sum())
+            for half, part in half_slices(arch).items():
+                got = stats.halves[half]
+                edges, counts = histogram(expected[part], report.bins)
+                assert f64_bytes(got.hist_edges) == f64_bytes(edges)
+                assert got.hist_counts == counts
+                assert f64_bytes(got.spread_of_spread) == f64_bytes(spread_of_spread(expected[part]))
+                assert got.inactive_count == int((expected[part] < epsilon).sum())
+        assert 0 < flagged < len(ANALYSIS_CHANNELS) * arch.total_neurons

@@ -6,10 +6,12 @@ import pytest
 
 from conftest import TINY_ARCH, make_manifest, make_snapshot, write_synthetic_run
 from fluctlab import runfile
+from fluctlab.analysis import analyze_run
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
     MANIFEST_REGION,
+    STORAGE_CHANNELS,
     RunCorruptionError,
     RunAccessor,
     RunFormatError,
@@ -17,6 +19,25 @@ from fluctlab.runfile import (
     standardize_channel,
     write_run,
 )
+
+
+class ReadCountingFile:
+    """A file whose read and readinto calls are counted."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.reads = 0
+
+    def read(self, *args):
+        self.reads += 1
+        return self._raw.read(*args)
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return self._raw.readinto(buffer)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
 
 
 def paper_arch_payload_oracle():
@@ -167,6 +188,52 @@ class TestAccess:
         with RunAccessor(path) as acc:
             assert acc.losses().tolist() == [s.loss for s in written]
 
+    def test_losses_returns_a_copy(self, tmp_path):
+        path = tmp_path / "lc.nfl"
+        written = write_synthetic_run(path, count=3)
+        with RunAccessor(path) as acc:
+            acc.losses()[:] = -1.0
+            assert acc.losses().tolist() == [s.loss for s in written]
+
+    def test_layer_series_fields_equal_snapshot_values(self, tmp_path):
+        path = tmp_path / "ls.nfl"
+        write_synthetic_run(path, count=4, seed=7)
+        with RunAccessor(path) as acc:
+            for layer in range(len(TINY_ARCH.layer_shapes)):
+                block = acc.layer_series(layer)
+                assert block.shape == (4,)
+                assert block.dtype.names == STORAGE_CHANNELS
+                for i in range(len(acc)):
+                    snap = acc.snapshot(i)
+                    for name in STORAGE_CHANNELS:
+                        expected = getattr(snap, name)[layer].astype(np.float32)
+                        assert block[name][i].dtype == np.float32
+                        assert block[name][i].tobytes() == expected.tobytes()
+            for layer in (-1, len(TINY_ARCH.layer_shapes)):
+                with pytest.raises(ValueError, match="layer"):
+                    acc.layer_series(layer)
+
+    def test_reads_per_frame(self, tmp_path, monkeypatch):
+        """Opening reads the magic, the manifest and one head per frame; the
+        analysis reads each layer's block once per frame; losses read nothing."""
+        frames = 5
+        path = tmp_path / "reads.nfl"
+        write_synthetic_run(path, count=frames, seed=4)
+        files = []
+
+        def counting_open(*args, **kwargs):
+            files.append(ReadCountingFile(open(*args, **kwargs)))
+            return files[-1]
+
+        monkeypatch.setattr(runfile, "open", counting_open, raising=False)
+        with RunAccessor(path) as acc:
+            (counted,) = files
+            assert counted.reads == 2 + frames
+            acc.losses()
+            assert counted.reads == 2 + frames
+            analyze_run(acc)
+            assert counted.reads == 2 + frames + len(TINY_ARCH.layer_shapes) * frames
+
     def test_epoch_values_preserved(self, tmp_path):
         rng = np.random.default_rng(0)
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, rng=rng) for e in (1, 3, 6, 9)]
@@ -206,6 +273,7 @@ class TestErrors:
             ("short_header", "truncated frame header", 1),
             ("wrong_length", "frame 1 declares", 0),
             ("cut_short", "frame 2 is cut short", 1),
+            ("cut_in_loss", "frame 2 is cut short", 1),
             ("repeated_epoch", "epoch 2 at frame 2 does not increase", 1),
             ("missing_frame", "manifest promises 3 snapshots, found 2", 1),
         ],
@@ -221,6 +289,8 @@ class TestErrors:
             blob[DATA_START + frame : DATA_START + frame + 4] = (frame - 8).to_bytes(4, "little")
         elif damage == "cut_short":
             blob = blob[:-10]
+        elif damage == "cut_in_loss":  # the head's u32 fields and 4 of the loss's 8 bytes
+            blob = blob[: DATA_START + 2 * frame + 12]
         elif damage == "repeated_epoch":
             blob[DATA_START + 2 * frame + 4 : DATA_START + 2 * frame + 8] = (2).to_bytes(4, "little")
         else:
@@ -229,6 +299,17 @@ class TestErrors:
         with pytest.raises(RunCorruptionError, match=fragment) as err:
             RunAccessor(path)
         assert err.value.last_valid_index == last_valid
+
+    def test_file_cut_after_open(self, tmp_path):
+        path = tmp_path / "cut.nfl"
+        arch = ArchitectureSpec()  # frames larger than the reader's buffer
+        write_synthetic_run(path, arch=arch, count=2)
+        with RunAccessor(path) as acc:
+            path.write_bytes(path.read_bytes()[:-10])  # into frame 1's last layer
+            acc.layer_series(0)
+            with pytest.raises(RunCorruptionError, match="frame 1 ended") as err:
+                acc.layer_series(len(arch.layer_shapes) - 1)
+            assert err.value.last_valid_index == 0
 
     def test_failed_constructors_close_their_files(self, tmp_path, monkeypatch):
         opened = []
