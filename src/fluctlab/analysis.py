@@ -35,6 +35,11 @@ HALVES = ("encoder", "decoder")
 DEFAULT_EPSILON = 1e-5
 DEFAULT_BINS = 30
 REPORT_SCHEMA_VERSION = 1
+# Bytes of the float64 buffer that spreads are computed in, a few neuron rows
+# at a time.  A buffer the size of the largest channel (16 MB for a 1000-epoch
+# run) was no faster, and the allocator keeps it after it is freed, which
+# raised peak RSS by 14%.
+SPREAD_BUFFER_BYTES = 1 << 20
 
 
 class InsufficientDataError(ValueError):
@@ -233,6 +238,52 @@ def calibrate_epsilon(
     return None
 
 
+def _std_in_place(data: np.ndarray, axis) -> np.ndarray:
+    """np.std(data, axis) computed in data's own memory, which it overwrites.
+
+    The steps are numpy's own (_methods._var, then sqrt), ufunc for ufunc, so
+    the bits are np.std's, without its temporary copy of data - mean.
+    """
+    mean = np.add.reduce(data, axis=axis, keepdims=True)
+    count = data.size // mean.size
+    mean /= count
+    np.subtract(data, mean, out=data)
+    np.square(data, out=data)
+    var = np.add.reduce(data, axis=axis)
+    var /= count
+    return np.sqrt(var, out=var)
+
+
+def _channel_spreads(f: np.ndarray, mode: str, work: np.ndarray) -> np.ndarray:
+    """Spread of each neuron row of one f32 channel series f, (T, rows) or
+    (T, rows, cols), widened to f64 in work a few rows at a time.
+
+    Each row gets the bits of np.std over the whole widened channel, except
+    that numpy sums a one-row block as one flat run of values.  So a chunk of
+    a channel with two or more rows holds at least two: a lone last row is
+    taken together with the row before it.
+    """
+    steps = len(f) - 1 if mode == "delta" else len(f)
+    rows = f.shape[1]
+    row_items = steps * math.prod(f.shape[2:])
+    chunk = min(rows, max(2, work.size // row_items))
+    if chunk * row_items > work.size:  # two rows outgrow the budget on long runs
+        work = np.empty(chunk * row_items)
+    axis = (0, 2) if f.ndim == 3 else 0
+    spreads = np.empty(rows)
+    for start in range(0, rows, chunk):
+        stop = min(start + chunk, rows)
+        start = max(min(start, stop - 2), 0)
+        part = work[: (stop - start) * row_items].reshape((steps, stop - start) + f.shape[2:])
+        if mode == "delta":
+            # dtype widens before subtracting: a f32 difference would round
+            np.subtract(f[1:, start:stop], f[:-1, start:stop], out=part, dtype=np.float64)
+        else:
+            part[...] = f[:, start:stop]
+        spreads[start:stop] = _std_in_place(part, axis)
+    return spreads
+
+
 def analyze_run(
     run: RunAccessor,
     epsilon: float = DEFAULT_EPSILON,
@@ -249,22 +300,17 @@ def analyze_run(
     check_analysis_settings(epsilon, bins)
     check_analyzable(run, mode)
     arch = run.manifest.architecture
-    # Layers first: each layer's block is read once and serves all five channels.
-    # Widening f32 to f64 is exact, so the deltas equal np.diff of the f64 series.
-    per_layer: dict[str, list[np.ndarray]] = {ch: [] for ch in ANALYSIS_CHANNELS}
-    for layer in range(len(arch.layer_shapes)):
-        block = run.layer_series(layer)
-        for ch in ANALYSIS_CHANNELS:
-            f = block[_STORAGE_NAME.get(ch, ch)]
-            if mode == "delta":
-                data = np.subtract(f[1:], f[:-1], dtype=np.float64)
-            else:
-                data = f.astype(np.float64)
-            axis = (0, 2) if data.ndim == 3 else 0
-            per_layer[ch].append(data.std(axis=axis))
+    frames = run.frames()
+    work = np.empty(SPREAD_BUFFER_BYTES // 8)
     channels: dict[str, ChannelStats] = {}
     for ch in ANALYSIS_CHANNELS:
-        spreads = np.concatenate(per_layer[ch])
+        storage = _STORAGE_NAME.get(ch, ch)
+        spreads = np.concatenate(
+            [
+                _channel_spreads(frames[f"{storage}{layer}"], mode, work)
+                for layer in range(len(arch.layer_shapes))
+            ]
+        )
         inactive = detect_inactive(spreads, epsilon)
         halves: dict[str, HalfStats] = {}
         for half, part in half_slices(arch).items():

@@ -16,6 +16,8 @@ Layout (all integers little-endian, no padding between fields):
 
 All frames of a run have that record's size, so frame i starts at
 DATA_START + i * itemsize and is read by index, by writer and reader alike.
+The reader takes every frame of a run in one read of the frame region, and
+each channel's series is a field of that record array.
 
 The manifest region is rewritten on finalize to set the actual snapshot
 count and the complete flag, so a crashed run is detectable.  Values are
@@ -198,10 +200,8 @@ class RunAccessor:
     """Random-access reader over a finished (or partial) run file.
 
     Opening scans every frame's head once, keeping the epochs and losses.
-    Snapshots are read by index.  Series are read one layer block per
-    frame: a layer's five channels sit next to each other in a frame, so
-    layer_series makes one positioned read per frame for all five, and the
-    channel and neuron series are views of it widened to f64.
+    Snapshots are read by index.  frames() reads the whole frame region at
+    once, and the channel and neuron series are its fields widened to f64.
     """
 
     def __init__(self, source: str | Path):
@@ -271,11 +271,22 @@ class RunAccessor:
     def __len__(self) -> int:
         return len(self.epochs)
 
+    def _read(self, start: int, count: int) -> np.ndarray:
+        """Frames start .. start + count - 1 as a (count,) record array, in one
+        seek and readinto; a frame that ends early (the file cut after open)
+        raises RunCorruptionError."""
+        out = np.empty(count, dtype=self._frame)
+        self._stream.seek(DATA_START + start * self._frame.itemsize)
+        got = self._stream.readinto(out.view(np.uint8))
+        if got != out.nbytes:
+            i = start + got // self._frame.itemsize
+            raise RunCorruptionError(f"frame {i} ended while reading", i - 1)
+        return out
+
     def snapshot(self, index: int) -> EpochSnapshot:
         if not 0 <= index < len(self):
             raise IndexError(f"snapshot index {index} out of range [0, {len(self)})")
-        self._stream.seek(DATA_START + index * self._frame.itemsize)
-        frame = np.frombuffer(self._stream.read(self._frame.itemsize), self._frame)[0]
+        frame = self._read(index, 1)[0]
         channels = {
             name: [frame[f"{name}{k}"].astype(np.float64) for k in range(self._layers)]
             for name in STORAGE_CHANNELS
@@ -289,34 +300,19 @@ class RunAccessor:
         """Every snapshot's loss, kept by the scan at open."""
         return self._losses.copy()
 
-    def layer_series(self, layer: int) -> np.ndarray:
-        """All snapshots of one layer as a (T,) f32 record array whose fields are
-        STORAGE_CHANNELS: one seek and readinto per frame of the layer's block."""
-        if not 0 <= layer < self._layers:
-            raise ValueError(f"layer {layer} out of range [0, {self._layers})")
-        fields = [self._frame.fields[f"{name}{layer}"] for name in STORAGE_CHANNELS]
-        start = fields[0][1]
-        block = np.dtype(
-            {
-                "names": list(STORAGE_CHANNELS),
-                "formats": [field for field, _ in fields],
-                "offsets": [offset - start for _, offset in fields],
-            }
-        )
-        out = np.empty(len(self), dtype=block)
-        buffer = memoryview(out.view(np.uint8))
-        step = block.itemsize
-        for i in range(len(self)):
-            self._stream.seek(DATA_START + i * self._frame.itemsize + start)
-            if self._stream.readinto(buffer[i * step : (i + 1) * step]) != step:
-                raise RunCorruptionError(f"frame {i} ended while reading layer {layer}", i - 1)
-        return out
+    def frames(self) -> np.ndarray:
+        """Every frame as one (T,) record array of frame_dtype, read with one
+        readinto of the whole frame region; frames()[f"{channel}{k}"] is a
+        channel's f32 series, time-major."""
+        return self._read(0, len(self))
 
     def channel_series(self, layer: int, channel: str) -> np.ndarray:
         """All snapshots of one layer channel, time-major: (T, out, in) or (T, out)."""
         if channel not in STORAGE_CHANNELS:
             raise ValueError(f"unknown channel {channel!r}; expected one of {STORAGE_CHANNELS}")
-        return self.layer_series(layer)[channel].astype(np.float64)
+        if not 0 <= layer < self._layers:
+            raise ValueError(f"layer {layer} out of range [0, {self._layers})")
+        return self.frames()[f"{channel}{layer}"].astype(np.float64)
 
     def neuron_series(self, layer: int, channel: str, index: int) -> np.ndarray:
         """One neuron's values over time: (T, in_dim) for weight channels

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import TINY_ARCH, analyze_file, make_manifest, make_snapshot, write_synthetic_run
+from fluctlab import analysis
 from fluctlab.analysis import (
     ANALYSIS_CHANNELS,
     InsufficientDataError,
@@ -409,3 +411,53 @@ class TestAnalyzeOracle:
                 assert f64_bytes(got.spread_of_spread) == f64_bytes(spread_of_spread(expected[part]))
                 assert got.inactive_count == int((expected[part] < epsilon).sum())
         assert 0 < flagged < len(ANALYSIS_CHANNELS) * arch.total_neurons
+
+
+def f32_series(ndim):
+    """Finite f32 arrays (T, rows) or (T, rows, cols); T >= 2, so deltas exist."""
+    return hnp.arrays(
+        np.float32,
+        hnp.array_shapes(min_dims=ndim, max_dims=ndim, min_side=1, max_side=9).filter(
+            lambda shape: shape[0] >= 2
+        ),
+        elements=st.floats(-1e6, 1e6, width=32),
+    )
+
+
+class TestSpreadsInPlace:
+    @pytest.mark.parametrize("ndim, axis", [(2, 0), (3, (0, 2))])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_std_in_place_equals_np_std_bit_for_bit(self, ndim, axis, data):
+        x = data.draw(f32_series(ndim)).astype(np.float64)
+        expected = np.std(x, axis=axis)
+        assert analysis._std_in_place(x.copy(), axis).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["delta", "raw"])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_spreads_equal_whole_channel_std(self, mode, ndim, data):
+        """Whatever the buffer size, every row gets the bits of np.std over the
+        whole widened channel."""
+        f = data.draw(f32_series(ndim))
+        work = np.empty(data.draw(st.integers(1, f.size)))
+        whole = np.diff(f.astype(np.float64), axis=0) if mode == "delta" else f.astype(np.float64)
+        expected = np.std(whole, axis=(0, 2) if ndim == 3 else 0)
+        assert analysis._channel_spreads(f, mode, work).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["delta", "raw"])
+    @pytest.mark.parametrize("make_run", [inexact_run, spiral_run], ids=["tiny", "spiral"])
+    def test_smallest_chunks_give_the_same_report_bytes(
+        self, tmp_path, monkeypatch, make_run, mode
+    ):
+        path = tmp_path / "run.nfl"
+        make_run(path)
+
+        def report_bytes():
+            report = analyze_file(path, epsilon=1e-3, mode=mode)
+            return canonical_json_bytes(report.to_json_dict()), report.neuron_csv()
+
+        default = report_bytes()
+        monkeypatch.setattr(analysis, "SPREAD_BUFFER_BYTES", 8)  # two-row chunks
+        assert report_bytes() == default

@@ -195,27 +195,30 @@ class TestAccess:
             acc.losses()[:] = -1.0
             assert acc.losses().tolist() == [s.loss for s in written]
 
-    def test_layer_series_fields_equal_snapshot_values(self, tmp_path):
-        path = tmp_path / "ls.nfl"
-        write_synthetic_run(path, count=4, seed=7)
+    def test_frames_fields_equal_snapshot_values(self, tmp_path):
+        path = tmp_path / "fr.nfl"
+        written = write_synthetic_run(path, count=4, seed=7)
         with RunAccessor(path) as acc:
-            for layer in range(len(TINY_ARCH.layer_shapes)):
-                block = acc.layer_series(layer)
-                assert block.shape == (4,)
-                assert block.dtype.names == STORAGE_CHANNELS
-                for i in range(len(acc)):
-                    snap = acc.snapshot(i)
+            frames = acc.frames()
+            assert frames.shape == (4,)
+            assert frames.dtype == runfile.frame_dtype(TINY_ARCH)
+            assert frames["epoch"].tolist() == acc.epochs
+            assert frames["loss"].tolist() == [s.loss for s in written]
+            for i in range(len(acc)):
+                snap = acc.snapshot(i)
+                for layer in range(len(TINY_ARCH.layer_shapes)):
                     for name in STORAGE_CHANNELS:
+                        field = frames[f"{name}{layer}"][i]
                         expected = getattr(snap, name)[layer].astype(np.float32)
-                        assert block[name][i].dtype == np.float32
-                        assert block[name][i].tobytes() == expected.tobytes()
+                        assert field.dtype == np.float32
+                        assert field.tobytes() == expected.tobytes()
             for layer in (-1, len(TINY_ARCH.layer_shapes)):
                 with pytest.raises(ValueError, match="layer"):
-                    acc.layer_series(layer)
+                    acc.channel_series(layer, "weights")
 
     def test_reads_per_frame(self, tmp_path, monkeypatch):
         """Opening reads the magic, the manifest and one head per frame; the
-        analysis reads each layer's block once per frame; losses read nothing."""
+        analysis reads the frame region once; losses read nothing."""
         frames = 5
         path = tmp_path / "reads.nfl"
         write_synthetic_run(path, count=frames, seed=4)
@@ -232,7 +235,7 @@ class TestAccess:
             acc.losses()
             assert counted.reads == 2 + frames
             analyze_run(acc)
-            assert counted.reads == 2 + frames + len(TINY_ARCH.layer_shapes) * frames
+            assert counted.reads == 2 + frames + 1
 
     def test_epoch_values_preserved(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -306,10 +309,19 @@ class TestErrors:
         write_synthetic_run(path, arch=arch, count=2)
         with RunAccessor(path) as acc:
             path.write_bytes(path.read_bytes()[:-10])  # into frame 1's last layer
-            acc.layer_series(0)
             with pytest.raises(RunCorruptionError, match="frame 1 ended") as err:
-                acc.layer_series(len(arch.layer_shapes) - 1)
+                acc.frames()
             assert err.value.last_valid_index == 0
+
+    def test_snapshot_of_file_cut_after_open(self, tmp_path):
+        path = tmp_path / "cut.nfl"
+        written = write_synthetic_run(path, arch=ArchitectureSpec(), count=3)
+        with RunAccessor(path) as acc:
+            path.write_bytes(path.read_bytes()[:-10])  # into frame 2
+            assert acc.snapshot(1).epoch == written[1].epoch
+            with pytest.raises(RunCorruptionError, match="frame 2 ended") as err:
+                acc.snapshot(2)
+            assert err.value.last_valid_index == 1
 
     def test_failed_constructors_close_their_files(self, tmp_path, monkeypatch):
         opened = []
