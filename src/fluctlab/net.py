@@ -17,6 +17,12 @@ from .rng import SplitMix64
 
 ENCODER_DIMS = (2, 64, 32, 1)
 DECODER_DIMS = (1, 32, 64, 2)
+# Batch rows per block of the weight-gradient sums g.T @ a_prev.  OpenBLAS
+# splits a product over all 500 rows across its threads, which changes the
+# order of the sums and so the bits with the thread count.  Each 125-row
+# block stays below its threading threshold, and the blocks are added in a
+# fixed order, so training gives the same bits at any thread count.
+GRADIENT_BLOCK_ROWS = 125
 
 
 class NumericOverflowError(FloatingPointError):
@@ -277,7 +283,10 @@ def backward(
         if relu[k]:
             g *= trace.pre[k] > 0.0
         a_prev = trace.inputs if k == 0 else trace.post[k - 1]
-        np.matmul(g.T, a_prev, out=out.weight_grads[k])
+        wg, rows = out.weight_grads[k], GRADIENT_BLOCK_ROWS
+        np.matmul(g[:rows].T, a_prev[:rows], out=wg)
+        for start in range(rows, len(g), rows):
+            wg += g[start : start + rows].T @ a_prev[start : start + rows]
         g.sum(axis=0, out=out.bias_grads[k])
         if k > 0:
             g = g @ net.layers[k].weights

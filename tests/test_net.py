@@ -1,11 +1,18 @@
 import copy
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fluctlab
 from fluctlab.net import (
+    GRADIENT_BLOCK_ROWS,
     ArchitectureSpec,
     NetworkState,
     NumericOverflowError,
@@ -206,14 +213,38 @@ class TestBackward:
             worst = max(worst, float(rel.max()))
         assert worst < 1e-4
 
-    def test_duplication_invariance(self):
+    # 60 copies of 5 points make 300 rows: two full gradient blocks and a partial one
+    @pytest.mark.parametrize("copies", [2, 60])
+    def test_duplication_invariance(self, copies):
+        assert 2 * GRADIENT_BLOCK_ROWS < 5 * 60 < 3 * GRADIENT_BLOCK_ROWS
         net = init(GRADCHECK_ARCH, 9)
         batch = np.random.default_rng(9).uniform(-1, 1, size=(5, 2))
-        doubled = np.repeat(batch, 2, axis=0)
+        repeated = np.repeat(batch, copies, axis=0)
         g1 = backward(net, batch, forward(net, batch))
-        g2 = backward(net, doubled, forward(net, doubled))
+        g2 = backward(net, repeated, forward(net, repeated))
         for a, b in zip(g1.weight_grads, g2.weight_grads):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """A spiral run trained at 1, 2 and 4 BLAS threads is one file, byte for
+        byte.  Without the blocked weight-gradient sums, OpenBLAS threads the
+        500-row products and the files differ from 20 epochs on."""
+        paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        digests = {}
+        for threads in ("1", "2", "4"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+            }
+            out = tmp_path / f"threads{threads}.nfl"
+            argv = ["train", "--shape", "spiral", "--lr", "0.01", "--epochs", "40",
+                    "--data-seed", "1", "--init-seed", "101", "--out", str(out)]
+            cmd = [sys.executable, "-m", "fluctlab.cli", *argv]
+            subprocess.run(cmd, check=True, capture_output=True, env=env, timeout=300)
+            digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert len(set(digests.values())) == 1, digests
 
     def test_trace_mismatch_rejected(self):
         net = init(GRADCHECK_ARCH, 1)
