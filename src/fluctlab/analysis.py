@@ -162,10 +162,13 @@ def spread_of_spread(spreads: np.ndarray) -> float:
 
 def check_analysis_settings(epsilon: float, bins: int = DEFAULT_BINS) -> None:
     """Reject an inactivity threshold that is not positive and finite (NaN
-    would flag no neuron and write invalid JSON) or a bin count below 1."""
-    if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0.0):
+    would flag no neuron and write invalid JSON) or a bin count below 1.  A
+    bool (a JSON true or false) is neither."""
+    if isinstance(epsilon, bool) or not (
+        isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0.0
+    ):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not (isinstance(bins, numbers.Integral) and bins >= 1):
+    if isinstance(bins, bool) or not (isinstance(bins, numbers.Integral) and bins >= 1):
         raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
 
 

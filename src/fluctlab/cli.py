@@ -73,6 +73,8 @@ def _listed(value, key: str, item) -> list:
     entries = value.split(",") if isinstance(value, str) else value
     if not isinstance(entries, list):
         raise ValueError(f"{key} must be a list or a comma-separated string, got {value!r}")
+    if any(isinstance(entry, bool) for entry in entries):
+        raise ValueError(f"{key} entries must not be true or false, got {value!r}")
     try:
         return [item(entry) for entry in entries]
     except (TypeError, ValueError) as exc:
@@ -104,7 +106,7 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one shape and one learning rate")
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
-        if not (isinstance(self.parallelism, int) and self.parallelism >= 1):
+        if type(self.parallelism) is not int or self.parallelism < 1:  # a bool is no count
             raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         check_analysis_settings(self.epsilon, self.bins)
         # two cells with one artifact stem would write the same files

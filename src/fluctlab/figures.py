@@ -59,7 +59,8 @@ def reconstruct(run: RunAccessor, dataset: ShapeDataset) -> ReconstructionResult
             f"run manifest ({cfg.shape.value}, seed {cfg.data_seed})"
         )
     snap = run.snapshot(len(run) - 1)
-    net = NetworkState.from_arrays(manifest.architecture, snap.weights, snap.biases)
+    net = NetworkState(manifest.architecture)
+    net.theta[...] = snap.theta
     output = forward(net, dataset.points).output
     return ReconstructionResult(
         shape=dataset.kind,

@@ -130,20 +130,6 @@ class NetworkState:
         self.theta = np.zeros(spec.parameter_count, dtype=np.float64)
         self.layers = [LayerState(w, b) for w, b in zip(*layer_views(self.theta, spec))]
 
-    @classmethod
-    def from_arrays(cls, spec: ArchitectureSpec, weights, biases) -> "NetworkState":
-        """A network whose theta packs copies of per-layer weights and biases."""
-        net = cls(spec)
-        if len(weights) != len(net.layers) or len(biases) != len(net.layers):
-            raise ValueError(f"expected {len(net.layers)} weight and bias arrays")
-        for k, (layer, w, b) in enumerate(zip(net.layers, weights, biases)):
-            w, b = np.asarray(w), np.asarray(b)
-            if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
-                raise ValueError(f"layer {k} shapes {w.shape}, {b.shape} do not match the spec")
-            layer.weights[...] = w
-            layer.biases[...] = b
-        return net
-
     def __deepcopy__(self, memo) -> "NetworkState":
         # a member-wise copy would give each layer its own array, detached from theta
         copy = NetworkState(self.spec)

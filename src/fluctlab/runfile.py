@@ -9,7 +9,7 @@ Layout (all integers little-endian, no padding between fields):
                space-padded to a fixed 4096-byte region
     offset 4104  snapshot frames, back to back
 
-    frame      one packed record of frame_dtype(architecture): u32 payload
+    frame      one packed record of frame_layout(architecture): u32 payload
                length, u32 epoch, f64 loss, then per layer the raw f32
                weights, biases, weight_grads, bias_grads and
                activation_means, matrices row-major
@@ -17,7 +17,8 @@ Layout (all integers little-endian, no padding between fields):
 All frames of a run have that record's size, so frame i starts at
 DATA_START + i * itemsize and is read by index, by writer and reader alike.
 The reader takes every frame of a run in one read of the frame region, and
-each channel's series is a field of that record array.
+each channel's series is a field of that record array.  Writer and reader
+map a snapshot's flat values to a frame's f32 payload by one gather index.
 
 The manifest region is rewritten on finalize to set the actual snapshot
 count and the complete flag, so a crashed run is detectable.  Values are
@@ -98,15 +99,19 @@ def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def frame_dtype(arch: ArchitectureSpec) -> np.dtype:
+def frame_layout(arch: ArchitectureSpec) -> tuple[np.dtype, np.ndarray]:
     """One frame as a packed record: FRAME_HEAD, then per layer k the f32 fields
-    {channel}{k} in STORAGE_CHANNELS order.  Its itemsize is the frame size."""
-    fields = FRAME_HEAD.descr
-    for k, (in_dim, out_dim) in enumerate(arch.layer_shapes):
-        matrix, vector = (out_dim, in_dim), (out_dim,)
-        shapes = (matrix, vector, matrix, vector, vector)  # in STORAGE_CHANNELS order
-        fields += [(f"{name}{k}", "<f4", shape) for name, shape in zip(STORAGE_CHANNELS, shapes)]
-    return np.dtype(fields)
+    {channel}{k} in STORAGE_CHANNELS order, shaped like the EpochSnapshot views.
+    Its itemsize is the frame size.  The f32 payload after the head holds
+    snapshot.values[index], where index is those views of value positions."""
+    positions = EpochSnapshot(0, 0.0, arch, np.arange(EpochSnapshot.length(arch)))
+    fields, index = FRAME_HEAD.descr, []
+    for k in range(len(arch.layer_shapes)):
+        for name in STORAGE_CHANNELS:
+            view = getattr(positions, name)[k]
+            fields.append((f"{name}{k}", "<f4", view.shape))
+            index.append(view.ravel())
+    return np.dtype(fields), np.concatenate(index)
 
 
 class RunWriter:
@@ -116,9 +121,10 @@ class RunWriter:
 
     def __init__(self, destination: str | Path, manifest: RunManifest):
         self._manifest = manifest
-        self._layers = len(manifest.architecture.layer_shapes)
-        # One record, refilled by every append.
-        self._record = np.zeros((), dtype=frame_dtype(manifest.architecture))
+        frame, self._index = frame_layout(manifest.architecture)
+        # One record, refilled by every append; its f32 payload follows the head.
+        self._record = np.zeros(1, dtype=frame)
+        self._payload = self._record.view(np.uint8)[FRAME_HEAD.itemsize :].view("<f4")
         self._record["length"] = self._record.itemsize - 4
         self._count = 0
         self._last_epoch = 0
@@ -150,17 +156,10 @@ class RunWriter:
             raise RunFormatError(
                 f"epochs must strictly increase: {snapshot.epoch} after {self._last_epoch}"
             )
-        for k in range(self._layers):
-            for name in STORAGE_CHANNELS:
-                arr = np.asarray(getattr(snapshot, name)[k])
-                field = self._record[f"{name}{k}"]
-                if arr.shape != field.shape:
-                    raise RunFormatError(
-                        f"snapshot {name} shape {arr.shape} does not match "
-                        f"architecture {field.shape} at layer {k}"
-                    )
-                # Assigning casts f64 to f32 with the same rounding as astype.
-                field[...] = arr
+        if snapshot.spec != self._manifest.architecture:
+            raise RunFormatError(f"snapshot architecture {snapshot.spec} differs from the run's")
+        # Assigning casts f64 to f32 with the same rounding as astype.
+        self._payload[...] = snapshot.values[self._index]
         self._record["epoch"] = snapshot.epoch
         self._record["loss"] = snapshot.loss
         self._stream.write(self._record.tobytes())
@@ -205,10 +204,11 @@ class RunAccessor:
     """
 
     def __init__(self, source: str | Path):
-        self._stream = open(source, "rb")
+        # Unbuffered, so every read sees the file as it is now.
+        self._stream = open(source, "rb", buffering=0)
         try:
             self.manifest = self._read_manifest()
-            self._frame = frame_dtype(self.manifest.architecture)
+            self._frame, self._index = frame_layout(self.manifest.architecture)
             self._layers = len(self.manifest.architecture.layer_shapes)
             self.epochs, self._losses = self._scan_frames()
         except BaseException:
@@ -286,12 +286,11 @@ class RunAccessor:
     def snapshot(self, index: int) -> EpochSnapshot:
         if not 0 <= index < len(self):
             raise IndexError(f"snapshot index {index} out of range [0, {len(self)})")
-        frame = self._read(index, 1)[0]
-        channels = {
-            name: [frame[f"{name}{k}"].astype(np.float64) for k in range(self._layers)]
-            for name in STORAGE_CHANNELS
-        }
-        return EpochSnapshot(epoch=int(frame["epoch"]), loss=float(frame["loss"]), **channels)
+        frame = self._read(index, 1)
+        values = np.empty(self._index.size, dtype=np.float64)
+        values[self._index] = frame.view(np.uint8)[FRAME_HEAD.itemsize :].view("<f4")
+        arch = self.manifest.architecture
+        return EpochSnapshot(int(frame["epoch"][0]), float(frame["loss"][0]), arch, values)
 
     def __iter__(self) -> Iterator[EpochSnapshot]:
         return map(self.snapshot, range(len(self)))
@@ -301,9 +300,9 @@ class RunAccessor:
         return self._losses.copy()
 
     def frames(self) -> np.ndarray:
-        """Every frame as one (T,) record array of frame_dtype, read with one
-        readinto of the whole frame region; frames()[f"{channel}{k}"] is a
-        channel's f32 series, time-major."""
+        """Every frame as one (T,) array of frame_layout's record, read with
+        one readinto of the whole frame region; frames()[f"{channel}{k}"] is
+        a channel's f32 series, time-major."""
         return self._read(0, len(self))
 
     def channel_series(self, layer: int, channel: str) -> np.ndarray:

@@ -28,22 +28,12 @@ def tiny_arch():
 
 def make_snapshot(arch, epoch, loss, rng=None, fill=None):
     """Random (or constant-filled) snapshot with f32-representable values."""
-
-    def block(shape):
-        if fill is not None:
-            return np.full(shape, fill, dtype=np.float64)
-        return rng.uniform(-1, 1, size=shape).astype(np.float32).astype(np.float64)
-
-    shapes = arch.layer_shapes
-    return EpochSnapshot(
-        epoch=epoch,
-        loss=loss,
-        weights=[block((o, i)) for i, o in shapes],
-        biases=[block((o,)) for _, o in shapes],
-        weight_grads=[block((o, i)) for i, o in shapes],
-        bias_grads=[block((o,)) for _, o in shapes],
-        activation_means=[block((o,)) for _, o in shapes],
-    )
+    size = EpochSnapshot.length(arch)
+    if fill is not None:
+        values = np.full(size, fill, dtype=np.float64)
+    else:
+        values = rng.uniform(-1, 1, size=size).astype(np.float32).astype(np.float64)
+    return EpochSnapshot(epoch, loss, arch, values)
 
 
 def make_manifest(arch=TINY_ARCH, shape=ShapeKind.CIRCLE, lr=0.01, epochs=3,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -84,11 +84,29 @@ class TestSpread:
         ),
     )
     @settings(max_examples=200, deadline=None)
+    @example(series=[2.0, 0.0, -2.00001], k=21058.0)  # error 1.18e-12, over 1e-12
     def test_scale_equivariance(self, series, k):
         x = np.array(series, dtype=np.float64)
         base = spread(np.diff(x))
         scaled = spread(np.diff(k * x))
-        assert abs(scaled - abs(k) * base) <= 1e-12 * max(abs(k) * base, 1.0)
+        # The bound is the rounding error, to first order, in u = eps / 2,
+        # with M = max|x| and n = len(x) - 1 deltas:
+        # - each delta of k * x is within 4u|k|M of k times the exact delta,
+        #   and k times each delta of x within 2u|k|M of it;
+        # - a population std moves by at most the largest change of its
+        #   input, so the exact stds differ by at most 6u|k|M;
+        # - np.std over n values of size <= V errs by at most (2n + 5)uV
+        #   (mean n, deviations 2, sum of squares and sqrt n + 3), and
+        #   V <= 2|k|M on either side;
+        # - the product |k| * base adds u|k| * base <= 2u|k|M.
+        # In all (8n + 28)u|k|M = (4n + 14)eps|k|M; 4n + 16 leaves room for the
+        # second-order terms.  Squares that underflow lose up to half a
+        # subnormal each, which moves each std by up to sqrt(smallest
+        # subnormal), once in scaled and |k| times in |k| * base.
+        n, m = len(x) - 1, np.abs(x).max()
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+        bound = (4 * n + 16) * eps * abs(k) * m + (1 + abs(k)) * math.sqrt(tiny)
+        assert abs(scaled - abs(k) * base) <= bound
 
     def test_frozen_series_has_zero_spread(self):
         x = np.full(50, 0.7321)
@@ -349,7 +367,8 @@ def inexact_run(path, count=6):
     for epoch in range(1, count + 1):
         snap = make_snapshot(TINY_ARCH, epoch, 0.5, fill=0.0)
         for channel in STORAGE_CHANNELS:
-            setattr(snap, channel, [rng.normal(0, 2, size=a.shape) for a in getattr(snap, channel)])
+            for view in getattr(snap, channel):
+                view[...] = rng.normal(0, 2, size=view.shape)
         snaps.append(snap)
     write_run(make_manifest(epochs=count), snaps, path)
 

@@ -476,6 +476,15 @@ class TestAll:
             {"epochs": "3"},
             {"epsilon": "1e-5"},
             {"bins": 2.5},
+            # JSON true and false are Python bools, which count as integers
+            {"capture_every": True},
+            {"epochs": True},
+            {"data_seed": False},
+            {"init_seed": True},
+            {"bins": True},
+            {"epsilon": True},
+            {"parallelism": True},
+            {"learning_rates": [True]},
         ],
     )
     def test_bad_config_key_is_usage_error(self, tmp_path, config, capsys):

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import TINY_ARCH, make_manifest, make_snapshot, write_synthetic_run
 from fluctlab import runfile
@@ -19,6 +22,7 @@ from fluctlab.runfile import (
     standardize_channel,
     write_run,
 )
+from fluctlab.train import EpochSnapshot
 
 
 class ReadCountingFile:
@@ -38,6 +42,38 @@ class ReadCountingFile:
 
     def __getattr__(self, name):
         return getattr(self._raw, name)
+
+
+def frame_bytes_oracle(snaps):
+    """Frames rebuilt by hand: u32 payload length, u32 epoch, f64 loss, then
+    every channel of every layer as little-endian f32 in storage order."""
+    expected = b""
+    for snap in snaps:
+        channels = b"".join(
+            getattr(snap, channel)[k].astype("<f4").tobytes()
+            for k in range(len(snap.spec.layer_shapes))
+            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
+        )
+        expected += struct.pack("<IId", 12 + len(channels), snap.epoch, snap.loss) + channels
+    return expected
+
+
+@st.composite
+def small_runs(draw):
+    """An architecture of 1-3 layers per half and widths 1-5, with 1-3
+    snapshots of full float64 values that stay finite in f32."""
+    widths = st.integers(1, 5)
+    encoder = draw(st.lists(widths, min_size=2, max_size=4))
+    decoder = encoder[-1:] + draw(st.lists(widths, min_size=1, max_size=3))
+    arch = ArchitectureSpec(tuple(encoder), tuple(decoder))
+    values = hnp.arrays(
+        np.float64, EpochSnapshot.length(arch), elements=st.floats(-3e38, 3e38)
+    )
+    losses = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+    return arch, [
+        EpochSnapshot(epoch, loss, arch, draw(values))
+        for epoch, loss in enumerate(losses, start=1)
+    ]
 
 
 def paper_arch_payload_oracle():
@@ -87,27 +123,36 @@ class TestLayout:
         assert blob[8 + length : DATA_START] == b" " * (MANIFEST_REGION - length)
 
     def test_frame_bytes_match_struct_oracle(self, tmp_path):
-        """Each frame rebuilt by hand: u32 payload length, u32 epoch, f64 loss,
-        then every channel of every layer as little-endian f32 in storage
-        order.  The values are full float64, so the f32 rounding is pinned."""
+        """The values are full float64, so the f32 rounding is pinned."""
         rng = np.random.default_rng(11)
         snaps = []
         for epoch, loss in ((2, 0.123456789012345), (7, 3.0e-5)):
             snap = make_snapshot(TINY_ARCH, epoch, loss, rng=rng)
             for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means"):
-                setattr(snap, channel, [rng.normal(0, 2, size=a.shape) for a in getattr(snap, channel)])
+                for view in getattr(snap, channel):
+                    view[...] = rng.normal(0, 2, size=view.shape)
             snaps.append(snap)
         path = tmp_path / "oracle.nfl"
         write_run(make_manifest(epochs=7), snaps, path)
-        expected = b""
-        for snap in snaps:
-            channels = b"".join(
-                getattr(snap, channel)[k].astype("<f4").tobytes()
-                for k in range(len(TINY_ARCH.layer_shapes))
-                for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
-            )
-            expected += struct.pack("<IId", 12 + len(channels), snap.epoch, snap.loss) + channels
-        assert path.read_bytes()[DATA_START:] == expected
+        assert path.read_bytes()[DATA_START:] == frame_bytes_oracle(snaps)
+
+    @given(run=small_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_gather_matches_oracle_on_small_architectures(self, run, tmp_path_factory):
+        arch, snaps = run
+        path = tmp_path_factory.mktemp("gather") / "run.nfl"
+        write_run(make_manifest(arch=arch, epochs=len(snaps)), snaps, path)
+        assert path.read_bytes()[DATA_START:] == frame_bytes_oracle(snaps)
+        with RunAccessor(path) as acc:
+            frames = acc.frames()
+            for i, snap in enumerate(snaps):
+                got = acc.snapshot(i)
+                widened = snap.values.astype(np.float32).astype(np.float64)
+                assert got.values.tobytes() == widened.tobytes()
+                for k in range(len(arch.layer_shapes)):
+                    for name in STORAGE_CHANNELS:
+                        view = getattr(got, name)[k].astype(np.float32)
+                        assert frames[f"{name}{k}"][i].tobytes() == view.tobytes()
 
     def test_byte_determinism(self, tmp_path):
         blobs = []
@@ -201,7 +246,7 @@ class TestAccess:
         with RunAccessor(path) as acc:
             frames = acc.frames()
             assert frames.shape == (4,)
-            assert frames.dtype == runfile.frame_dtype(TINY_ARCH)
+            assert frames.dtype == runfile.frame_layout(TINY_ARCH)[0]
             assert frames["epoch"].tolist() == acc.epochs
             assert frames["loss"].tolist() == [s.loss for s in written]
             for i in range(len(acc)):
@@ -305,8 +350,7 @@ class TestErrors:
 
     def test_file_cut_after_open(self, tmp_path):
         path = tmp_path / "cut.nfl"
-        arch = ArchitectureSpec()  # frames larger than the reader's buffer
-        write_synthetic_run(path, arch=arch, count=2)
+        write_synthetic_run(path, arch=ArchitectureSpec(), count=2)
         with RunAccessor(path) as acc:
             path.write_bytes(path.read_bytes()[:-10])  # into frame 1's last layer
             with pytest.raises(RunCorruptionError, match="frame 1 ended") as err:
@@ -315,13 +359,15 @@ class TestErrors:
 
     def test_snapshot_of_file_cut_after_open(self, tmp_path):
         path = tmp_path / "cut.nfl"
-        written = write_synthetic_run(path, arch=ArchitectureSpec(), count=3)
-        with RunAccessor(path) as acc:
-            path.write_bytes(path.read_bytes()[:-10])  # into frame 2
-            assert acc.snapshot(1).epoch == written[1].epoch
-            with pytest.raises(RunCorruptionError, match="frame 2 ended") as err:
-                acc.snapshot(2)
-            assert err.value.last_valid_index == 1
+        # TINY_ARCH's three frames fit in the 8 KB that a buffered reader keeps
+        for arch in (ArchitectureSpec(), TINY_ARCH):
+            written = write_synthetic_run(path, arch=arch, count=3)
+            with RunAccessor(path) as acc:
+                path.write_bytes(path.read_bytes()[:-10])  # into frame 2
+                assert acc.snapshot(1).epoch == written[1].epoch
+                with pytest.raises(RunCorruptionError, match="frame 2 ended") as err:
+                    acc.snapshot(2)
+                assert err.value.last_valid_index == 1
 
     def test_failed_constructors_close_their_files(self, tmp_path, monkeypatch):
         opened = []
@@ -374,9 +420,13 @@ class TestErrors:
 
     def test_snapshot_shape_mismatch(self, tmp_path):
         writer = RunWriter(tmp_path / "mm.nfl", make_manifest())
-        wrong = make_snapshot(ArchitectureSpec(), 1, 0.1, rng=np.random.default_rng(0))
-        with pytest.raises(RunFormatError):
-            writer.append(wrong)
+        # the second holds as many values as a TINY_ARCH snapshot, laid out otherwise
+        same_count = ArchitectureSpec(encoder_dims=(2, 4, 4, 1), decoder_dims=(1, 3, 3, 2))
+        assert EpochSnapshot.length(same_count) == EpochSnapshot.length(TINY_ARCH)
+        for arch in (ArchitectureSpec(), same_count):
+            wrong = make_snapshot(arch, 1, 0.1, rng=np.random.default_rng(0))
+            with pytest.raises(RunFormatError, match="architecture"):
+                writer.append(wrong)
         writer.finalize(complete=False)
 
     def test_unfinalized_writer_leaves_incomplete_flag(self, tmp_path):

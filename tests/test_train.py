@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -19,6 +20,7 @@ from fluctlab.train import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    EpochSnapshot,
     RunConfig,
     TrainingDivergedError,
     adam_step,
@@ -86,7 +88,7 @@ class TestParams:
     def test_run_config_seeds_are_u64(self, name):
         for seed in (0, 2**64 - 1):
             RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: seed})
-        for seed in (-1, 2**64, 1.5, 2.0):
+        for seed in (-1, 2**64, 1.5, 2.0, True):
             with pytest.raises(ValueError, match=name):
                 RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: seed})
 
@@ -101,8 +103,9 @@ class TestParams:
     @pytest.mark.parametrize("name", ["epochs", "capture_every"])
     def test_run_config_counts_are_integers(self, name):
         RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: np.int64(3)})
-        with pytest.raises(ValueError, match=name):
-            RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: 2.5})
+        for value in (2.5, True):  # a JSON true is no count
+            with pytest.raises(ValueError, match=name):
+                RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: value})
 
 
 def per_layer_adam_step(weights, biases, grads, m, v, t, lr):
@@ -242,7 +245,9 @@ def mean_activations(net, pts):
 
 
 def snapshot_network(snap):
-    return NetworkState.from_arrays(ArchitectureSpec(), snap.weights, snap.biases)
+    net = NetworkState(snap.spec)
+    net.theta[...] = snap.theta
+    return net
 
 
 class TestProbe:
@@ -397,11 +402,19 @@ class TestTrain:
         net, _ = train(cfg, got.append)
         first, last = got[0], got[-1]
         assert not np.array_equal(first.weights[0], last.weights[0])
-        packed = NetworkState.from_arrays(net.spec, last.weights, last.biases)
-        assert np.array_equal(packed.theta, net.theta)
+        assert np.array_equal(last.theta, net.theta)
+        assert not np.shares_memory(first.values, last.values)
         for snap in got:
-            for a in snap.weights + snap.biases + snap.weight_grads + snap.bias_grads:
-                assert not np.shares_memory(a, net.theta)
+            assert not np.shares_memory(snap.values, net.theta)
+            views = snap.weights + snap.biases + snap.weight_grads + snap.bias_grads
+            assert all(a.base is snap.values for a in views + snap.activation_means)
+
+    def test_snapshot_fields_cannot_be_rebound(self):
+        # a rebound array would not be the values the writer gathers from
+        snap = EpochSnapshot(1, 0.5, TINY, np.zeros(EpochSnapshot.length(TINY)))
+        for name, value in (("values", np.ones(snap.values.size)), ("weights", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(snap, name, value)
 
     def test_sink_failure_propagates(self):
         def sink(_snapshot):
