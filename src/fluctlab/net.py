@@ -3,8 +3,9 @@
 The network is a fixed chain of linear layers: an encoder half followed by a
 decoder half, ReLU after every layer except the last layer of each half.
 The default geometry is 2-64-32-1 (encoder) and 1-32-64-2 (decoder).  All
-arithmetic is float64.  The parameters of all layers live in one flat vector,
-and the per-layer weight and bias arrays are views into it.
+arithmetic is float64.  All parameters live in one flat vector of per-layer
+blocks [W_k | b_k] (see `layer_blocks`), and every layer's input ends in a
+column of ones, so each layer is one product with its block.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from .rng import SplitMix64
 
 ENCODER_DIMS = (2, 64, 32, 1)
 DECODER_DIMS = (1, 32, 64, 2)
-# Batch rows per block of the weight-gradient sums g.T @ a_prev.  OpenBLAS
-# splits a product over all 500 rows across its threads, which changes the
-# order of the sums and so the bits with the thread count.  Each 125-row
-# block stays below its threading threshold, and the blocks are added in a
-# fixed order, so training gives the same bits at any thread count.
+# Batch rows per block of the gradient sums g.T @ a_prev.  OpenBLAS splits a
+# product over all 500 rows across its threads, which changes the order of
+# the sums and so the bits with the thread count.  Each 125-row block stays
+# below its threading threshold, and the blocks are added in a fixed order,
+# so training gives the same bits at any thread count.  Activations stay
+# row-major (n, width): feature-major (width, n), the forward and propagation
+# products of layers 1 and 4 change bits at 2 threads, with any block rows.
 GRADIENT_BLOCK_ROWS = 125
 
 
@@ -65,8 +68,7 @@ class ArchitectureSpec:
     @property
     def relu_flags(self) -> tuple[bool, ...]:
         """True where ReLU follows the linear map (all but the last layer of each half)."""
-        enc = len(self.encoder_dims) - 1
-        dec = len(self.decoder_dims) - 1
+        enc, dec = self.encoder_layer_count, len(self.decoder_dims) - 1
         return tuple([True] * (enc - 1) + [False] + [True] * (dec - 1) + [False])
 
     @property
@@ -98,21 +100,24 @@ class ArchitectureSpec:
         return cls(tuple(d["encoder_dims"]), tuple(d["decoder_dims"]))
 
 
-def layer_views(
-    flat: np.ndarray, spec: ArchitectureSpec
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight (out_dim, in_dim) and bias (out_dim,) views into a flat
-    vector laid out in layer order: W_0 row-major, b_0, W_1, b_1, ..."""
+def layer_blocks(flat: np.ndarray, spec: ArchitectureSpec) -> list[np.ndarray]:
+    """The layout of a flat parameter vector: per layer, in layer order, one
+    row-major (out_dim, in_dim + 1) block [W_k | b_k], returned as views."""
     if flat.shape != (spec.parameter_count,):
         raise ValueError(f"expected {spec.parameter_count} flat values, got shape {flat.shape}")
-    weights, biases = [], []
-    start = 0
+    blocks, start = [], 0
     for in_dim, out_dim in spec.layer_shapes:
-        stop = start + out_dim * in_dim
-        weights.append(flat[start:stop].reshape(out_dim, in_dim))
-        biases.append(flat[stop : stop + out_dim])
-        start = stop + out_dim
-    return weights, biases
+        stop = start + out_dim * (in_dim + 1)
+        blocks.append(flat[start:stop].reshape(out_dim, in_dim + 1))
+        start = stop
+    return blocks
+
+
+def layer_views(flat: np.ndarray, spec: ArchitectureSpec) -> tuple[list, list]:
+    """Per-layer weight (out_dim, in_dim) and bias (out_dim,) views into a flat
+    vector: W_k = block[:, :-1] and b_k = block[:, -1] of `layer_blocks`."""
+    blocks = layer_blocks(flat, spec)
+    return [b[:, :-1] for b in blocks], [b[:, -1] for b in blocks]
 
 
 @dataclass(frozen=True)
@@ -122,12 +127,13 @@ class LayerState:
 
 
 class NetworkState:
-    """All parameters in one flat float64 vector `theta` (see `layer_views`);
-    `layers[k]` holds views into it, so an edit through either is seen by both."""
+    """All parameters in one flat float64 vector `theta` (see `layer_blocks`);
+    `blocks[k]` and `layers[k]` are views into it, so all see any edit."""
 
     def __init__(self, spec: ArchitectureSpec):
         self.spec = spec
         self.theta = np.zeros(spec.parameter_count, dtype=np.float64)
+        self.blocks = layer_blocks(self.theta, spec)
         self.layers = [LayerState(w, b) for w, b in zip(*layer_views(self.theta, spec))]
 
     def __deepcopy__(self, memo) -> "NetworkState":
@@ -139,14 +145,18 @@ class NetworkState:
 
 @dataclass
 class ForwardTrace:
-    inputs: np.ndarray  # (n, in_dim)
-    pre: list[np.ndarray]  # per-layer pre-activations, (n, out_dim)
-    post: list[np.ndarray]  # per-layer post-activations, (n, out_dim)
-    latent_index: int
+    spec: ArchitectureSpec
+    buffers: list[np.ndarray]  # layer k's input, (n, in_dim + 1); the last column is ones
+    post: list[np.ndarray]  # per-layer post-activations, (n, out_dim) views of buffers[1:]
+    # Backward's scratch per layer: the loss gradient of its output, (n, out_dim), and
+    # its row-block products.  Allocated per call, these 66-256 KB temporaries made
+    # glibc trim and regrow its heap, about 150 page faults per epoch.
+    row_grads: list[np.ndarray]
+    parts: list[np.ndarray]
 
     @property
     def latent(self) -> np.ndarray:
-        return self.post[self.latent_index]
+        return self.post[self.spec.encoder_layer_count - 1]
 
     @property
     def output(self) -> np.ndarray:
@@ -154,12 +164,12 @@ class ForwardTrace:
 
 
 class GradientSet:
-    """Gradients in one flat vector `grad`, laid out like NetworkState.theta
-    and zero until written; `weight_grads[k]` and `bias_grads[k]` are views
-    into it."""
+    """Gradients in one flat vector `grad`, laid out like NetworkState.theta and
+    zero until written; `blocks`, `weight_grads` and `bias_grads` view it."""
 
     def __init__(self, spec: ArchitectureSpec):
         self.grad = np.zeros(spec.parameter_count, dtype=np.float64)
+        self.blocks = layer_blocks(self.grad, spec)
         self.weight_grads, self.bias_grads = layer_views(self.grad, spec)
 
 
@@ -173,10 +183,8 @@ def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
     net = NetworkState(spec)
     for layer, (in_dim, out_dim) in zip(net.layers, spec.layer_shapes):
         bound = (1.0 / in_dim) ** 0.5
-        w = layer.weights
-        for r in range(out_dim):
-            for c in range(in_dim):
-                w[r, c] = rng.uniform(-bound, bound)
+        for r, c in np.ndindex(out_dim, in_dim):
+            layer.weights[r, c] = rng.uniform(-bound, bound)
     return net
 
 
@@ -189,41 +197,33 @@ def _as_batch(inputs, in_dim: int) -> np.ndarray:
     return arr
 
 
-def _empty_trace(spec: ArchitectureSpec, x: np.ndarray) -> ForwardTrace:
-    pre, post = [], []
-    for out_dim, relu in zip(spec.out_dims, spec.relu_flags):
-        z = np.empty((len(x), out_dim), dtype=np.float64)
-        pre.append(z)
-        post.append(np.empty_like(z) if relu else z)
-    return ForwardTrace(inputs=x, pre=pre, post=post, latent_index=spec.encoder_layer_count - 1)
-
-
 def forward(net: NetworkState, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
-    """Run the full encoder/decoder chain; the trace keeps every intermediate.
+    """Run the full encoder/decoder chain; the trace keeps every activation.
 
     `inputs` is (n, 2) (a single (2,) point is promoted to a 1-row batch).
     Raises NumericOverflowError naming the first layer that produces a
-    non-finite value.  When `out` is a trace of the same batch size from a
-    network of the same geometry, its arrays are overwritten and `out` is
-    returned; otherwise a new trace is allocated.
+    non-finite value.  A trace `out` of the same geometry and batch size is
+    overwritten and returned; otherwise a new trace is allocated.  Layer k is
+    one product of its input buffer with [W_k | b_k], into the next buffer.
     """
     x = _as_batch(inputs, net.spec.layer_shapes[0][0])
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
-    # widths and latent layer fix where ReLU follows, so where post aliases pre
-    shapes = [(len(x), d) for d in net.spec.out_dims]
-    latent = net.spec.encoder_layer_count - 1
-    if out is None or out.latent_index != latent or [z.shape for z in out.pre] != shapes:
-        out = _empty_trace(net.spec, x)
-    out.inputs = x
-    relu = net.spec.relu_flags
-    a = x
-    for k, layer in enumerate(net.layers):
-        z = np.matmul(a, layer.weights.T, out=out.pre[k])
-        z += layer.biases
-        if not np.isfinite(z).all():
+    spec, n = net.spec, len(x)
+    if out is None or out.spec != spec or len(out.buffers[0]) != n:
+        buffers = [np.ones((n, width + 1)) for width in (spec.layer_shapes[0][0], *spec.out_dims)]
+        row_grads = [np.empty((n, out_dim)) for out_dim in spec.out_dims]
+        parts = [np.empty((n // GRADIENT_BLOCK_ROWS, o, i + 1)) for i, o in spec.layer_shapes]
+        out = ForwardTrace(spec, buffers, [b[:, :-1] for b in buffers[1:]], row_grads, parts)
+    buffers = out.buffers
+    buffers[0][:, :-1] = x
+    for k, (block, relu) in enumerate(zip(net.blocks, spec.relu_flags)):
+        np.matmul(buffers[k], block.T, out=out.post[k])
+        # the ones column is finite and stays 1 under ReLU: both run on the whole buffer
+        if not np.isfinite(buffers[k + 1]).all():
             raise NumericOverflowError(k)
-        a = np.maximum(z, 0.0, out=out.post[k]) if relu[k] else z
+        if relu:
+            np.maximum(buffers[k + 1], 0.0, out=buffers[k + 1])
     return out
 
 
@@ -244,36 +244,35 @@ def backward(
     The trace must come from `forward` on the same network and batch.
     ReLU's subgradient at 0 is taken as 0.  When `out` holds arrays of the
     network's parameter shapes, they are overwritten and `out` is returned;
-    otherwise a new gradient set is allocated.  The products and sums write
-    straight into the per-layer views of the flat gradient.
+    otherwise a new gradient set is allocated.  One product gives each layer's
+    weight and bias gradients, written into its block of the flat gradient.
     """
     t = np.asarray(targets, dtype=np.float64)
     if t.ndim == 1:
         t = t.reshape(1, -1)
-    n_layers = len(net.layers)
-    if len(trace.pre) != n_layers or len(trace.post) != n_layers:
-        raise ValueError("trace depth does not match network")
-    if t.shape != trace.post[-1].shape:
-        raise ValueError(f"targets {t.shape} do not match trace output {trace.post[-1].shape}")
-    for k, layer in enumerate(net.layers):
-        if trace.pre[k].shape[1] != layer.weights.shape[0]:
-            raise ValueError(f"trace layer {k} width does not match network")
-    shapes = [l.weights.shape for l in net.layers] + [l.biases.shape for l in net.layers]
-    if out is None or [g.shape for g in out.weight_grads + out.bias_grads] != shapes:
+    if trace.spec != net.spec or t.shape != trace.output.shape:
+        raise ValueError(f"targets {t.shape} or the trace do not match the network")
+    if out is None or [b.shape for b in out.blocks] != [b.shape for b in net.blocks]:
         out = GradientSet(net.spec)
 
     relu = net.spec.relu_flags
+    full = len(t) - len(t) % GRADIENT_BLOCK_ROWS
     # d(mean over all t.size components)/d(output)
-    g = (trace.post[-1] - t) * (2.0 / t.size)
-    for k in range(n_layers - 1, -1, -1):
+    np.subtract(trace.output, t, out=trace.row_grads[-1])
+    trace.row_grads[-1] *= 2.0 / t.size
+    for k in range(len(net.blocks) - 1, -1, -1):
+        g, a_prev = trace.row_grads[k], trace.buffers[k]
         if relu[k]:
-            g *= trace.pre[k] > 0.0
-        a_prev = trace.inputs if k == 0 else trace.post[k - 1]
-        wg, rows = out.weight_grads[k], GRADIENT_BLOCK_ROWS
-        np.matmul(g[:rows].T, a_prev[:rows], out=wg)
-        for start in range(rows, len(g), rows):
-            wg += g[start : start + rows].T @ a_prev[start : start + rows]
-        g.sum(axis=0, out=out.bias_grads[k])
+            g *= trace.post[k] > 0.0
+        # [dW_k | db_k] = g.T @ a_prev: the full row blocks as one batched
+        # product summed in block order, then the remainder rows
+        g_rows = g[:full].reshape(-1, GRADIENT_BLOCK_ROWS, g.shape[1]).transpose(0, 2, 1)
+        a_rows = a_prev[:full].reshape(-1, GRADIENT_BLOCK_ROWS, a_prev.shape[1])
+        np.add.reduce(np.matmul(g_rows, a_rows, out=trace.parts[k]), axis=0, out=out.blocks[k])
+        if full < len(t):
+            out.blocks[k] += g[full:].T @ a_prev[full:]
         if k > 0:
-            g = g @ net.layers[k].weights
+            w = net.layers[k].weights
+            # an outer product through a 1-wide layer: the same bits without BLAS
+            (np.multiply if w.shape[0] == 1 else np.matmul)(g, w, out=trace.row_grads[k - 1])
     return out

@@ -86,12 +86,20 @@ class RunManifest:
             raise ValueError(
                 f"format version {d['format_version']!r}; this reader reads version {FORMAT_VERSION}"
             )
+        count, complete, created = d["snapshot_count"], d["complete"], d["created_utc"]
+        # a JSON true or false is not a number, and a string is neither
+        if isinstance(count, bool) or not (isinstance(count, int) and count >= 0):
+            raise ValueError(f"snapshot_count must be an integer >= 0, got {count!r}")
+        if not isinstance(complete, bool):
+            raise ValueError(f"complete must be true or false, got {complete!r}")
+        if isinstance(created, bool) or not isinstance(created, int):
+            raise ValueError(f"created_utc must be an integer, got {created!r}")
         return cls(
             config=RunConfig.from_json_dict(d["config"]),
             architecture=ArchitectureSpec.from_json_dict(d["architecture"]),
-            snapshot_count=d["snapshot_count"],
-            complete=d["complete"],
-            created_utc=d["created_utc"],
+            snapshot_count=count,
+            complete=complete,
+            created_utc=created,
         )
 
 

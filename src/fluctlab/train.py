@@ -11,6 +11,7 @@ trace feeds the next backward: a run makes epochs + 1 forwards.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,8 +62,11 @@ class RunConfig:
     capture_every: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be positive and finite")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not (
+            isinstance(lr, numbers.Real) and math.isfinite(lr) and lr > 0.0
+        ):
+            raise ValueError(f"learning_rate must be positive and finite, got {lr!r}")
         for name in ("data_seed", "init_seed"):
             seed = getattr(self, name)
             integer = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
@@ -145,8 +149,9 @@ class EpochSnapshot:
 
     @property
     def activation_means(self) -> list[np.ndarray]:
-        means = self.values[2 * self.spec.parameter_count :]
-        return np.split(means, np.cumsum(self.spec.out_dims[:-1]))
+        start = 2 * self.spec.parameter_count
+        bounds = list(itertools.accumulate(self.spec.out_dims, initial=start))
+        return [self.values[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -221,11 +226,13 @@ def train(
     One forward before the loop traces the initial network; each epoch's
     post-step probe is the forward the next epoch's backward uses, so a run
     makes epochs + 1 forwards.  The trace and the gradient set are
-    overwritten in place every epoch; a snapshot is one new flat vector, the
-    parameters, the gradients and the activation means concatenated.
+    overwritten in place every epoch.  A snapshot is one new flat vector,
+    filled with copies of the parameters and gradients and, per layer, the
+    mean activations as one product of a ones vector with the activations.
     """
     dataset = generate(config.shape, TRAIN_SAMPLE_COUNT, config.data_seed)
     pts = dataset.points
+    ones = np.ones(len(pts))
     net = init(ArchitectureSpec(), config.init_seed)
     opt = init_optimizer(net)
 
@@ -251,7 +258,11 @@ def train(
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, f"loss is {loss}")
         if captured:
-            means = [p.mean(axis=0) for p in trace.post]
-            np.concatenate([net.theta, grads.grad, *means], out=values)
-            capture_sink(EpochSnapshot(epoch, loss, net.spec, values))
+            snap = EpochSnapshot(epoch, loss, net.spec, values)
+            snap.theta[...] = net.theta
+            snap.grad[...] = grads.grad
+            for post, means in zip(trace.post, snap.activation_means):
+                np.matmul(ones, post, out=means)
+                means /= len(pts)
+            capture_sink(snap)
     return net, loss

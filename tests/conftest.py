@@ -1,9 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fluctlab.analysis import analyze_run
 from fluctlab.net import ArchitectureSpec
-from fluctlab.runfile import RunAccessor, RunManifest, write_run
+from fluctlab.runfile import (
+    MANIFEST_REGION,
+    RunAccessor,
+    RunManifest,
+    canonical_json_bytes,
+    write_run,
+)
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import EpochSnapshot, RunConfig
 
@@ -63,3 +72,15 @@ def analyze_file(path, **kwargs):
     """analyze_run over a run file opened for the one call."""
     with RunAccessor(path) as acc:
         return analyze_run(acc, **kwargs)
+
+
+def edit_manifest(path, key, value, section=None):
+    """Set one manifest key (inside `section`, e.g. "config", when given) of a
+    run file, rewriting the manifest's length and keeping every frame."""
+    blob = bytearray(Path(path).read_bytes())
+    manifest = json.loads(blob[8 : 8 + int.from_bytes(blob[4:8], "little")])
+    (manifest[section] if section else manifest)[key] = value
+    text = canonical_json_bytes(manifest)
+    blob[4:8] = len(text).to_bytes(4, "little")
+    blob[8 : 8 + MANIFEST_REGION] = text.ljust(MANIFEST_REGION, b" ")
+    Path(path).write_bytes(bytes(blob))

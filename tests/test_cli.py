@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import edit_manifest
+
 import fluctlab
 import fluctlab.cli as cli
 from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main, train_run_to_file
@@ -153,6 +155,22 @@ class TestAnalyze:
         assert run_cli(["analyze", "--run", str(run), "--json", str(jpath)]) == 2
         assert "format version 9" in capsys.readouterr().err
         assert not jpath.parent.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("config", "learning_rate", True), ("config", "learning_rate", "0.01"),
+         (None, "snapshot_count", "30")],
+    )
+    def test_mistyped_manifest_exits_2_before_writing(
+        self, two_runs, tmp_path, section, key, value, capsys
+    ):
+        run = tmp_path / "typed" / "x.nfl"
+        run.parent.mkdir()
+        run.write_bytes(two_runs[0.01].read_bytes())
+        edit_manifest(run, key, value, section)
+        assert run_cli(["analyze", "--run", str(run)]) == 2
+        assert key in capsys.readouterr().err
+        assert [p.name for p in run.parent.iterdir()] == ["x.nfl"]
 
     @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "0"], ["--bins", "0"]])
     def test_bad_analysis_setting_exits_2_before_writing(self, two_runs, tmp_path, flags, capsys):

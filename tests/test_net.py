@@ -118,7 +118,7 @@ class TestForward:
         t1 = forward(net, x)
         t2 = forward(net, x)
         assert np.array_equal(t1.output, t2.output)
-        assert all(np.array_equal(a, b) for a, b in zip(t1.pre, t2.pre))
+        assert all(np.array_equal(a, b) for a, b in zip(t1.buffers, t2.buffers))
 
     def test_overflow_names_layer(self):
         net = init(ArchitectureSpec(), 3)
@@ -127,6 +127,41 @@ class TestForward:
             forward(net, np.array([[0.5, 0.5]]))
         assert err.value.layer == 2
         assert "layer 2" in str(err.value)
+
+    def test_matches_per_layer_oracle(self):
+        rng = np.random.default_rng(7)
+        for arch in (GRADCHECK_ARCH, ArchitectureSpec()):
+            net = init(arch, 7)
+            for layer in net.layers:
+                layer.biases[:] = rng.uniform(-0.5, 0.5, size=layer.biases.shape)
+            batch = rng.uniform(-1, 1, size=(37, 2))
+            trace = forward(net, batch)
+            a = batch
+            for k, (w, b) in enumerate(zip(*layer_weights_and_biases(net))):
+                a = a @ w.T + b
+                if arch.relu_flags[k]:
+                    a = np.maximum(a, 0.0)
+                assert trace.post[k].shape == (37, arch.out_dims[k])
+                np.testing.assert_allclose(trace.post[k], a, rtol=1e-12, atol=1e-300)
+
+    def test_ones_columns_stay_exactly_one(self):
+        net = init(ArchitectureSpec(), 8)
+        rng = np.random.default_rng(8)
+        first, second = rng.uniform(-1, 1, size=(2, 20, 2))
+        trace = forward(net, first)
+        assert all(np.all(b[:, -1] == 1.0) for b in trace.buffers)
+        assert forward(net, second, out=trace) is trace
+        assert all(np.all(b[:, -1] == 1.0) for b in trace.buffers)
+        net.layers[3].weights[:] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError):
+            forward(net, second, out=trace)
+        assert all(np.all(b[:, -1] == 1.0) for b in trace.buffers)
+
+    def test_post_keeps_layer_shapes(self):
+        arch = ArchitectureSpec()
+        trace = forward(init(arch, 9), np.zeros((11, 2)))
+        assert [p.shape for p in trace.post] == [(11, d) for d in arch.out_dims]
+        assert trace.latent.shape == (11, 1) and trace.output.shape == (11, 2)
 
 
 class TestMse:
@@ -166,7 +201,8 @@ def gradcheck_case(seed=13, n_points=10):
         layer.biases[:] = rng.uniform(0.05, 0.25, size=layer.biases.shape)
     batch = rng.uniform(-1, 1, size=(n_points, 2))
     trace = forward(net, batch)
-    margin = min(np.abs(z).min() for z in trace.pre)
+    inputs = [batch, *trace.post[:-1]]
+    margin = min(np.abs(a @ l.weights.T + l.biases).min() for a, l in zip(inputs, net.layers))
     assert margin > 1e-3  # >> h, so no kink crossings in the FD stencil
     return net, batch
 
@@ -223,15 +259,20 @@ class TestBackward:
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_duplication_invariance_across_gradient_blocks(self):
-        """60 copies of 5 points make 300 rows: two full blocks and a partial one."""
-        assert 2 * GRADIENT_BLOCK_ROWS < 5 * 60 < 3 * GRADIENT_BLOCK_ROWS
+        """60 and 62 copies of 5 points make 300 and 310 rows: two full blocks
+        and 50 or 60 remainder rows."""
+        assert 2 * GRADIENT_BLOCK_ROWS < 5 * 60 < 5 * 62 < 3 * GRADIENT_BLOCK_ROWS
         net = init(GRADCHECK_ARCH, 9)
-        batch = np.random.default_rng(9).uniform(-1, 1, size=(5, 2))
-        repeated = np.repeat(batch, 60, axis=0)
+        rng = np.random.default_rng(9)
+        batch = rng.uniform(-1, 1, size=(5, 2))
+        for layer in net.layers:
+            layer.biases[:] = rng.uniform(-0.2, 0.2, size=layer.biases.shape)
         g1 = backward(net, batch, forward(net, batch))
-        g2 = backward(net, repeated, forward(net, repeated))
-        for a, b in zip(g1.weight_grads, g2.weight_grads):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+        for copies in (60, 62):
+            repeated = np.repeat(batch, copies, axis=0)
+            g2 = backward(net, repeated, forward(net, repeated))
+            for a, b in zip(g1.weight_grads + g1.bias_grads, g2.weight_grads + g2.bias_grads):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         """A spiral run trained at 1, 2 and 4 BLAS threads is one file, byte for
@@ -278,14 +319,19 @@ class TestOutBuffers:
         rng = np.random.default_rng(21)
         first, second = rng.uniform(-1, 1, size=(2, 50, 2))
         trace = forward(net, first)
-        arrays = [*trace.pre, *trace.post]
+
+        def arrays(t):
+            return [*t.buffers, *t.post, *t.row_grads, *t.parts]
+
+        kept = arrays(trace)
+        backward(net, first, trace)
         got = forward(net, second, out=trace)
         fresh = forward(net, second)
         assert got is trace
-        assert all(a is b for a, b in zip(arrays, [*got.pre, *got.post]))
-        for a, b in zip(got.pre + got.post, fresh.pre + fresh.post):
+        assert all(a is b for a, b in zip(kept, arrays(got)))
+        for a, b in zip(got.buffers, fresh.buffers):
             assert np.array_equal(a, b)
-        assert np.array_equal(got.inputs, second)
+        assert np.array_equal(got.buffers[0][:, :-1], second)
 
     def test_reused_gradients_equal_fresh_and_keep_arrays(self):
         net = init(ArchitectureSpec(), 22)
@@ -300,17 +346,26 @@ class TestOutBuffers:
         for a, b in zip(got.weight_grads + got.bias_grads, fresh.weight_grads + fresh.bias_grads):
             assert np.array_equal(a, b)
 
+    def test_backward_keeps_activations_and_repeats_exactly(self):
+        net = init(ArchitectureSpec(), 26)
+        batch = np.random.default_rng(26).uniform(-1, 1, size=(300, 2))
+        trace = forward(net, batch)
+        saved = [b.copy() for b in trace.buffers]
+        first = backward(net, batch, trace).grad.copy()
+        assert backward(net, batch, trace).grad.tobytes() == first.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(saved, trace.buffers))
+
     def test_other_batch_size_gets_new_trace(self):
         net = init(ArchitectureSpec(), 23)
         rng = np.random.default_rng(23)
         small = forward(net, rng.uniform(-1, 1, size=(5, 2)))
-        saved = [a.copy() for a in small.pre + small.post]
+        saved = [a.copy() for a in small.buffers]
         batch = rng.uniform(-1, 1, size=(8, 2))
         got = forward(net, batch, out=small)
         assert got is not small
         assert got.output.shape == (8, 2)
         assert np.array_equal(got.output, forward(net, batch).output)
-        for before, after in zip(saved, small.pre + small.post):
+        for before, after in zip(saved, small.buffers):
             assert np.array_equal(before, after)
 
     def test_other_geometry_gets_new_buffers(self):
@@ -337,7 +392,7 @@ class TestOutBuffers:
         got = forward(net, batch, out=trace)
         assert got is not trace
         fresh = forward(net, batch)
-        for a, b in zip(got.pre + got.post, fresh.pre + fresh.post):
+        for a, b in zip(got.buffers, fresh.buffers):
             assert np.array_equal(a, b)
 
     def test_overflow_names_layer_with_reused_trace(self):
@@ -351,8 +406,12 @@ class TestOutBuffers:
 
 
 def layer_order(weights, biases):
-    """Oracle for the flat layout: W_0 row-major, b_0, W_1, b_1, ..."""
-    return np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
+    """Oracle for the flat layout: per layer the row-major block [W_k | b_k]."""
+    return np.concatenate([np.column_stack([w, b]).ravel() for w, b in zip(weights, biases)])
+
+
+def layer_weights_and_biases(net):
+    return [l.weights.copy() for l in net.layers], [l.biases.copy() for l in net.layers]
 
 
 class TestFlatParameters:
@@ -360,13 +419,32 @@ class TestFlatParameters:
         assert ArchitectureSpec().parameter_count == 4611
         assert init(ArchitectureSpec(), 1).theta.shape == (4611,)
 
+    def test_blocks_hold_weights_then_bias(self):
+        net = init(ArchitectureSpec(), 30)
+        net.theta[:] = np.arange(net.theta.size)
+        start = 0
+        for block, layer, (in_dim, out_dim) in zip(net.blocks, net.layers, net.spec.layer_shapes):
+            assert block.shape == (out_dim, in_dim + 1)
+            assert np.array_equal(block.ravel(), np.arange(start, start + block.size))
+            assert np.array_equal(layer.weights, block[:, :-1])
+            assert np.array_equal(layer.biases, block[:, -1])
+            start += block.size
+        assert start == net.theta.size
+
+    def test_init_draws_the_frozen_weight_values(self):
+        """The values drawn before the bias moved into the blocks: the same
+        sequence, layer by layer and row-major, at new positions in theta."""
+        weights = np.concatenate([l.weights.ravel() for l in init(ArchitectureSpec(), 101).layers])
+        digest = "d8bef236742eac5ec033af207c8d148f2b1b60feb516bbfa6c174bbe35bc773a"
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == digest
+        assert weights[:2].tolist() == [0.4475154375799536, -0.6827944715297778]
+
     def test_layers_view_theta_after_init_deepcopy_and_packing(self):
         net = init(GRADCHECK_ARCH, 31)
         rng = np.random.default_rng(31)
         for layer in net.layers:
             layer.biases[:] = rng.uniform(-1, 1, size=layer.biases.shape)
-        weights = [l.weights.copy() for l in net.layers]
-        biases = [l.biases.copy() for l in net.layers]
+        weights, biases = layer_weights_and_biases(net)
         copied = copy.deepcopy(net)
         packed = NetworkState(GRADCHECK_ARCH)
         packed.theta[...] = layer_order(weights, biases)
@@ -398,6 +476,6 @@ class TestFlatParameters:
     def test_edit_through_theta_reaches_forward(self):
         net = init(ArchitectureSpec(), 35)
         net.theta[:] = 0.0
-        net.theta[-2:] = (0.25, -0.5)  # b_5, the output bias
+        net.theta[[-66, -1]] = (0.25, -0.5)  # b_5: the last column of the (2, 65) output block
         out = forward(net, np.random.default_rng(35).uniform(-1, 1, size=(3, 2))).output
         assert out.tolist() == [[0.25, -0.5]] * 3

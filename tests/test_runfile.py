@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import TINY_ARCH, make_manifest, make_snapshot, write_synthetic_run
+from conftest import TINY_ARCH, edit_manifest, make_manifest, make_snapshot, write_synthetic_run
 from fluctlab import runfile
 from fluctlab.analysis import analyze_run
 from fluctlab.net import ArchitectureSpec
@@ -22,7 +22,7 @@ from fluctlab.runfile import (
     standardize_channel,
     write_run,
 )
-from fluctlab.train import EpochSnapshot
+from fluctlab.train import EpochSnapshot, train
 
 
 class ReadCountingFile:
@@ -153,6 +153,27 @@ class TestLayout:
                     for name in STORAGE_CHANNELS:
                         view = getattr(got, name)[k].astype(np.float32)
                         assert frames[f"{name}{k}"][i].tobytes() == view.tobytes()
+
+    def test_frames_hold_the_trained_layers(self, tmp_path):
+        """The frame layout does not follow theta's: the weights{k} and
+        biases{k} fields are the trained network's arrays rounded to f32, and
+        the paper's frame keeps its size and field order, so older files read
+        as the same weights and biases."""
+        frame, _ = runfile.frame_layout(ArchitectureSpec())
+        assert frame.itemsize == 37_684
+        channels = ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
+        fields = [f"{c}{k}" for k in range(6) for c in channels]
+        assert frame.names == ("length", "epoch", "loss", *fields)
+        manifest = make_manifest(arch=ArchitectureSpec(), epochs=3)
+        path = tmp_path / "trained.nfl"
+        with RunWriter(path, manifest) as writer:
+            net, _ = train(manifest.config, writer.append)
+            writer.finalize(complete=True)
+        with RunAccessor(path) as acc:
+            last = acc.frames()[-1]
+        for k, layer in enumerate(net.layers):
+            assert last[f"weights{k}"].tobytes() == layer.weights.astype(np.float32).tobytes()
+            assert last[f"biases{k}"].tobytes() == layer.biases.astype(np.float32).tobytes()
 
     def test_byte_determinism(self, tmp_path):
         blobs = []
@@ -401,6 +422,29 @@ class TestErrors:
         assert blob.count(field) == 1
         path.write_bytes(blob.replace(field, value))
         with pytest.raises(RunFormatError, match=message):
+            RunAccessor(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("config", "learning_rate", True),
+            ("config", "learning_rate", "0.01"),
+            (None, "snapshot_count", "3"),
+            (None, "snapshot_count", True),
+            (None, "snapshot_count", -1),
+            (None, "complete", 1),
+            (None, "created_utc", False),
+            (None, "created_utc", "0"),
+        ],
+    )
+    def test_manifest_value_of_the_wrong_type(self, tmp_path, section, key, value):
+        path = tmp_path / "typed.nfl"
+        write_synthetic_run(path, count=3)
+        edit_manifest(path, "created_utc", 7)  # the helper alone keeps a readable file
+        with RunAccessor(path) as acc:
+            assert acc.manifest.created_utc == 7 and len(acc) == 3
+        edit_manifest(path, key, value, section)
+        with pytest.raises(RunFormatError, match=key):
             RunAccessor(path)
 
     def test_nonincreasing_epoch_rejected_by_writer(self, tmp_path):

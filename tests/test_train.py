@@ -79,7 +79,9 @@ class TestParams:
         with pytest.raises(ValueError, match="epsilon"):
             RunConfig.from_json_dict(cfg)
 
-    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.01])
+    @pytest.mark.parametrize(
+        "lr", [float("nan"), float("inf"), float("-inf"), -0.01, True, "0.01", None]
+    )
     def test_run_config_rejects_bad_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
             RunConfig(shape=ShapeKind.CIRCLE, learning_rate=lr)
@@ -123,9 +125,9 @@ def per_layer_adam_step(weights, biases, grads, m, v, t, lr):
 
 
 def layer_order(per_layer, layers):
-    """Flat layer-order vector (W_0, b_0, W_1, ...) from weight-then-bias lists."""
+    """Flat vector of row-major blocks [W_k | b_k] from weight-then-bias lists."""
     return np.concatenate(
-        [a.ravel() for k in range(layers) for a in (per_layer[k], per_layer[layers + k])]
+        [np.column_stack([per_layer[k], per_layer[layers + k]]).ravel() for k in range(layers)]
     )
 
 
@@ -241,7 +243,9 @@ class TestAdamStep:
 
 
 def mean_activations(net, pts):
-    return [p.mean(axis=0) for p in forward(net, pts).post]
+    """Per-layer mean activations as capture computes them: one product of a
+    ones vector with the activations, divided by the point count."""
+    return [np.ones(len(pts)) @ p / len(pts) for p in forward(net, pts).post]
 
 
 def snapshot_network(snap):
@@ -277,8 +281,11 @@ class TestProbe:
         train(cfg, got.append)
         pts = generate(ShapeKind.HEXAGON, 500, 4).points
         for snap in got:
-            for a, b in zip(snap.activation_means, mean_activations(snapshot_network(snap), pts)):
+            net = snapshot_network(snap)
+            means = zip(snap.activation_means, mean_activations(net, pts), forward(net, pts).post)
+            for a, b, p in means:
                 assert np.array_equal(a, b)
+                assert np.allclose(a, p.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 class TestTrain:
@@ -387,7 +394,7 @@ class TestTrain:
                 [l.biases for l in net.layers],
                 grads.weight_grads,
                 grads.bias_grads,
-                [p.mean(axis=0) for p in probe.post],
+                [np.ones(len(pts)) @ p / len(pts) for p in probe.post],
             )
             actual = (
                 snap.weights, snap.biases, snap.weight_grads, snap.bias_grads, snap.activation_means
