@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -173,20 +172,24 @@ def _inactive_counts(report: FluctuationReport) -> dict[str, int]:
     return {ch: int(report.channels[ch].inactive.sum()) for ch in ANALYSIS_CHANNELS}
 
 
-def summarize_run(acc: RunAccessor, out_dir: Path, epsilon: float, bins: int) -> dict:
-    """Analysis JSON/CSV, scatter, per-channel histograms, and tables for one
-    open run; returns its index entry."""
+def measure_run(acc: RunAccessor, epsilon: float, bins: int) -> tuple:
+    """What write_summary needs of one open run: its RunConfig, its
+    FluctuationReport, its ReconstructionResult and its final loss."""
     cfg = acc.manifest.config
-    stem = _run_stem(cfg)
     report = analyze_run(acc, epsilon=epsilon, bins=bins)
-    final_loss = float(acc.losses()[-1])
+    result = reconstruct(acc, generate(cfg.shape, 500, cfg.data_seed))
+    return cfg, report, result, float(acc.losses()[-1])
 
+
+def write_summary(measured: tuple, out_dir: Path) -> dict:
+    """Analysis JSON/CSV, scatter, per-channel histograms, and tables for one
+    run measured by measure_run; returns its index entry."""
+    cfg, report, result, final_loss = measured
+    stem = _run_stem(cfg)
     report_json = out_dir / f"{stem}.report.json"
     neurons_csv = out_dir / f"{stem}.neurons.csv"
     _write_report(report, report_json, neurons_csv)
 
-    dataset = generate(cfg.shape, 500, cfg.data_seed)
-    result = reconstruct(acc, dataset)
     lr_txt = _format_lr(cfg.learning_rate)
     scatter_path = out_dir / f"{stem}_scatter.svg"
     _write_bytes(
@@ -256,7 +259,8 @@ def _execute_run(plan: ExperimentPlan, shape: str, lr: float) -> dict:
         train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name
         with RunAccessor(run_path) as acc:
-            entry.update(summarize_run(acc, out_dir, plan.epsilon, plan.bins))
+            measured = measure_run(acc, plan.epsilon, plan.bins)
+        entry.update(write_summary(measured, out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed cell must not sink the plan
         entry["status"] = "failed"
         entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -350,23 +354,24 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not run_paths:
         raise ValueError("--runs needs at least one run file")
     check_analysis_settings(args.epsilon, args.bins)
-    with ExitStack() as stack:
-        runs = [stack.enter_context(RunAccessor(p)) for p in run_paths]
-        shared = _duplicates([_run_stem(acc.manifest.config) for acc in runs])
-        if shared:
-            raise ValueError(f"runs share artifact names: {', '.join(shared)}")
-        for path, acc in zip(run_paths, runs):
+    measured = []
+    for path in run_paths:
+        with RunAccessor(path) as acc:
             try:
                 check_analyzable(acc)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-        out_dir.mkdir(parents=True, exist_ok=True)
-        entries = []
-        for acc in runs:
-            entry = summarize_run(acc, out_dir, args.epsilon, args.bins)
-            entries.append(entry)
-            for name in entry["figures"] + [entry["table_md"], entry["table_csv"]]:
-                print(out_dir / name)
+            measured.append(measure_run(acc, args.epsilon, args.bins))
+    shared = _duplicates([_run_stem(cfg) for cfg, *_ in measured])
+    if shared:
+        raise ValueError(f"runs share artifact names: {', '.join(shared)}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for run in measured:
+        entry = write_summary(run, out_dir)
+        entries.append(entry)
+        for name in entry["figures"] + [entry["table_md"], entry["table_csv"]]:
+            print(out_dir / name)
     shapes = {e["shape"] for e in entries}
     if len(shapes) == 1:
         for name in write_comparisons(out_dir, shapes.pop(), entries):

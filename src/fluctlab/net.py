@@ -42,8 +42,12 @@ class ArchitectureSpec:
     decoder_dims: tuple[int, ...] = DECODER_DIMS
 
     def __post_init__(self):
-        object.__setattr__(self, "encoder_dims", tuple(int(d) for d in self.encoder_dims))
-        object.__setattr__(self, "decoder_dims", tuple(int(d) for d in self.decoder_dims))
+        for name in ("encoder_dims", "decoder_dims"):
+            dims = getattr(self, name)
+            # not int(d): it takes 64.9, "64" or true as a size, and tuple() a string's digits
+            if not isinstance(dims, (tuple, list)) or any(type(d) is not int for d in dims):
+                raise ValueError(f"{name} must be a list of integers, got {dims!r}")
+            object.__setattr__(self, name, tuple(dims))
         if len(self.encoder_dims) < 2 or len(self.decoder_dims) < 2:
             raise ValueError("each half needs at least one layer")
         if any(d < 1 for d in self.encoder_dims + self.decoder_dims):
@@ -97,7 +101,7 @@ class ArchitectureSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ArchitectureSpec":
-        return cls(tuple(d["encoder_dims"]), tuple(d["decoder_dims"]))
+        return cls(d["encoder_dims"], d["decoder_dims"])
 
 
 def layer_blocks(flat: np.ndarray, spec: ArchitectureSpec) -> list[np.ndarray]:

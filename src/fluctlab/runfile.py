@@ -15,10 +15,10 @@ Layout (all integers little-endian, no padding between fields):
                activation_means, matrices row-major
 
 All frames of a run have that record's size, so frame i starts at
-DATA_START + i * itemsize and is read by index, by writer and reader alike.
-The reader takes every frame of a run in one read of the frame region, and
-each channel's series is a field of that record array.  Writer and reader
-map a snapshot's flat values to a frame's f32 payload by one gather index.
+DATA_START + i * itemsize.  The reader reads every frame of a run at open,
+in one read of the frame region, into one record array whose fields are the
+channels' series.  Writer and reader map a snapshot's flat values to a
+frame's f32 payload by one gather index.
 
 The manifest region is rewritten on finalize to set the actual snapshot
 count and the complete flag, so a crashed run is detectable.  Values are
@@ -27,8 +27,8 @@ stored as f32; readers widen back to f64.
 
 from __future__ import annotations
 
-import io
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -42,8 +42,8 @@ MAGIC = b"NFL1"
 MANIFEST_REGION = 4096
 DATA_START = 8 + MANIFEST_REGION
 FORMAT_VERSION = 1
-# The fields that open every frame, read by the scan at open.  A frame needs
-# its two u32 fields (HEADER_BYTES) to be parsed at all.
+# The fields that open every frame.  A frame cut short still declares its
+# length when it holds the two u32 fields (HEADER_BYTES).
 FRAME_HEAD = np.dtype([("length", "<u4"), ("epoch", "<u4"), ("loss", "<f8")])
 HEADER_BYTES = FRAME_HEAD.fields["loss"][1]
 
@@ -113,10 +113,12 @@ def frame_layout(arch: ArchitectureSpec) -> tuple[np.dtype, np.ndarray]:
     Its itemsize is the frame size.  The f32 payload after the head holds
     snapshot.values[index], where index is those views of value positions."""
     positions = EpochSnapshot(0, 0.0, arch, np.arange(EpochSnapshot.length(arch)))
+    # each property builds every layer's views, so take each channel's once
+    channels = [getattr(positions, name) for name in STORAGE_CHANNELS]
     fields, index = FRAME_HEAD.descr, []
     for k in range(len(arch.layer_shapes)):
-        for name in STORAGE_CHANNELS:
-            view = getattr(positions, name)[k]
+        for name, views in zip(STORAGE_CHANNELS, channels):
+            view = views[k]
             fields.append((f"{name}{k}", "<f4", view.shape))
             index.append(view.ravel())
     return np.dtype(fields), np.concatenate(index)
@@ -204,97 +206,66 @@ def write_run(
 
 
 class RunAccessor:
-    """Random-access reader over a finished (or partial) run file.
+    """Reader over a finished (or partial) run file.
 
-    Opening scans every frame's head once, keeping the epochs and losses.
-    Snapshots are read by index.  frames() reads the whole frame region at
-    once, and the channel and neuron series are its fields widened to f64.
+    Opening reads the whole file in three reads (the magic and manifest
+    length, the manifest region, every frame) and checks the frames as one
+    record array.  The accessor then holds that array, read-only, and no
+    file; snapshots, losses and the channel and neuron series come from it.
     """
 
     def __init__(self, source: str | Path):
-        # Unbuffered, so every read sees the file as it is now.
-        self._stream = open(source, "rb", buffering=0)
-        try:
-            self.manifest = self._read_manifest()
+        with open(source, "rb", buffering=0) as stream:
+            self.manifest = _read_manifest(stream)
             self._frame, self._index = frame_layout(self.manifest.architecture)
             self._layers = len(self.manifest.architecture.layer_shapes)
-            self.epochs, self._losses = self._scan_frames()
-        except BaseException:
-            self.close()
-            raise
+            size = os.fstat(stream.fileno()).st_size - DATA_START
+            count, tail = divmod(size, self._frame.itemsize)
+            frames = np.zeros(count + (tail > 0), dtype=self._frame)
+            got = stream.readinto(frames.view(np.uint8))
+        if got < size:
+            message = f"file shrank while opening: read {got} of {size} frame bytes"
+            raise RunCorruptionError(message, got // self._frame.itemsize - 1)
+        self._check(frames, count, tail)
+        frames.flags.writeable = False
+        self._frames = frames
 
-    def _read_manifest(self) -> RunManifest:
-        self._stream.seek(0)
-        head = self._stream.read(8)
-        if len(head) < 8 or head[:4] != MAGIC:
-            raise RunFormatError(f"not a run file: expected magic {MAGIC!r}")
-        length = int.from_bytes(head[4:8], "little")
-        if length > MANIFEST_REGION:
-            raise RunFormatError(f"manifest length {length} exceeds region {MANIFEST_REGION}")
-        region = self._stream.read(MANIFEST_REGION)
-        if len(region) < MANIFEST_REGION:
-            raise RunFormatError("truncated manifest region")
-        try:
-            return RunManifest.from_json_dict(json.loads(region[:length]))
-        except (ValueError, KeyError) as exc:
-            raise RunFormatError(f"unreadable manifest: {exc}") from exc
-
-    def _scan_frames(self) -> tuple[list[int], np.ndarray]:
-        size = self._stream.seek(0, io.SEEK_END)
-        frame_size = self._frame.itemsize
-        epochs: list[int] = []
-        losses: list[float] = []
-        pos = DATA_START
-        while pos < size:
-            idx = len(epochs)
-            if size - pos < HEADER_BYTES:
-                raise RunCorruptionError("truncated frame header", idx - 1)
-            self._stream.seek(pos)
-            # A frame cut inside its loss still parses; it is reported cut short below.
-            head = self._stream.read(FRAME_HEAD.itemsize).ljust(FRAME_HEAD.itemsize, b"\0")
-            length, epoch, loss = np.frombuffer(head, FRAME_HEAD)[0].item()
-            if length != frame_size - 4:
-                raise RunCorruptionError(
-                    f"frame {idx} declares {length} payload bytes, architecture needs "
-                    f"{frame_size - 4}",
-                    idx - 1,
-                )
-            if size - pos < frame_size:
-                raise RunCorruptionError(f"frame {idx} is cut short", idx - 1)
-            if epochs and epoch <= epochs[-1]:
-                raise RunCorruptionError(
-                    f"epoch {epoch} at frame {idx} does not increase", idx - 1
-                )
-            epochs.append(epoch)
-            losses.append(loss)
-            pos += frame_size
-        if self.manifest.complete and len(epochs) != self.manifest.snapshot_count:
+    def _check(self, frames: np.ndarray, count: int, tail: int) -> None:
+        """Raise RunCorruptionError at the lowest faulty frame; at one frame a
+        wrong length comes first, then a cut tail, then an epoch that does not
+        increase.  Then check the manifest's count."""
+        need = self._frame.itemsize - 4
+        # a cut tail that holds the two u32 fields still declares its length
+        lengths = frames["length"][: count + (tail >= HEADER_BYTES)]
+        epochs = frames["epoch"][:count]
+        wrong = np.flatnonzero(lengths != need)
+        repeats = np.flatnonzero(epochs[1:] <= epochs[:-1]) + 1
+        i = int(min([*wrong[:1], *repeats[:1], count]))
+        if wrong.size and wrong[0] == i:
+            message = f"frame {i} declares {lengths[i]} payload bytes, architecture needs {need}"
+            raise RunCorruptionError(message, i - 1)
+        if i == count and tail:
+            cut = "truncated frame header" if tail < HEADER_BYTES else f"frame {i} is cut short"
+            raise RunCorruptionError(cut, i - 1)
+        if i < count:
+            raise RunCorruptionError(f"epoch {epochs[i]} at frame {i} does not increase", i - 1)
+        if self.manifest.complete and count != self.manifest.snapshot_count:
             raise RunCorruptionError(
-                f"manifest promises {self.manifest.snapshot_count} snapshots, "
-                f"found {len(epochs)}",
-                len(epochs) - 1,
+                f"manifest promises {self.manifest.snapshot_count} snapshots, found {count}",
+                count - 1,
             )
-        return epochs, np.array(losses, dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.epochs)
+        return len(self._frames)
 
-    def _read(self, start: int, count: int) -> np.ndarray:
-        """Frames start .. start + count - 1 as a (count,) record array, in one
-        seek and readinto; a frame that ends early (the file cut after open)
-        raises RunCorruptionError."""
-        out = np.empty(count, dtype=self._frame)
-        self._stream.seek(DATA_START + start * self._frame.itemsize)
-        got = self._stream.readinto(out.view(np.uint8))
-        if got != out.nbytes:
-            i = start + got // self._frame.itemsize
-            raise RunCorruptionError(f"frame {i} ended while reading", i - 1)
-        return out
+    @property
+    def epochs(self) -> list[int]:
+        return self._frames["epoch"].tolist()
 
     def snapshot(self, index: int) -> EpochSnapshot:
         if not 0 <= index < len(self):
             raise IndexError(f"snapshot index {index} out of range [0, {len(self)})")
-        frame = self._read(index, 1)
+        frame = self._frames[index : index + 1]
         values = np.empty(self._index.size, dtype=np.float64)
         values[self._index] = frame.view(np.uint8)[FRAME_HEAD.itemsize :].view("<f4")
         arch = self.manifest.architecture
@@ -304,14 +275,13 @@ class RunAccessor:
         return map(self.snapshot, range(len(self)))
 
     def losses(self) -> np.ndarray:
-        """Every snapshot's loss, kept by the scan at open."""
-        return self._losses.copy()
+        """Every snapshot's loss, as a float64 copy."""
+        return self._frames["loss"].astype(np.float64)
 
     def frames(self) -> np.ndarray:
-        """Every frame as one (T,) array of frame_layout's record, read with
-        one readinto of the whole frame region; frames()[f"{channel}{k}"] is
-        a channel's f32 series, time-major."""
-        return self._read(0, len(self))
+        """Every frame as one read-only (T,) array of frame_layout's record;
+        frames()[f"{channel}{k}"] is a channel's f32 series, time-major."""
+        return self._frames
 
     def channel_series(self, layer: int, channel: str) -> np.ndarray:
         """All snapshots of one layer channel, time-major: (T, out, in) or (T, out)."""
@@ -319,7 +289,7 @@ class RunAccessor:
             raise ValueError(f"unknown channel {channel!r}; expected one of {STORAGE_CHANNELS}")
         if not 0 <= layer < self._layers:
             raise ValueError(f"layer {layer} out of range [0, {self._layers})")
-        return self.frames()[f"{channel}{layer}"].astype(np.float64)
+        return self._frames[f"{channel}{layer}"].astype(np.float64)
 
     def neuron_series(self, layer: int, channel: str, index: int) -> np.ndarray:
         """One neuron's values over time: (T, in_dim) for weight channels
@@ -331,13 +301,30 @@ class RunAccessor:
         return series[:, index]
 
     def close(self) -> None:
-        self._stream.close()
+        # a new array: a slice of the frames would keep all of them alive
+        self._frames = np.empty(0, dtype=self._frame)
 
     def __enter__(self) -> "RunAccessor":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _read_manifest(stream) -> RunManifest:
+    head = stream.read(8)
+    if len(head) < 8 or head[:4] != MAGIC:
+        raise RunFormatError(f"not a run file: expected magic {MAGIC!r}")
+    length = int.from_bytes(head[4:8], "little")
+    if length > MANIFEST_REGION:
+        raise RunFormatError(f"manifest length {length} exceeds region {MANIFEST_REGION}")
+    region = stream.read(MANIFEST_REGION)
+    if len(region) < MANIFEST_REGION:
+        raise RunFormatError("truncated manifest region")
+    try:
+        return RunManifest.from_json_dict(json.loads(region[:length]))
+    except (ValueError, KeyError) as exc:
+        raise RunFormatError(f"unreadable manifest: {exc}") from exc
 
 
 def standardize_channel(values) -> np.ndarray:

@@ -159,7 +159,7 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "section, key, value",
         [("config", "learning_rate", True), ("config", "learning_rate", "0.01"),
-         (None, "snapshot_count", "30")],
+         (None, "snapshot_count", "30"), ("architecture", "encoder_dims", [2, 64.9, 32, True])],
     )
     def test_mistyped_manifest_exits_2_before_writing(
         self, two_runs, tmp_path, section, key, value, capsys

@@ -13,6 +13,7 @@ from fluctlab.analysis import analyze_run
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
+    HEADER_BYTES,
     MANIFEST_REGION,
     STORAGE_CHANNELS,
     RunCorruptionError,
@@ -42,6 +43,12 @@ class ReadCountingFile:
 
     def __getattr__(self, name):
         return getattr(self._raw, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._raw.close()
 
 
 def frame_bytes_oracle(snaps):
@@ -283,8 +290,8 @@ class TestAccess:
                     acc.channel_series(layer, "weights")
 
     def test_reads_per_frame(self, tmp_path, monkeypatch):
-        """Opening reads the magic, the manifest and one head per frame; the
-        analysis reads the frame region once; losses read nothing."""
+        """Opening makes three reads: the magic and manifest length, the
+        manifest region and the frame region; nothing after it reads."""
         frames = 5
         path = tmp_path / "reads.nfl"
         write_synthetic_run(path, count=frames, seed=4)
@@ -297,11 +304,30 @@ class TestAccess:
         monkeypatch.setattr(runfile, "open", counting_open, raising=False)
         with RunAccessor(path) as acc:
             (counted,) = files
-            assert counted.reads == 2 + frames
+            assert counted.reads == 3
+            assert counted.closed
             acc.losses()
-            assert counted.reads == 2 + frames
+            acc.frames()
+            acc.snapshot(frames - 1)
             analyze_run(acc)
-            assert counted.reads == 2 + frames + 1
+            assert counted.reads == 3
+
+    def test_close_releases_the_frames(self, tmp_path):
+        path = tmp_path / "rel.nfl"
+        write_synthetic_run(path, count=3)
+        with RunAccessor(path) as acc:
+            assert acc.frames().nbytes > 0
+        assert acc.frames().nbytes == 0
+
+    def test_frames_are_read_only(self, tmp_path):
+        path = tmp_path / "ro.nfl"
+        written = write_synthetic_run(path, count=3)
+        with RunAccessor(path) as acc:
+            with pytest.raises(ValueError, match="read-only"):
+                acc.frames()["loss"][0] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                acc.frames()["weights0"][...] = 0.0
+            assert acc.losses().tolist() == [s.loss for s in written]
 
     def test_epoch_values_preserved(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -369,26 +395,63 @@ class TestErrors:
             RunAccessor(path)
         assert err.value.last_valid_index == last_valid
 
-    def test_file_cut_after_open(self, tmp_path):
-        path = tmp_path / "cut.nfl"
-        write_synthetic_run(path, arch=ArchitectureSpec(), count=2)
-        with RunAccessor(path) as acc:
-            path.write_bytes(path.read_bytes()[:-10])  # into frame 1's last layer
-            with pytest.raises(RunCorruptionError, match="frame 1 ended") as err:
-                acc.frames()
-            assert err.value.last_valid_index == 0
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_damage_names_the_frame_before_the_first_fault(self, data, tmp_path_factory):
+        """A cut anywhere in the frame region, a wrong length or a repeated
+        epoch, alone or together: the lowest damaged frame is the fault, and
+        at one frame a wrong length comes before a cut, a cut before an epoch."""
+        count = data.draw(st.integers(1, 6), label="frames")
+        path = tmp_path_factory.mktemp("damage") / "run.nfl"
+        write_synthetic_run(path, count=count)  # epochs 1 .. count; manifest complete
+        blob = bytearray(path.read_bytes())
+        frame = (len(blob) - DATA_START) // count
+        faults = []  # (frame, rank at that frame, message fragment)
+        if data.draw(st.booleans(), label="wrong length"):
+            i = data.draw(st.integers(0, count - 1), label="length frame")
+            length = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != frame - 4))
+            blob[DATA_START + i * frame : DATA_START + i * frame + 4] = length.to_bytes(4, "little")
+            faults.append((i, 0, f"frame {i} declares {length} payload bytes"))
+        if count > 1 and data.draw(st.booleans(), label="repeated epoch"):
+            i = data.draw(st.integers(1, count - 1), label="epoch frame")
+            epoch = data.draw(st.integers(0, i), label="epoch")  # frame i - 1 holds epoch i
+            blob[DATA_START + i * frame + 4 : DATA_START + i * frame + 8] = epoch.to_bytes(4, "little")
+            faults.append((i, 2, f"epoch {epoch} at frame {i} does not increase"))
+        if not faults or data.draw(st.booleans(), label="cut"):
+            k = data.draw(st.integers(0, count - 1), label="cut frame")
+            # any byte of the frame, the head's bytes more often
+            tail = data.draw(st.one_of(st.integers(0, 16), st.integers(0, frame - 1)), label="kept")
+            blob = blob[: DATA_START + k * frame + tail]
+            if tail < HEADER_BYTES:  # frame k's length is gone or not read
+                faults = [f for f in faults if f[0] != k]
+            if tail == 0:  # a cut on a boundary loses frame k whole
+                faults.append((k, 1, f"manifest promises {count} snapshots, found {k}"))
+            else:
+                cut = "truncated frame header" if tail < HEADER_BYTES else f"frame {k} is cut short"
+                faults.append((k, 1, cut))
+        path.write_bytes(bytes(blob))
+        first, _, fragment = min(faults)
+        with pytest.raises(RunCorruptionError, match=fragment) as err:
+            RunAccessor(path)
+        assert err.value.last_valid_index == first - 1
 
-    def test_snapshot_of_file_cut_after_open(self, tmp_path):
-        path = tmp_path / "cut.nfl"
-        # TINY_ARCH's three frames fit in the 8 KB that a buffered reader keeps
-        for arch in (ArchitectureSpec(), TINY_ARCH):
-            written = write_synthetic_run(path, arch=arch, count=3)
-            with RunAccessor(path) as acc:
-                path.write_bytes(path.read_bytes()[:-10])  # into frame 2
-                assert acc.snapshot(1).epoch == written[1].epoch
-                with pytest.raises(RunCorruptionError, match="frame 2 ended") as err:
-                    acc.snapshot(2)
-                assert err.value.last_valid_index == 1
+    def test_file_that_shrinks_while_opening(self, tmp_path, monkeypatch):
+        """A frame region read short raises, naming the last whole frame read,
+        and hands out no zero-filled frames."""
+        path = tmp_path / "shrink.nfl"
+        write_synthetic_run(path, count=3)
+        frame = (path.stat().st_size - DATA_START) // 3
+
+        class ShortRead(ReadCountingFile):
+            def readinto(self, buffer):
+                return self._raw.readinto(memoryview(buffer)[: frame + frame // 2])
+
+        monkeypatch.setattr(
+            runfile, "open", lambda *a, **kw: ShortRead(open(*a, **kw)), raising=False
+        )
+        with pytest.raises(RunCorruptionError, match="shrank") as err:
+            RunAccessor(path)
+        assert err.value.last_valid_index == 0
 
     def test_failed_constructors_close_their_files(self, tmp_path, monkeypatch):
         opened = []
@@ -435,6 +498,13 @@ class TestErrors:
             (None, "complete", 1),
             (None, "created_utc", False),
             (None, "created_utc", "0"),
+            # each but the last read as the run's own 2-4-3-1 / 1-3-4-2 net before
+            ("architecture", "encoder_dims", [2, 4.9, 3, True]),
+            ("architecture", "encoder_dims", "2431"),
+            ("architecture", "encoder_dims", [2.0, 4, 3, 1]),
+            ("architecture", "decoder_dims", [1, 3, "4", 2]),
+            ("architecture", "decoder_dims", [True, 3, 4, 2]),
+            ("architecture", "decoder_dims", 2),
         ],
     )
     def test_manifest_value_of_the_wrong_type(self, tmp_path, section, key, value):
