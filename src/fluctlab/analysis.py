@@ -218,8 +218,14 @@ def neuron_delta_series(run: RunAccessor, layer: int, index: int, channel: str) 
     if channel not in ANALYSIS_CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {ANALYSIS_CHANNELS}")
     check_analyzable(run)
-    series = run.neuron_series(layer, _STORAGE_NAME.get(channel, channel), index)
-    return np.diff(series, axis=0).ravel()
+    layers = len(run.manifest.architecture.layer_shapes)
+    if not 0 <= layer < layers:
+        raise ValueError(f"layer {layer} out of range [0, {layers})")
+    series = run.frames()[f"{_STORAGE_NAME.get(channel, channel)}{layer}"]
+    rows = series.shape[1]
+    if not 0 <= index < rows:
+        raise ValueError(f"neuron index {index} out of range [0, {rows})")
+    return np.diff(series[:, index].astype(np.float64), axis=0).ravel()
 
 
 def calibrate_epsilon(

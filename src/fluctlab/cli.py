@@ -175,10 +175,8 @@ def _inactive_counts(report: FluctuationReport) -> dict[str, int]:
 def measure_run(acc: RunAccessor, epsilon: float, bins: int) -> tuple:
     """What write_summary needs of one open run: its RunConfig, its
     FluctuationReport, its ReconstructionResult and its final loss."""
-    cfg = acc.manifest.config
     report = analyze_run(acc, epsilon=epsilon, bins=bins)
-    result = reconstruct(acc, generate(cfg.shape, 500, cfg.data_seed))
-    return cfg, report, result, float(acc.losses()[-1])
+    return acc.manifest.config, report, reconstruct(acc), float(acc.losses()[-1])
 
 
 def write_summary(measured: tuple, out_dir: Path) -> dict:

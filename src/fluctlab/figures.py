@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, half_slices
+from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, check_analyzable, half_slices
 from .net import NetworkState, forward, mse
 from .runfile import RunAccessor
-from .shapes import ShapeDataset, ShapeKind
+from .shapes import generate
+from .train import TRAIN_SAMPLE_COUNT
 
 DATA_FRAME = 1.2  # scatter plots cover [-1.2, 1.2]^2
 ORIGINAL_COLOR = "#1f2d3d"
@@ -31,8 +32,6 @@ _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 @dataclass
 class ReconstructionResult:
-    shape: ShapeKind
-    learning_rate: float
     original: np.ndarray  # (n, 2)
     reconstructed: np.ndarray  # (n, 2)
     final_mse: float
@@ -47,28 +46,16 @@ class ReconstructionResult:
             )
 
 
-def reconstruct(run: RunAccessor, dataset: ShapeDataset) -> ReconstructionResult:
-    """Load the final network from an open run file and reconstruct the dataset."""
-    manifest = run.manifest
-    if not manifest.complete or len(run) == 0:
-        raise ValueError("run file is incomplete; cannot reconstruct")
-    cfg = manifest.config
-    if cfg.shape is not dataset.kind or cfg.data_seed != dataset.seed:
-        raise ValueError(
-            f"dataset ({dataset.kind.value}, seed {dataset.seed}) does not match "
-            f"run manifest ({cfg.shape.value}, seed {cfg.data_seed})"
-        )
-    snap = run.snapshot(len(run) - 1)
-    net = NetworkState(manifest.architecture)
-    net.theta[...] = snap.theta
-    output = forward(net, dataset.points).output
-    return ReconstructionResult(
-        shape=dataset.kind,
-        learning_rate=cfg.learning_rate,
-        original=dataset.points,
-        reconstructed=output,
-        final_mse=mse(dataset.points, output),
-    )
+def reconstruct(run: RunAccessor) -> ReconstructionResult:
+    """Load the final network from an open, complete run file and reconstruct
+    the run's training set."""
+    check_analyzable(run, "raw")
+    cfg = run.manifest.config
+    points = generate(cfg.shape, TRAIN_SAMPLE_COUNT, cfg.data_seed).points
+    net = NetworkState(run.manifest.architecture)
+    net.theta[...] = run.snapshot(len(run) - 1).theta
+    output = forward(net, points).output
+    return ReconstructionResult(points, output, mse(points, output))
 
 
 def _escape(text: str) -> str:

@@ -139,25 +139,25 @@ class RunWriter:
         self._count = 0
         self._last_epoch = 0
         self._finalized = False
+        # built, and so checked, before opening truncates the destination
+        head = self._head(snapshot_count=0, complete=False)
         self._stream = open(destination, "wb")
         try:
-            self._write_manifest(snapshot_count=0, complete=False)
-            self._stream.seek(DATA_START)
+            self._stream.write(head)
         except BaseException:
             self._stream.close()
             raise
 
-    def _write_manifest(self, snapshot_count: int, complete: bool) -> None:
+    def _head(self, snapshot_count: int, complete: bool) -> bytes:
+        """The file's first DATA_START bytes: magic, manifest length and the
+        manifest padded to its region."""
         manifest = replace(self._manifest, snapshot_count=snapshot_count, complete=complete)
         blob = canonical_json_bytes(manifest.to_json_dict())
         if len(blob) > MANIFEST_REGION:
             raise RunFormatError(
                 f"manifest is {len(blob)} bytes; the reserved region holds {MANIFEST_REGION}"
             )
-        self._stream.seek(0)
-        self._stream.write(MAGIC)
-        self._stream.write(len(blob).to_bytes(4, "little"))
-        self._stream.write(blob.ljust(MANIFEST_REGION, b" "))
+        return MAGIC + len(blob).to_bytes(4, "little") + blob.ljust(MANIFEST_REGION, b" ")
 
     def append(self, snapshot: EpochSnapshot) -> None:
         if self._finalized:
@@ -179,7 +179,9 @@ class RunWriter:
     def finalize(self, complete: bool) -> int:
         """Rewrite the manifest with the real snapshot count; returns file size."""
         if not self._finalized:
-            self._write_manifest(snapshot_count=self._count, complete=complete)
+            head = self._head(snapshot_count=self._count, complete=complete)
+            self._stream.seek(0)
+            self._stream.write(head)
             self._stream.flush()
             self._finalized = True
             self._stream.close()
@@ -211,14 +213,13 @@ class RunAccessor:
     Opening reads the whole file in three reads (the magic and manifest
     length, the manifest region, every frame) and checks the frames as one
     record array.  The accessor then holds that array, read-only, and no
-    file; snapshots, losses and the channel and neuron series come from it.
+    file; snapshots, losses and every channel's series come from it.
     """
 
     def __init__(self, source: str | Path):
         with open(source, "rb", buffering=0) as stream:
             self.manifest = _read_manifest(stream)
             self._frame, self._index = frame_layout(self.manifest.architecture)
-            self._layers = len(self.manifest.architecture.layer_shapes)
             size = os.fstat(stream.fileno()).st_size - DATA_START
             count, tail = divmod(size, self._frame.itemsize)
             frames = np.zeros(count + (tail > 0), dtype=self._frame)
@@ -258,10 +259,6 @@ class RunAccessor:
     def __len__(self) -> int:
         return len(self._frames)
 
-    @property
-    def epochs(self) -> list[int]:
-        return self._frames["epoch"].tolist()
-
     def snapshot(self, index: int) -> EpochSnapshot:
         if not 0 <= index < len(self):
             raise IndexError(f"snapshot index {index} out of range [0, {len(self)})")
@@ -282,23 +279,6 @@ class RunAccessor:
         """Every frame as one read-only (T,) array of frame_layout's record;
         frames()[f"{channel}{k}"] is a channel's f32 series, time-major."""
         return self._frames
-
-    def channel_series(self, layer: int, channel: str) -> np.ndarray:
-        """All snapshots of one layer channel, time-major: (T, out, in) or (T, out)."""
-        if channel not in STORAGE_CHANNELS:
-            raise ValueError(f"unknown channel {channel!r}; expected one of {STORAGE_CHANNELS}")
-        if not 0 <= layer < self._layers:
-            raise ValueError(f"layer {layer} out of range [0, {self._layers})")
-        return self._frames[f"{channel}{layer}"].astype(np.float64)
-
-    def neuron_series(self, layer: int, channel: str, index: int) -> np.ndarray:
-        """One neuron's values over time: (T, in_dim) for weight channels
-        (the neuron's incoming row), (T,) for vector channels."""
-        series = self.channel_series(layer, channel)
-        rows = series.shape[1]
-        if not 0 <= index < rows:
-            raise ValueError(f"neuron index {index} out of range [0, {rows})")
-        return series[:, index]
 
     def close(self) -> None:
         # a new array: a slice of the frames would keep all of them alive

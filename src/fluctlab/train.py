@@ -23,7 +23,6 @@ from .net import (
     ArchitectureSpec,
     GradientSet,
     NetworkState,
-    NumericOverflowError,
     backward,
     forward,
     init,
@@ -238,27 +237,22 @@ def train(
 
     try:
         trace = forward(net, pts)
-    except (NumericOverflowError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         raise TrainingDivergedError(1, str(exc)) from exc
     grads = None
     loss = float("nan")
     for epoch in range(1, config.epochs + 1):
-        captured = capture_sink is not None and (epoch == 1 or epoch % config.capture_every == 0)
-        # Allocated before the epoch's temporaries: allocated after them and
-        # freed by the sink, it made glibc trim and regrow the heap each epoch
-        # (40-60 more page faults, about 90 us, per captured epoch).
-        values = np.empty(EpochSnapshot.length(net.spec)) if captured else None
         try:
             grads = backward(net, pts, trace, out=grads)
             adam_step(net, grads, opt, config.learning_rate)
             trace = forward(net, pts, out=trace)
-        except (NumericOverflowError, FloatingPointError) as exc:
+        except FloatingPointError as exc:
             raise TrainingDivergedError(epoch, str(exc)) from exc
         loss = mse(pts, trace.output)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, f"loss is {loss}")
-        if captured:
-            snap = EpochSnapshot(epoch, loss, net.spec, values)
+        if capture_sink is not None and (epoch == 1 or epoch % config.capture_every == 0):
+            snap = EpochSnapshot(epoch, loss, net.spec, np.empty(EpochSnapshot.length(net.spec)))
             snap.theta[...] = net.theta
             snap.grad[...] = grads.grad
             for post, means in zip(trace.post, snap.activation_means):

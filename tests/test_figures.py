@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import analyze_file, make_manifest, make_snapshot
+from fluctlab.analysis import InsufficientDataError
 from fluctlab.cli import train_run_to_file
 from fluctlab.figures import (
     ReconstructionResult,
@@ -57,41 +58,48 @@ class TestReconstruct:
         write_run(make_manifest(arch=arch, shape=ShapeKind.CIRCLE, data_seed=3, epochs=1), snaps, path)
         dataset = generate(ShapeKind.CIRCLE, 500, 3)
         with RunAccessor(path) as acc:
-            result = reconstruct(acc, dataset)
+            result = reconstruct(acc)
+        # the run's own training set, rebuilt from its manifest
+        assert result.original.tobytes() == dataset.points.tobytes()
         assert np.all(result.reconstructed == 0.0)
         # analytic: mean over components of the squared targets
         assert result.final_mse == pytest.approx(float(np.mean(dataset.points**2)), abs=1e-15)
 
     def test_deterministic(self, spiral_run):
-        path, cfg, _ = spiral_run
-        dataset = generate(cfg.shape, 500, cfg.data_seed)
+        path, _, _ = spiral_run
         with RunAccessor(path) as acc:
-            a = reconstruct(acc, dataset)
-            b = reconstruct(acc, dataset)
+            a = reconstruct(acc)
+            b = reconstruct(acc)
         assert np.array_equal(a.reconstructed, b.reconstructed)
         assert a.final_mse == b.final_mse
 
     def test_final_mse_matches_stored_loss(self, spiral_run):
-        path, cfg, stored_loss = spiral_run
-        dataset = generate(cfg.shape, 500, cfg.data_seed)
+        path, _, stored_loss = spiral_run
         with RunAccessor(path) as acc:
-            result = reconstruct(acc, dataset)
+            result = reconstruct(acc)
         assert abs(result.final_mse - stored_loss) <= 1e-6
 
-    def test_dataset_mismatch_rejected(self, spiral_run):
-        path, cfg, _ = spiral_run
+    def test_incomplete_run_refused(self, tmp_path):
+        arch = ArchitectureSpec()
+        path = tmp_path / "cut.nfl"
+        snaps = [make_snapshot(arch, 1, 0.5, fill=0.0)]
+        write_run(make_manifest(arch=arch, epochs=1), snaps, path, complete=False)
         with RunAccessor(path) as acc:
-            with pytest.raises(ValueError, match="does not match"):
-                reconstruct(acc, generate(cfg.shape, 500, cfg.data_seed + 1))
-            with pytest.raises(ValueError, match="does not match"):
-                reconstruct(acc, generate(ShapeKind.CIRCLE, 500, cfg.data_seed))
+            with pytest.raises(ValueError, match="incomplete"):
+                reconstruct(acc)
+
+    def test_run_without_snapshots_refused(self, tmp_path):
+        path = tmp_path / "empty.nfl"
+        write_run(make_manifest(arch=ArchitectureSpec(), epochs=1), [], path)
+        with RunAccessor(path) as acc:
+            assert acc.manifest.complete and len(acc) == 0
+            with pytest.raises(InsufficientDataError, match="run has 0"):
+                reconstruct(acc)
 
 
 class TestScatterSvg:
     def test_marker_count(self):
         result = ReconstructionResult(
-            shape=ShapeKind.CIRCLE,
-            learning_rate=0.01,
             original=np.array([[0.5, 0.5]]),
             reconstructed=np.array([[0.1, -0.2]]),
             final_mse=0.1,
@@ -102,16 +110,13 @@ class TestScatterSvg:
         assert_well_formed_svg(blob)
 
     def test_byte_determinism(self, spiral_run):
-        path, cfg, _ = spiral_run
-        dataset = generate(cfg.shape, 500, cfg.data_seed)
+        path, _, _ = spiral_run
         with RunAccessor(path) as acc:
-            result = reconstruct(acc, dataset)
+            result = reconstruct(acc)
         assert scatter_svg(result, "spiral") == scatter_svg(result, "spiral")
 
     def test_markers_inside_viewbox(self):
         result = ReconstructionResult(
-            shape=ShapeKind.CIRCLE,
-            learning_rate=0.01,
             original=np.array([[1.0, -1.0], [0.0, 0.0]]),
             reconstructed=np.array([[5.0, 5.0], [-3.0, 0.2]]),  # clipped to the frame
             final_mse=0.1,
@@ -126,8 +131,6 @@ class TestScatterSvg:
 
     def test_title_and_axis_labels(self):
         result = ReconstructionResult(
-            shape=ShapeKind.CIRCLE,
-            learning_rate=0.01,
             original=np.array([[0.5, 0.5]]),
             reconstructed=np.array([[0.1, -0.2]]),
             final_mse=0.1,
@@ -139,8 +142,6 @@ class TestScatterSvg:
 
     def test_nonfinite_rejected(self):
         result = ReconstructionResult(
-            shape=ShapeKind.CIRCLE,
-            learning_rate=0.01,
             original=np.array([[np.nan, 0.0]]),
             reconstructed=np.array([[0.0, 0.0]]),
             final_mse=0.1,

@@ -1,5 +1,6 @@
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import TINY_ARCH, edit_manifest, make_manifest, make_snapshot, write_synthetic_run
 from fluctlab import runfile
-from fluctlab.analysis import analyze_run
+from fluctlab.analysis import analyze_run, neuron_delta_series
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
@@ -232,28 +233,29 @@ class TestAccess:
                     assert np.array_equal(a, b)
 
     def test_neuron_series_matches_full_load_oracle(self, tmp_path):
+        """A neuron's delta series, read from the frames, is np.diff of its
+        values loaded snapshot by snapshot."""
         path = tmp_path / "ns.nfl"
         write_synthetic_run(path, count=6, seed=3)
         with RunAccessor(path) as acc:
             full = list(acc)  # naive oracle: load everything sequentially
-            for layer, channel, idx in ((0, "weights", 3), (4, "weight_grads", 1)):
-                series = acc.neuron_series(layer, channel, idx)
-                naive = np.stack([getattr(s, channel)[layer][idx, :] for s in full])
-                assert np.array_equal(series, naive)
-            for layer, channel, idx in ((1, "biases", 2), (3, "activation_means", 0)):
-                series = acc.neuron_series(layer, channel, idx)
-                naive = np.array([getattr(s, channel)[layer][idx] for s in full])
-                assert np.array_equal(series, naive)
+            cases = (
+                (0, "weights", "weights", 3),
+                (4, "weight_grads", "weight_grads", 1),
+                (1, "biases", "biases", 2),
+                (3, "activations", "activation_means", 0),
+            )
+            for layer, channel, storage, idx in cases:
+                naive = np.stack([getattr(s, storage)[layer][idx] for s in full])
+                deltas = neuron_delta_series(acc, layer, idx, channel)
+                assert deltas.dtype == np.float64
+                assert deltas.tobytes() == np.diff(naive, axis=0).ravel().tobytes()
             for idx in (-1, 4):  # layer 0 has 4 neurons
                 with pytest.raises(ValueError, match="neuron index"):
-                    acc.neuron_series(0, "weights", idx)
-
-    def test_channel_series_shape(self, tmp_path):
-        path = tmp_path / "cs.nfl"
-        write_synthetic_run(path, count=3)
-        with RunAccessor(path) as acc:
-            assert acc.channel_series(0, "weights").shape == (3, 4, 2)
-            assert acc.channel_series(5, "bias_grads").shape == (3, 2)
+                    neuron_delta_series(acc, 0, idx, "weights")
+            for layer in (-1, len(TINY_ARCH.layer_shapes)):
+                with pytest.raises(ValueError, match="layer"):
+                    neuron_delta_series(acc, layer, 0, "weights")
 
     def test_losses(self, tmp_path):
         path = tmp_path / "ls.nfl"
@@ -275,7 +277,7 @@ class TestAccess:
             frames = acc.frames()
             assert frames.shape == (4,)
             assert frames.dtype == runfile.frame_layout(TINY_ARCH)[0]
-            assert frames["epoch"].tolist() == acc.epochs
+            assert frames["epoch"].tolist() == [s.epoch for s in written]
             assert frames["loss"].tolist() == [s.loss for s in written]
             for i in range(len(acc)):
                 snap = acc.snapshot(i)
@@ -285,9 +287,6 @@ class TestAccess:
                         expected = getattr(snap, name)[layer].astype(np.float32)
                         assert field.dtype == np.float32
                         assert field.tobytes() == expected.tobytes()
-            for layer in (-1, len(TINY_ARCH.layer_shapes)):
-                with pytest.raises(ValueError, match="layer"):
-                    acc.channel_series(layer, "weights")
 
     def test_reads_per_frame(self, tmp_path, monkeypatch):
         """Opening makes three reads: the magic and manifest length, the
@@ -317,7 +316,10 @@ class TestAccess:
         write_synthetic_run(path, count=3)
         with RunAccessor(path) as acc:
             assert acc.frames().nbytes > 0
+            read = weakref.ref(acc.frames())
         assert acc.frames().nbytes == 0
+        # a view of the read array, even an empty one, would keep it alive
+        assert read() is None
 
     def test_frames_are_read_only(self, tmp_path):
         path = tmp_path / "ro.nfl"
@@ -335,7 +337,7 @@ class TestAccess:
         path = tmp_path / "ep.nfl"
         write_run(make_manifest(epochs=9, capture_every=3), snaps, path)
         with RunAccessor(path) as acc:
-            assert acc.epochs == [1, 3, 6, 9]
+            assert acc.frames()["epoch"].tolist() == [1, 3, 6, 9]
 
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "ior.nfl"
@@ -468,7 +470,8 @@ class TestErrors:
             runfile.RunAccessor(bad)
         with pytest.raises(RunFormatError):
             RunWriter(tmp_path / "huge.nfl", make_manifest(arch=huge))
-        assert len(opened) == 2
+        # the writer refuses its manifest before it opens anything
+        assert len(opened) == 1
         assert all(f.closed for f in opened)
 
     @pytest.mark.parametrize(
@@ -531,6 +534,15 @@ class TestErrors:
         )
         with pytest.raises(RunFormatError):
             RunWriter(tmp_path / "huge.nfl", make_manifest(arch=huge))
+
+    def test_refused_writer_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "kept.nfl"
+        write_synthetic_run(path, count=3)
+        before = path.read_bytes()
+        huge = ArchitectureSpec(encoder_dims=(2,) + (3,) * 2000 + (1,), decoder_dims=(1, 3, 2))
+        with pytest.raises(RunFormatError, match="manifest is"):
+            RunWriter(path, make_manifest(arch=huge))
+        assert path.read_bytes() == before
 
     def test_snapshot_shape_mismatch(self, tmp_path):
         writer = RunWriter(tmp_path / "mm.nfl", make_manifest())
