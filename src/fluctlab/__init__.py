@@ -37,7 +37,7 @@ from .runfile import (
     standardize_channel,
     write_run,
 )
-from .shapes import ShapeDataset, ShapeKind, export_csv, generate, normalize_to_unit_box
+from .shapes import ShapeKind, export_csv, generate, normalize_to_unit_box
 from .train import (
     EpochSnapshot,
     OptimizerState,

@@ -14,11 +14,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 from .analysis import (
     ANALYSIS_CHANNELS,
     DEFAULT_BINS,
     DEFAULT_EPSILON,
+    HALVES,
     FluctuationReport,
     analyze_run,
     calibrate_epsilon,
@@ -35,7 +37,8 @@ from .figures import (
 from .net import ArchitectureSpec
 from .runfile import RunAccessor, RunFormatError, RunManifest, RunWriter, canonical_json_bytes
 from .shapes import ShapeKind, export_csv, generate
-from .train import DEFAULT_LEARNING_RATES, RunConfig, TrainingDivergedError, snapshot_count, train
+from .train import DEFAULT_LEARNING_RATES, TRAIN_SAMPLE_COUNT, RunConfig, snapshot_count, train
+from .train import TrainingDivergedError
 
 INDEX_SCHEMA_VERSION = 1
 SHAPE_NAMES = tuple(k.value for k in ShapeKind)
@@ -86,10 +89,10 @@ class ExperimentPlan:
 
     shapes: list[str] = field(default_factory=lambda: list(SHAPE_NAMES))
     learning_rates: list[float] = field(default_factory=lambda: list(DEFAULT_LEARNING_RATES))
-    epochs: int = 1000
-    data_seed: int = 0
-    init_seed: int = 0
-    capture_every: int = 1
+    epochs: int = RunConfig.epochs
+    data_seed: int = RunConfig.data_seed
+    init_seed: int = RunConfig.init_seed
+    capture_every: int = RunConfig.capture_every
     out_dir: str = field(default_factory=_default_outdir)
     epsilon: float = DEFAULT_EPSILON
     bins: int = DEFAULT_BINS
@@ -172,6 +175,24 @@ def _inactive_counts(report: FluctuationReport) -> dict[str, int]:
     return {ch: int(report.channels[ch].inactive.sum()) for ch in ANALYSIS_CHANNELS}
 
 
+def _spreads_of_spread(report: FluctuationReport, channel: str) -> list[float]:
+    """The encoder's and the decoder's spread of spread of one channel."""
+    return [report.channels[channel].halves[h].spread_of_spread for h in HALVES]
+
+
+def _analyzable_runs(paths: list) -> Iterator[RunAccessor]:
+    """Open each run file in turn and yield it once check_analyzable passes;
+    each is closed before the next is opened.  A refusal names the file."""
+    for path in paths:
+        try:
+            acc = RunAccessor(path)
+            check_analyzable(acc)
+        except (RunFormatError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        with acc:
+            yield acc
+
+
 def measure_run(acc: RunAccessor, epsilon: float, bins: int) -> tuple:
     """What write_summary needs of one open run: its RunConfig, its
     FluctuationReport, its ReconstructionResult and its final loss."""
@@ -208,19 +229,19 @@ def write_summary(measured: tuple, out_dir: Path) -> dict:
     _write_bytes(table_md, md_blob)
     _write_bytes(table_csv, csv_blob)
 
-    default_count = int(report.channels["weights"].inactive.sum())
+    inactive = _inactive_counts(report)
     calibrated = calibrate_epsilon(
         report.channels["weights"].spreads, INACTIVE_TARGET_RANGE, INACTIVE_EPSILON_RANGE
     )
     flags = []
-    if default_count < INACTIVE_TARGET_RANGE[0] and calibrated is None:
+    if inactive["weights"] < INACTIVE_TARGET_RANGE[0] and calibrated is None:
         flags.append("weights-inactive-count-unreproduced")
 
     return {
         "shape": cfg.shape.value,
         "final_loss": final_loss,
-        "inactive_counts": _inactive_counts(report),
-        "weights_inactive_default": default_count,
+        "inactive_counts": inactive,
+        "weights_inactive_default": inactive["weights"],
         "weights_epsilon_calibrated": calibrated,
         "flags": flags,
         "report_json": report_json.name,
@@ -296,11 +317,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     kind = ShapeKind(args.shape)
-    dataset = generate(kind, args.count, args.seed)
+    points = generate(kind, args.count, args.seed)
     out = Path(args.out) if args.out else Path(args.outdir) / f"{kind.value}_{args.count}_{args.seed}.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="\n") as fh:
-        export_csv(dataset, fh)
+        export_csv(points, fh)
     print(out)
     return 0
 
@@ -337,11 +358,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(csv_path)
     inactive = _inactive_counts(report)
     for ch in ANALYSIS_CHANNELS:
-        stats = report.channels[ch]
-        sos = {h: stats.halves[h].spread_of_spread for h in stats.halves}
+        encoder, decoder = _spreads_of_spread(report, ch)
         print(
             f"{ch}: inactive={inactive[ch]} "
-            f"spread_of_spread encoder={sos['encoder']:.6g} decoder={sos['decoder']:.6g}"
+            f"spread_of_spread encoder={encoder:.6g} decoder={decoder:.6g}"
         )
     return 0
 
@@ -352,14 +372,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not run_paths:
         raise ValueError("--runs needs at least one run file")
     check_analysis_settings(args.epsilon, args.bins)
-    measured = []
-    for path in run_paths:
-        with RunAccessor(path) as acc:
-            try:
-                check_analyzable(acc)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            measured.append(measure_run(acc, args.epsilon, args.bins))
+    measured = [measure_run(acc, args.epsilon, args.bins) for acc in _analyzable_runs(run_paths)]
     shared = _duplicates([_run_stem(cfg) for cfg, *_ in measured])
     if shared:
         raise ValueError(f"runs share artifact names: {', '.join(shared)}")
@@ -380,51 +393,32 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.runs) < 2:
         raise ValueError("compare needs at least 2 run files")
-    rows = []
+    runs = []  # (report, final loss, inactive counts) per run
     shapes = set()
-    for path in args.runs:
-        with RunAccessor(path) as acc:
-            cfg = acc.manifest.config
-            shapes.add(cfg.shape.value)
-            if len(shapes) > 1:
-                raise ValueError(f"runs mix shapes {sorted(shapes)}")
-            report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins)
-            rows.append(
-                {
-                    "lr": cfg.learning_rate,
-                    "final_mse": float(acc.losses()[-1]),
-                    "inactive": _inactive_counts(report),
-                    "sos": {
-                        ch: {
-                            h: report.channels[ch].halves[h].spread_of_spread
-                            for h in report.channels[ch].halves
-                        }
-                        for ch in ANALYSIS_CHANNELS
-                    },
-                }
-            )
-    best_mse = min(rows, key=lambda r: r["final_mse"])
-    most_engaged = min(rows, key=lambda r: r["inactive"]["activations"])
-    shape = shapes.pop()
-    print(f"shape: {shape}")
+    for acc in _analyzable_runs(args.runs):
+        shapes.add(acc.manifest.config.shape.value)
+        if len(shapes) > 1:
+            raise ValueError(f"runs mix shapes {sorted(shapes)}")
+        report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins)
+        runs.append((report, float(acc.losses()[-1]), _inactive_counts(report)))
+    best_mse = min(runs, key=lambda run: run[1])[0]
+    most_engaged = min(runs, key=lambda run: run[2]["activations"])[0]
+    print(f"shape: {shapes.pop()}")
     header = ["lr", "final_mse"] + [f"inactive_{ch}" for ch in ANALYSIS_CHANNELS]
     print("  ".join(f"{h:>22}" for h in header))
-    for row in rows:
-        cells = [f"{_format_lr(row['lr']):>22}", f"{row['final_mse']:>22.9g}"]
-        cells += [f"{row['inactive'][ch]:>22d}" for ch in ANALYSIS_CHANNELS]
+    for report, final_mse, inactive in runs:
+        cells = [f"{_format_lr(report.learning_rate):>22}", f"{final_mse:>22.9g}"]
+        cells += [f"{inactive[ch]:>22d}" for ch in ANALYSIS_CHANNELS]
         print("  ".join(cells))
     print("spread_of_spread (encoder/decoder):")
-    for row in rows:
+    for report, _, _ in runs:
         parts = [
-            f"{ch}={row['sos'][ch]['encoder']:.4g}/{row['sos'][ch]['decoder']:.4g}"
+            "{}={:.4g}/{:.4g}".format(ch, *_spreads_of_spread(report, ch))
             for ch in ANALYSIS_CHANNELS
         ]
-        print(f"  lr {_format_lr(row['lr'])}: " + "  ".join(parts))
-    print(f"lowest final MSE: lr {_format_lr(best_mse['lr'])}")
-    print(
-        "fewest inactive activation neurons: "
-        f"lr {_format_lr(most_engaged['lr'])}"
-    )
+        print(f"  lr {_format_lr(report.learning_rate)}: " + "  ".join(parts))
+    print(f"lowest final MSE: lr {_format_lr(best_mse.learning_rate)}")
+    print(f"fewest inactive activation neurons: lr {_format_lr(most_engaged.learning_rate)}")
     return 0
 
 
@@ -472,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a shape dataset CSV")
     p.add_argument("--shape", required=True, choices=SHAPE_NAMES)
-    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--count", type=int, default=TRAIN_SAMPLE_COUNT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--outdir", default=_default_outdir())
@@ -481,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one run and write its run file")
     p.add_argument("--shape", required=True, choices=SHAPE_NAMES)
     p.add_argument("--lr", type=float, required=True)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--init-seed", type=int, default=0)
-    p.add_argument("--capture-every", type=int, default=1)
+    p.add_argument("--epochs", type=int, default=RunConfig.epochs)
+    p.add_argument("--data-seed", type=int, default=RunConfig.data_seed)
+    p.add_argument("--init-seed", type=int, default=RunConfig.init_seed)
+    p.add_argument("--capture-every", type=int, default=RunConfig.capture_every)
     p.add_argument("--out", default=None, help="run file path")
     p.add_argument("--outdir", default=_default_outdir())
     p.set_defaults(func=cmd_train)

@@ -51,7 +51,7 @@ def reconstruct(run: RunAccessor) -> ReconstructionResult:
     the run's training set."""
     check_analyzable(run, "raw")
     cfg = run.manifest.config
-    points = generate(cfg.shape, TRAIN_SAMPLE_COUNT, cfg.data_seed).points
+    points = generate(cfg.shape, TRAIN_SAMPLE_COUNT, cfg.data_seed)
     net = NetworkState(run.manifest.architecture)
     net.theta[...] = run.snapshot(len(run) - 1).theta
     output = forward(net, points).output

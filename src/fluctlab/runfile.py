@@ -86,6 +86,9 @@ class RunManifest:
             raise ValueError(
                 f"format version {d['format_version']!r}; this reader reads version {FORMAT_VERSION}"
             )
+        for section in ("config", "architecture"):
+            if not isinstance(d[section], dict):
+                raise ValueError(f"{section} must be a JSON object, got {d[section]!r}")
         count, complete, created = d["snapshot_count"], d["complete"], d["created_utc"]
         # a JSON true or false is not a number, and a string is neither
         if isinstance(count, bool) or not (isinstance(count, int) and count >= 0):
@@ -303,7 +306,7 @@ def _read_manifest(stream) -> RunManifest:
         raise RunFormatError("truncated manifest region")
     try:
         return RunManifest.from_json_dict(json.loads(region[:length]))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: not a JSON object
         raise RunFormatError(f"unreadable manifest: {exc}") from exc
 
 

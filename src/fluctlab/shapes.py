@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -60,21 +59,6 @@ _POLYGON_VERTICES = {
 }
 
 SPIRAL_TURNS = 2  # theta spans [0, 4*pi]
-
-
-@dataclass
-class ShapeDataset:
-    kind: ShapeKind
-    points: np.ndarray  # (count, 2) float64, inside [-1, 1]^2
-    seed: int
-    count: int
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.shape != (self.count, 2):
-            raise ValueError(
-                f"points shape {self.points.shape} does not match count {self.count}"
-            )
 
 
 def polygon_vertices(n: int) -> np.ndarray:
@@ -150,12 +134,10 @@ def normalize_to_unit_box(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def generate(kind: ShapeKind, count: int, seed: int) -> ShapeDataset:
-    """Deterministic dataset of `count` points on the contour, in [-1, 1]^2."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    raw = sample_contour(kind, count, SplitMix64(seed))
-    return ShapeDataset(kind=kind, points=normalize_to_unit_box(raw), seed=seed, count=count)
+def generate(kind: ShapeKind, count: int, seed: int) -> np.ndarray:
+    """Deterministic dataset of `count` points on the contour, in [-1, 1]^2:
+    a (count, 2) float64 array."""
+    return normalize_to_unit_box(sample_contour(kind, count, SplitMix64(seed)))
 
 
 class CsvWriteError(OSError):
@@ -166,7 +148,7 @@ class CsvWriteError(OSError):
         self.bytes_written = bytes_written
 
 
-def export_csv(dataset: ShapeDataset, destination: IO[str]) -> int:
+def export_csv(points: np.ndarray, destination: IO[str]) -> int:
     """Write `x,y` header plus one `%.8f,%.8f` row per point.
 
     Newline endings are `\\n`; returns the number of bytes written.
@@ -174,7 +156,7 @@ def export_csv(dataset: ShapeDataset, destination: IO[str]) -> int:
     written = 0
     try:
         written += destination.write("x,y\n")
-        for x, y in dataset.points:
+        for x, y in points:
             written += destination.write(f"{x:.8f},{y:.8f}\n")
     except OSError as exc:
         raise CsvWriteError(written, exc) from exc

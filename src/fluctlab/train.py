@@ -229,8 +229,7 @@ def train(
     filled with copies of the parameters and gradients and, per layer, the
     mean activations as one product of a ones vector with the activations.
     """
-    dataset = generate(config.shape, TRAIN_SAMPLE_COUNT, config.data_seed)
-    pts = dataset.points
+    pts = generate(config.shape, TRAIN_SAMPLE_COUNT, config.data_seed)
     ones = np.ones(len(pts))
     net = init(ArchitectureSpec(), config.init_seed)
     opt = init_optimizer(net)

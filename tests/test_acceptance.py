@@ -88,7 +88,7 @@ def spiral_study(tmp_path_factory):
                     )
             path.unlink()
         net = init(ArchitectureSpec(), init_seed)
-        pts = generate(ShapeKind.SPIRAL, 500, data_seed).points
+        pts = generate(ShapeKind.SPIRAL, 500, data_seed)
         study.setdefault("initial_losses", {})[pair] = mse(pts, forward(net, pts).output)
     return study
 
@@ -261,12 +261,12 @@ def test_criterion_8_format_round_trips(tmp_path):
         )
 
     # dataset CSV round trip to 1e-8
-    dataset = generate(ShapeKind.SPIRAL, 500, 21)
+    pts = generate(ShapeKind.SPIRAL, 500, 21)
     buf = io.StringIO()
-    export_csv(dataset, buf)
+    export_csv(pts, buf)
     rows = buf.getvalue().strip().split("\n")[1:]
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-    csv_ok = bool(np.abs(parsed - dataset.points).max() <= 1e-8)
+    csv_ok = bool(np.abs(parsed - pts).max() <= 1e-8)
 
     # standardization bounds
     std_ok = True

@@ -44,6 +44,23 @@ def two_runs(tmp_path_factory):
     return paths
 
 
+UNANALYZABLE = ["one_snapshot", "incomplete", "not_a_run_file"]
+
+
+def unanalyzable_run(path, defect):
+    """A file that report and compare refuse, with one of the UNANALYZABLE defects."""
+    if defect == "one_snapshot":
+        train_run_to_file(RunConfig(shape=ShapeKind.SPIRAL, learning_rate=0.1, epochs=1), path)
+    elif defect == "incomplete":
+        cfg = RunConfig(shape=ShapeKind.SPIRAL, learning_rate=1e30, epochs=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                train_run_to_file(cfg, path)
+    else:
+        path.write_text("x,y\n0.5,0.5\n")
+    return path
+
+
 class TestGen:
     def test_writes_500_rows(self, tmp_path, capsys):
         out = tmp_path / "circle.csv"
@@ -237,18 +254,11 @@ class TestReport:
         assert "error:" in capsys.readouterr().err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("defect", ["one_snapshot", "incomplete"])
+    @pytest.mark.parametrize("defect", UNANALYZABLE)
     def test_unanalyzable_run_is_usage_error_before_creating_outdir(
         self, two_runs, tmp_path, defect, capsys
     ):
-        bad = tmp_path / f"{defect}.nfl"
-        if defect == "one_snapshot":
-            train_run_to_file(RunConfig(shape=ShapeKind.SPIRAL, learning_rate=0.1, epochs=1), bad)
-        else:
-            cfg = RunConfig(shape=ShapeKind.SPIRAL, learning_rate=1e30, epochs=50)
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(TrainingDivergedError):
-                    train_run_to_file(cfg, bad)
+        bad = unanalyzable_run(tmp_path / f"{defect}.nfl", defect)
         outdir = tmp_path / "rep"
         runs = f"{two_runs[0.01]},{bad}"
         assert run_cli(["report", "--runs", runs, "--outdir", str(outdir)]) == 2
@@ -280,6 +290,42 @@ class TestCompare:
         best = min(losses, key=losses.get)
         assert f"lowest final MSE: lr {best:g}" in out
         assert "fewest inactive activation neurons: lr" in out
+
+    def test_numbers_match_analyze(self, two_runs, tmp_path, capsys):
+        lrs = list(two_runs)
+        assert run_cli(["compare", *(str(two_runs[lr]) for lr in lrs)]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        rows = [line.split() for line in lines[2 : 2 + len(lrs)]]
+        assert lines[2 + len(lrs)] == "spread_of_spread (encoder/decoder):"
+        pairs = lines[3 + len(lrs) : 3 + 2 * len(lrs)]
+        # oracle: analyze's JSON and the run file's own losses
+        inactive_activations = {}
+        for lr, row, pair in zip(lrs, rows, pairs):
+            jpath, cpath = tmp_path / f"{lr}.json", tmp_path / f"{lr}.csv"
+            argv = ["analyze", "--run", str(two_runs[lr]), "--json", str(jpath)]
+            assert run_cli(argv + ["--csv", str(cpath)]) == 0
+            channels = json.loads(jpath.read_text())["channels"]
+            with RunAccessor(two_runs[lr]) as acc:
+                final_mse = acc.losses()[-1]
+            assert row[:2] == [f"{lr:g}", format(final_mse, ".9g")]
+            assert row[2:] == [str(channels[ch]["inactive_count"]) for ch in ALL_CHANNELS]
+            halves = [channels[ch]["halves"] for ch in ALL_CHANNELS]
+            assert pair == f"  lr {lr:g}: " + "  ".join(
+                f"{ch}={format(h['encoder']['spread_of_spread'], '.4g')}"
+                f"/{format(h['decoder']['spread_of_spread'], '.4g')}"
+                for ch, h in zip(ALL_CHANNELS, halves)
+            )
+            inactive_activations[lr] = channels["activations"]["inactive_count"]
+        fewest = min(lrs, key=inactive_activations.get)
+        assert lines[-2] == f"fewest inactive activation neurons: lr {fewest:g}"
+
+    @pytest.mark.parametrize("defect", UNANALYZABLE)
+    def test_unanalyzable_run_is_named(self, two_runs, tmp_path, defect, capsys):
+        bad = unanalyzable_run(tmp_path / f"{defect}.nfl", defect)
+        assert run_cli(["compare", str(two_runs[0.01]), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.out == ""
 
     def test_identical_runs_identical_columns(self, two_runs, capsys):
         code = run_cli(["compare", str(two_runs[0.01]), str(two_runs[0.01])])

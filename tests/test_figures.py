@@ -56,14 +56,14 @@ class TestReconstruct:
         path = tmp_path / "zero.nfl"
         snaps = [make_snapshot(arch, 1, 0.5, fill=0.0)]
         write_run(make_manifest(arch=arch, shape=ShapeKind.CIRCLE, data_seed=3, epochs=1), snaps, path)
-        dataset = generate(ShapeKind.CIRCLE, 500, 3)
+        pts = generate(ShapeKind.CIRCLE, 500, 3)
         with RunAccessor(path) as acc:
             result = reconstruct(acc)
         # the run's own training set, rebuilt from its manifest
-        assert result.original.tobytes() == dataset.points.tobytes()
+        assert result.original.tobytes() == pts.tobytes()
         assert np.all(result.reconstructed == 0.0)
         # analytic: mean over components of the squared targets
-        assert result.final_mse == pytest.approx(float(np.mean(dataset.points**2)), abs=1e-15)
+        assert result.final_mse == pytest.approx(float(np.mean(pts**2)), abs=1e-15)
 
     def test_deterministic(self, spiral_run):
         path, _, _ = spiral_run

@@ -508,6 +508,9 @@ class TestErrors:
             ("architecture", "decoder_dims", [1, 3, "4", 2]),
             ("architecture", "decoder_dims", [True, 3, 4, 2]),
             ("architecture", "decoder_dims", 2),
+            # a section that is not a JSON object
+            (None, "config", 5),
+            (None, "architecture", []),
         ],
     )
     def test_manifest_value_of_the_wrong_type(self, tmp_path, section, key, value):
@@ -518,6 +521,16 @@ class TestErrors:
             assert acc.manifest.created_utc == 7 and len(acc) == 3
         edit_manifest(path, key, value, section)
         with pytest.raises(RunFormatError, match=key):
+            RunAccessor(path)
+
+    def test_manifest_that_is_not_a_json_object(self, tmp_path):
+        path = tmp_path / "listed.nfl"
+        write_synthetic_run(path, count=3)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (3).to_bytes(4, "little")
+        blob[8 : 8 + MANIFEST_REGION] = b"[1]".ljust(MANIFEST_REGION, b" ")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(RunFormatError, match="unreadable manifest"):
             RunAccessor(path)
 
     def test_nonincreasing_epoch_rejected_by_writer(self, tmp_path):

@@ -72,9 +72,9 @@ class TestParameterizations:
 class TestGenerate:
     def test_count_and_containment(self):
         for kind in ShapeKind:
-            ds = generate(kind, 500, 42)
-            assert ds.count == len(ds.points) == 500
-            assert np.all(np.abs(ds.points) <= 1.0)
+            pts = generate(kind, 500, 42)
+            assert pts.shape == (500, 2) and pts.dtype == np.float64
+            assert np.all(np.abs(pts) <= 1.0)
 
     def test_determinism_byte_identical_exports(self):
         for kind in (ShapeKind.SPIRAL, ShapeKind.HEPTAGON):
@@ -86,8 +86,8 @@ class TestGenerate:
             assert bufs[0] == bufs[1]
 
     def test_different_seeds_differ(self):
-        a = generate(ShapeKind.CIRCLE, 100, 1).points
-        b = generate(ShapeKind.CIRCLE, 100, 2).points
+        a = generate(ShapeKind.CIRCLE, 100, 1)
+        b = generate(ShapeKind.CIRCLE, 100, 2)
         assert not np.array_equal(a, b)
 
     def test_invalid_count(self):
@@ -120,8 +120,7 @@ class TestGenerate:
         # oracle: order points around the centroid, cluster the directions of
         # consecutive points (same-edge pairs are exactly parallel), count
         # clusters that hold a non-trivial share of pairs
-        ds = generate(ShapeKind.TRIANGLE, 500, 42)
-        pts = ds.points
+        pts = generate(ShapeKind.TRIANGLE, 500, 42)
         order = np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))
         ring = pts[order]
         d = np.roll(ring, -1, axis=0) - ring
@@ -151,7 +150,7 @@ class TestNormalize:
         assert out.tolist() == [[0.0, -1.0], [0.0, 1.0]]
 
     def test_idempotent_on_circle_samples(self):
-        pts = generate(ShapeKind.CIRCLE, 400, 9).points
+        pts = generate(ShapeKind.CIRCLE, 400, 9)
         again = normalize_to_unit_box(pts)
         assert np.abs(again - pts).max() <= 1e-12
 
@@ -162,10 +161,8 @@ class TestNormalize:
 
 class TestExportCsv:
     def test_single_row_format(self):
-        ds = generate(ShapeKind.CIRCLE, 1, 0)
-        ds.points = np.array([[1.0, 0.0]])
         buf = io.StringIO()
-        n = export_csv(ds, buf)
+        n = export_csv(np.array([[1.0, 0.0]]), buf)
         expected = "x,y\n1.00000000,0.00000000\n"
         assert buf.getvalue() == expected
         assert n == len(expected)
@@ -179,11 +176,11 @@ class TestExportCsv:
         assert len(lines) == 502  # header + 500 rows + trailing newline
 
     def test_round_trip(self):
-        ds = generate(ShapeKind.SPIRAL, 500, 21)
+        pts = generate(ShapeKind.SPIRAL, 500, 21)
         buf = io.StringIO()
-        export_csv(ds, buf)
+        export_csv(pts, buf)
         buf.seek(0)
         rows = list(csv.reader(buf))
         assert rows[0] == ["x", "y"]
         parsed = np.array([[float(x), float(y)] for x, y in rows[1:]])
-        assert np.abs(parsed - ds.points).max() <= 1e-8
+        assert np.abs(parsed - pts).max() <= 1e-8

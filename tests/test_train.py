@@ -257,7 +257,7 @@ def snapshot_network(snap):
 class TestProbe:
     def test_zero_network_probes_zero(self):
         net = NetworkState(TINY)
-        means = mean_activations(net, generate(ShapeKind.CIRCLE, 50, 1).points)
+        means = mean_activations(net, generate(ShapeKind.CIRCLE, 50, 1))
         assert all(np.all(m == 0.0) for m in means)
 
     def test_single_point_equals_trace(self):
@@ -279,7 +279,7 @@ class TestProbe:
         got = []
         cfg = RunConfig(shape=ShapeKind.HEXAGON, learning_rate=0.01, epochs=6, data_seed=4)
         train(cfg, got.append)
-        pts = generate(ShapeKind.HEXAGON, 500, 4).points
+        pts = generate(ShapeKind.HEXAGON, 500, 4)
         for snap in got:
             net = snapshot_network(snap)
             means = zip(snap.activation_means, mean_activations(net, pts), forward(net, pts).post)
@@ -324,8 +324,8 @@ class TestTrain:
         cfg = RunConfig(
             shape=ShapeKind.SPIRAL, learning_rate=0.01, epochs=120, data_seed=1, init_seed=101
         )
-        dataset = generate(ShapeKind.SPIRAL, 500, 1)
-        initial = mse(dataset.points, forward(init(ArchitectureSpec(), 101), dataset.points).output)
+        pts = generate(ShapeKind.SPIRAL, 500, 1)
+        initial = mse(pts, forward(init(ArchitectureSpec(), 101), pts).output)
         _, final = train(cfg, None)
         assert final < initial
 
@@ -334,10 +334,10 @@ class TestTrain:
         got = []
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=5, data_seed=2)
         train(cfg, got.append)
-        dataset = generate(ShapeKind.CIRCLE, 500, 2)
+        pts = generate(ShapeKind.CIRCLE, 500, 2)
         snap = got[-1]
         net = snapshot_network(snap)
-        replay = mse(dataset.points, forward(net, dataset.points).output)
+        replay = mse(pts, forward(net, pts).output)
         assert abs(replay - snap.loss) <= 1e-15
 
     def test_divergence_aborts_with_epoch(self):
@@ -380,7 +380,7 @@ class TestTrain:
         )
         got = []
         train(cfg, got.append)
-        pts = generate(ShapeKind.SPIRAL, 500, cfg.data_seed).points
+        pts = generate(ShapeKind.SPIRAL, 500, cfg.data_seed)
         net = init(ArchitectureSpec(), cfg.init_seed)
         opt = init_optimizer(net)
         assert [s.epoch for s in got] == list(range(1, cfg.epochs + 1))
