@@ -21,8 +21,6 @@ from .figures import (
 from .net import (
     ArchitectureSpec,
     ForwardTrace,
-    GradientSet,
-    LayerState,
     NetworkState,
     backward,
     forward,

@@ -4,13 +4,16 @@ The network is a fixed chain of linear layers: an encoder half followed by a
 decoder half, ReLU after every layer except the last layer of each half.
 The default geometry is 2-64-32-1 (encoder) and 1-32-64-2 (decoder).  All
 arithmetic is float64.  All parameters live in one flat vector of per-layer
-blocks [W_k | b_k] (see `layer_blocks`), and every layer's input ends in a
-column of ones, so each layer is one product with its block.
+blocks [W_k | b_k] (see `layer_blocks`), and so do their gradients; per-layer
+views are derived from a flat vector where they are used, never stored.
+Every layer's input ends in a column of ones, so each layer is one product
+with its block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +41,10 @@ class NumericOverflowError(FloatingPointError):
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
+    """Layer sizes of the encoder and decoder halves.  The derived sizes are
+    cached on first read; they are not fields, so equality, hashing, repr and
+    JSON see only the two dims tuples."""
+
     encoder_dims: tuple[int, ...] = ENCODER_DIMS
     decoder_dims: tuple[int, ...] = DECODER_DIMS
 
@@ -58,41 +65,41 @@ class ArchitectureSpec:
                 f"decoder starts at {self.decoder_dims[0]}"
             )
 
-    @property
+    @cached_property
     def encoder_layer_count(self) -> int:
         return len(self.encoder_dims) - 1
 
-    @property
+    @cached_property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         """(in_dim, out_dim) per layer, encoder then decoder."""
         dims = list(zip(self.encoder_dims[:-1], self.encoder_dims[1:]))
         dims += list(zip(self.decoder_dims[:-1], self.decoder_dims[1:]))
         return tuple(dims)
 
-    @property
+    @cached_property
     def relu_flags(self) -> tuple[bool, ...]:
         """True where ReLU follows the linear map (all but the last layer of each half)."""
         enc, dec = self.encoder_layer_count, len(self.decoder_dims) - 1
         return tuple([True] * (enc - 1) + [False] + [True] * (dec - 1) + [False])
 
-    @property
+    @cached_property
     def parameter_count(self) -> int:
         """Length of the flat parameter vector: every weight and bias."""
         return sum(out * (in_dim + 1) for in_dim, out in self.layer_shapes)
 
-    @property
+    @cached_property
     def out_dims(self) -> tuple[int, ...]:
         return tuple(out for _, out in self.layer_shapes)
 
-    @property
+    @cached_property
     def total_neurons(self) -> int:
         return sum(self.out_dims)
 
-    @property
+    @cached_property
     def encoder_neurons(self) -> int:
         return sum(self.out_dims[: self.encoder_layer_count])
 
-    @property
+    @cached_property
     def decoder_neurons(self) -> int:
         return sum(self.out_dims[self.encoder_layer_count :])
 
@@ -124,27 +131,18 @@ def layer_views(flat: np.ndarray, spec: ArchitectureSpec) -> tuple[list, list]:
     return [b[:, :-1] for b in blocks], [b[:, -1] for b in blocks]
 
 
-@dataclass(frozen=True)
-class LayerState:
-    weights: np.ndarray  # (out_dim, in_dim), a view into NetworkState.theta
-    biases: np.ndarray  # (out_dim,), a view into NetworkState.theta
-
-
 class NetworkState:
-    """All parameters in one flat float64 vector `theta` (see `layer_blocks`);
-    `blocks[k]` and `layers[k]` are views into it, so all see any edit."""
+    """All parameters in one flat float64 vector `theta` (see `layer_blocks`).
+    `blocks` is derived from `theta` on each read, so it always views the
+    current vector, also after a copy or after `theta` is rebound."""
 
     def __init__(self, spec: ArchitectureSpec):
         self.spec = spec
         self.theta = np.zeros(spec.parameter_count, dtype=np.float64)
-        self.blocks = layer_blocks(self.theta, spec)
-        self.layers = [LayerState(w, b) for w, b in zip(*layer_views(self.theta, spec))]
 
-    def __deepcopy__(self, memo) -> "NetworkState":
-        # a member-wise copy would give each layer its own array, detached from theta
-        copy = NetworkState(self.spec)
-        copy.theta[...] = self.theta
-        return copy
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        return layer_blocks(self.theta, self.spec)
 
 
 @dataclass
@@ -167,16 +165,6 @@ class ForwardTrace:
         return self.post[-1]
 
 
-class GradientSet:
-    """Gradients in one flat vector `grad`, laid out like NetworkState.theta and
-    zero until written; `blocks`, `weight_grads` and `bias_grads` view it."""
-
-    def __init__(self, spec: ArchitectureSpec):
-        self.grad = np.zeros(spec.parameter_count, dtype=np.float64)
-        self.blocks = layer_blocks(self.grad, spec)
-        self.weight_grads, self.bias_grads = layer_views(self.grad, spec)
-
-
 def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
     """Seeded initial state: weights uniform in +-sqrt(1/in_dim), biases zero.
 
@@ -185,10 +173,10 @@ def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
     """
     rng = SplitMix64(seed)
     net = NetworkState(spec)
-    for layer, (in_dim, out_dim) in zip(net.layers, spec.layer_shapes):
+    for block, (in_dim, out_dim) in zip(net.blocks, spec.layer_shapes):
         bound = (1.0 / in_dim) ** 0.5
         for r, c in np.ndindex(out_dim, in_dim):
-            layer.weights[r, c] = rng.uniform(-bound, bound)
+            block[r, c] = rng.uniform(-bound, bound)
     return net
 
 
@@ -241,14 +229,15 @@ def mse(targets, outputs) -> float:
 
 
 def backward(
-    net: NetworkState, targets, trace: ForwardTrace, out: GradientSet | None = None
-) -> GradientSet:
-    """Exact gradient of the batch-mean MSE for every weight and bias.
+    net: NetworkState, targets, trace: ForwardTrace, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact gradient of the batch-mean MSE for every weight and bias, as one
+    flat float64 vector laid out like `net.theta`.
 
     The trace must come from `forward` on the same network and batch.
-    ReLU's subgradient at 0 is taken as 0.  When `out` holds arrays of the
-    network's parameter shapes, they are overwritten and `out` is returned;
-    otherwise a new gradient set is allocated.  One product gives each layer's
+    ReLU's subgradient at 0 is taken as 0.  An `out` of theta's shape and
+    dtype float64 is overwritten and returned; otherwise a new vector is
+    allocated and `out` is left untouched.  One product gives each layer's
     weight and bias gradients, written into its block of the flat gradient.
     """
     t = np.asarray(targets, dtype=np.float64)
@@ -256,15 +245,16 @@ def backward(
         t = t.reshape(1, -1)
     if trace.spec != net.spec or t.shape != trace.output.shape:
         raise ValueError(f"targets {t.shape} or the trace do not match the network")
-    if out is None or [b.shape for b in out.blocks] != [b.shape for b in net.blocks]:
-        out = GradientSet(net.spec)
+    if out is None or out.shape != net.theta.shape or out.dtype != np.float64:
+        out = np.zeros_like(net.theta)
 
+    blocks, grad_blocks = net.blocks, layer_blocks(out, net.spec)
     relu = net.spec.relu_flags
     full = len(t) - len(t) % GRADIENT_BLOCK_ROWS
     # d(mean over all t.size components)/d(output)
     np.subtract(trace.output, t, out=trace.row_grads[-1])
     trace.row_grads[-1] *= 2.0 / t.size
-    for k in range(len(net.blocks) - 1, -1, -1):
+    for k in range(len(blocks) - 1, -1, -1):
         g, a_prev = trace.row_grads[k], trace.buffers[k]
         if relu[k]:
             g *= trace.post[k] > 0.0
@@ -272,11 +262,11 @@ def backward(
         # product summed in block order, then the remainder rows
         g_rows = g[:full].reshape(-1, GRADIENT_BLOCK_ROWS, g.shape[1]).transpose(0, 2, 1)
         a_rows = a_prev[:full].reshape(-1, GRADIENT_BLOCK_ROWS, a_prev.shape[1])
-        np.add.reduce(np.matmul(g_rows, a_rows, out=trace.parts[k]), axis=0, out=out.blocks[k])
+        np.add.reduce(np.matmul(g_rows, a_rows, out=trace.parts[k]), axis=0, out=grad_blocks[k])
         if full < len(t):
-            out.blocks[k] += g[full:].T @ a_prev[full:]
+            grad_blocks[k] += g[full:].T @ a_prev[full:]
         if k > 0:
-            w = net.layers[k].weights
+            w = blocks[k][:, :-1]
             # an outer product through a 1-wide layer: the same bits without BLAS
             (np.multiply if w.shape[0] == 1 else np.matmul)(g, w, out=trace.row_grads[k - 1])
     return out

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .net import ArchitectureSpec
+from .net import ArchitectureSpec, layer_views
 from .train import EpochSnapshot, RunConfig
 
 MAGIC = b"NFL1"
@@ -112,12 +112,17 @@ def canonical_json_bytes(obj) -> bytes:
 
 def frame_layout(arch: ArchitectureSpec) -> tuple[np.dtype, np.ndarray]:
     """One frame as a packed record: FRAME_HEAD, then per layer k the f32 fields
-    {channel}{k} in STORAGE_CHANNELS order, shaped like the EpochSnapshot views.
+    {channel}{k} in STORAGE_CHANNELS order, shaped like layer k's views of the
+    snapshot: `layer_views` of theta and of grad, then its activation means.
     Its itemsize is the frame size.  The f32 payload after the head holds
     snapshot.values[index], where index is those views of value positions."""
     positions = EpochSnapshot(0, 0.0, arch, np.arange(EpochSnapshot.length(arch)))
-    # each property builds every layer's views, so take each channel's once
-    channels = [getattr(positions, name) for name in STORAGE_CHANNELS]
+    # per channel in STORAGE_CHANNELS order, one view per layer
+    channels = [
+        *layer_views(positions.theta, arch),
+        *layer_views(positions.grad, arch),
+        positions.activation_means,
+    ]
     fields, index = FRAME_HEAD.descr, []
     for k in range(len(arch.layer_shapes)):
         for name, views in zip(STORAGE_CHANNELS, channels):

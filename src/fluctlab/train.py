@@ -19,16 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .net import (
-    ArchitectureSpec,
-    GradientSet,
-    NetworkState,
-    backward,
-    forward,
-    init,
-    layer_views,
-    mse,
-)
+from .net import ArchitectureSpec, NetworkState, backward, forward, init, layer_blocks, mse
 from .rng import SEED_MAX
 from .shapes import ShapeKind, generate
 
@@ -106,8 +97,9 @@ class EpochSnapshot:
     """Everything captured for one epoch in one flat vector `values`: the
     post-step parameters `theta`, then the full-batch gradients `grad` that
     produced the step, then the post-step per-neuron mean activations in
-    layer order.  Every other array is a view into it.  `loss` is the
-    post-step loss."""
+    layer order.  `theta`, `grad` and `activation_means` are views into it,
+    and per-layer views come from `layer_views` of `theta` or `grad`.
+    `loss` is the post-step loss."""
 
     epoch: int
     loss: float
@@ -131,22 +123,6 @@ class EpochSnapshot:
         return self.values[self.spec.parameter_count : 2 * self.spec.parameter_count]
 
     @property
-    def weights(self) -> list[np.ndarray]:
-        return layer_views(self.theta, self.spec)[0]
-
-    @property
-    def biases(self) -> list[np.ndarray]:
-        return layer_views(self.theta, self.spec)[1]
-
-    @property
-    def weight_grads(self) -> list[np.ndarray]:
-        return layer_views(self.grad, self.spec)[0]
-
-    @property
-    def bias_grads(self) -> list[np.ndarray]:
-        return layer_views(self.grad, self.spec)[1]
-
-    @property
     def activation_means(self) -> list[np.ndarray]:
         start = 2 * self.spec.parameter_count
         bounds = list(itertools.accumulate(self.spec.out_dims, initial=start))
@@ -168,7 +144,7 @@ def init_optimizer(net: NetworkState) -> OptimizerState:
 
 def adam_step(
     net: NetworkState,
-    grads: GradientSet,
+    grad: np.ndarray,
     opt: OptimizerState,
     lr: float,
 ) -> tuple[NetworkState, OptimizerState]:
@@ -176,21 +152,13 @@ def adam_step(
     -lr * m_hat / (sqrt(v_hat) + eps) with the usual 1/(1-beta^t) bias correction.
 
     The update runs once over the flat vectors; Adam is elementwise, so this
-    gives the same bits as a pass over each layer's arrays."""
-    g = grads.grad
-    if g.shape != net.theta.shape:
+    gives the same bits as a pass over each layer's arrays.  `grad` is the
+    flat gradient `backward` returns, laid out like net.theta."""
+    if grad.shape != net.theta.shape:
         raise ValueError("gradient shape does not match network")
-    # an array rebound in place of its view would miss, or never feed, the update
-    if not all(a.base is net.theta for l in net.layers for a in (l.weights, l.biases)):
-        raise ValueError("network layers are not views of its theta")
-    if not all(a.base is g for a in grads.weight_grads + grads.bias_grads):
-        raise ValueError("gradient arrays are not views of its flat vector")
-    if not np.isfinite(g).all():
-        k = next(
-            k
-            for k, (wg, bg) in enumerate(zip(grads.weight_grads, grads.bias_grads))
-            if not (np.isfinite(wg).all() and np.isfinite(bg).all())
-        )
+    if not np.isfinite(grad).all():
+        blocks = layer_blocks(grad, net.spec)
+        k = next(k for k, block in enumerate(blocks) if not np.isfinite(block).all())
         raise FloatingPointError(f"non-finite gradient at layer {k}")
 
     opt.t += 1
@@ -199,9 +167,9 @@ def adam_step(
     vc = 1.0 - b2**opt.t
     m, v = opt.m, opt.v
     m *= b1
-    m += (1.0 - b1) * g
+    m += (1.0 - b1) * grad
     v *= b2
-    v += (1.0 - b2) * g * g
+    v += (1.0 - b2) * grad * grad
     net.theta -= lr * (m / mc) / (np.sqrt(v / vc) + eps)
     return net, opt
 
@@ -224,7 +192,7 @@ def train(
 
     One forward before the loop traces the initial network; each epoch's
     post-step probe is the forward the next epoch's backward uses, so a run
-    makes epochs + 1 forwards.  The trace and the gradient set are
+    makes epochs + 1 forwards.  The trace and the flat gradient are
     overwritten in place every epoch.  A snapshot is one new flat vector,
     filled with copies of the parameters and gradients and, per layer, the
     mean activations as one product of a ones vector with the activations.
@@ -238,12 +206,12 @@ def train(
         trace = forward(net, pts)
     except FloatingPointError as exc:
         raise TrainingDivergedError(1, str(exc)) from exc
-    grads = None
+    grad = None
     loss = float("nan")
     for epoch in range(1, config.epochs + 1):
         try:
-            grads = backward(net, pts, trace, out=grads)
-            adam_step(net, grads, opt, config.learning_rate)
+            grad = backward(net, pts, trace, out=grad)
+            adam_step(net, grad, opt, config.learning_rate)
             trace = forward(net, pts, out=trace)
         except FloatingPointError as exc:
             raise TrainingDivergedError(epoch, str(exc)) from exc
@@ -253,7 +221,7 @@ def train(
         if capture_sink is not None and (epoch == 1 or epoch % config.capture_every == 0):
             snap = EpochSnapshot(epoch, loss, net.spec, np.empty(EpochSnapshot.length(net.spec)))
             snap.theta[...] = net.theta
-            snap.grad[...] = grads.grad
+            snap.grad[...] = grad
             for post, means in zip(trace.post, snap.activation_means):
                 np.matmul(ones, post, out=means)
                 means /= len(pts)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fluctlab.analysis import analyze_run
-from fluctlab.net import ArchitectureSpec
+from fluctlab.net import ArchitectureSpec, layer_views
 from fluctlab.runfile import (
     MANIFEST_REGION,
     RunAccessor,
@@ -43,6 +43,16 @@ def make_snapshot(arch, epoch, loss, rng=None, fill=None):
     else:
         values = rng.uniform(-1, 1, size=size).astype(np.float32).astype(np.float64)
     return EpochSnapshot(epoch, loss, arch, values)
+
+
+def snapshot_channel(snap, name):
+    """Per-layer views of a snapshot for one of the run file's channel names,
+    derived from its flat vectors: `layer_views` of theta or of grad, or the
+    activation means."""
+    if name == "activation_means":
+        return snap.activation_means
+    weights, biases = layer_views(snap.grad if name.endswith("_grads") else snap.theta, snap.spec)
+    return weights if name.startswith("weight") else biases
 
 
 def make_manifest(arch=TINY_ARCH, shape=ShapeKind.CIRCLE, lr=0.01, epochs=3,

@@ -17,10 +17,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_VERDICTS, TINY_ARCH, make_manifest, make_snapshot
+from conftest import ACCEPTANCE_VERDICTS, TINY_ARCH, make_manifest, make_snapshot, snapshot_channel
 from fluctlab.analysis import analyze_run, calibrate_epsilon, detect_inactive, spread_of_spread
 from fluctlab.cli import main, train_run_to_file
-from fluctlab.net import ArchitectureSpec, backward, forward, init, mse
+from fluctlab.net import ArchitectureSpec, backward, forward, init, layer_views, mse
 from fluctlab.runfile import RunAccessor, standardize_channel, write_run
 from fluctlab.shapes import ShapeKind, export_csv, generate
 from fluctlab.train import ADAM_EPSILON, RunConfig, adam_step, init_optimizer, train
@@ -96,10 +96,10 @@ def spiral_study(tmp_path_factory):
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
     net, batch = gradcheck_case()
-    grads = backward(net, batch, forward(net, batch))
+    weight_grads, bias_grads = layer_views(backward(net, batch, forward(net, batch)), net.spec)
     fd_w, fd_b = finite_difference_grads(net, batch, h=1e-5)
     worst = 0.0
-    for a, n in zip(grads.weight_grads + grads.bias_grads, fd_w + fd_b):
+    for a, n in zip(weight_grads + bias_grads, fd_w + fd_b):
         rel = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-6)
         worst = max(worst, float(rel.max()))
     elapsed = time.perf_counter() - start
@@ -222,23 +222,20 @@ def test_criterion_6_metric_invariant_suite():
 
 def test_criterion_7_adam_unit_behavior():
     net = init(GRADCHECK_ARCH, 5)
-    before = [l.weights.copy() for l in net.layers] + [l.biases.copy() for l in net.layers]
+    before = [b[:, :-1].copy() for b in net.blocks] + [b[:, -1].copy() for b in net.blocks]
 
-    from fluctlab.net import GradientSet
-
-    zeros = GradientSet(net.spec)
+    zeros = np.zeros_like(net.theta)
     opt = init_optimizer(net)
     adam_step(net, zeros, opt, 0.01)
-    after = [l.weights for l in net.layers] + [l.biases for l in net.layers]
+    after = [b[:, :-1] for b in net.blocks] + [b[:, -1] for b in net.blocks]
     drift = max(float(np.abs(a - b).max()) for a, b in zip(after, before))
 
-    ones = GradientSet(net.spec)
-    ones.grad[:] = 1.0
+    ones = np.ones_like(net.theta)
     lr = 0.001
     net2 = init(GRADCHECK_ARCH, 6)
-    w_before = net2.layers[0].weights[0, 0]
+    w_before = net2.blocks[0][0, 0]
     adam_step(net2, ones, init_optimizer(net2), lr)
-    step = w_before - net2.layers[0].weights[0, 0]
+    step = w_before - net2.blocks[0][0, 0]
     closed_form = lr * 1.0 / (1.0 + ADAM_EPSILON)  # m_hat = v_hat = 1 at t=1
     ok = drift <= 1e-15 and abs(step - lr) <= 1e-8 and abs(step - closed_form) <= 1e-15
     assert verdict(
@@ -254,7 +251,9 @@ def test_criterion_8_format_round_trips(tmp_path):
     write_run(make_manifest(epochs=3), snaps, path)
     with RunAccessor(path) as acc:
         run_ok = all(
-            np.array_equal(getattr(acc.snapshot(i), ch)[k], getattr(snaps[i], ch)[k])
+            np.array_equal(
+                snapshot_channel(acc.snapshot(i), ch)[k], snapshot_channel(snaps[i], ch)[k]
+            )
             for i in range(3)
             for ch in ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
             for k in range(6)

@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import TINY_ARCH, analyze_file, make_manifest, make_snapshot, write_synthetic_run
+from conftest import (
+    TINY_ARCH,
+    analyze_file,
+    make_manifest,
+    make_snapshot,
+    snapshot_channel,
+    write_synthetic_run,
+)
 from fluctlab import analysis
 from fluctlab.analysis import (
     ANALYSIS_CHANNELS,
@@ -219,7 +226,7 @@ class TestDeltaSeries:
         path = tmp_path / "sw.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2, 3)]
         for snap, value in zip(snaps, (0.0, 1.0, 3.0)):
-            snap.weights[3][0, 0] = value
+            snapshot_channel(snap, "weights")[3][0, 0] = value
         write_run(make_manifest(epochs=3), snaps, path)
         with RunAccessor(path) as acc:
             deltas = neuron_delta_series(acc, 3, 0, "weights")
@@ -229,7 +236,7 @@ class TestDeltaSeries:
         path = tmp_path / "tw.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2, 3)]
         for snap, row in zip(snaps, ([0.0, 0.0], [1.0, 2.0], [3.0, 5.0])):
-            snap.weights[0][1, :] = row
+            snapshot_channel(snap, "weights")[0][1, :] = row
         write_run(make_manifest(epochs=3), snaps, path)
         with RunAccessor(path) as acc:
             deltas = neuron_delta_series(acc, 0, 1, "weights")
@@ -367,7 +374,7 @@ def inexact_run(path, count=6):
     for epoch in range(1, count + 1):
         snap = make_snapshot(TINY_ARCH, epoch, 0.5, fill=0.0)
         for channel in STORAGE_CHANNELS:
-            for view in getattr(snap, channel):
+            for view in snapshot_channel(snap, channel):
                 view[...] = rng.normal(0, 2, size=view.shape)
         snaps.append(snap)
     write_run(make_manifest(epochs=count), snaps, path)
@@ -393,7 +400,7 @@ def per_field_spreads(acc, mode):
         storage = "activation_means" if ch == "activations" else ch
         per_layer = []
         for layer in range(len(acc.manifest.architecture.layer_shapes)):
-            series = np.stack([getattr(s, storage)[layer] for s in snaps])
+            series = np.stack([snapshot_channel(s, storage)[layer] for s in snaps])
             data = np.diff(series, axis=0) if mode == "delta" else series
             per_layer.append(data.std(axis=(0, 2) if data.ndim == 3 else 0))
         spreads[ch] = np.concatenate(per_layer)

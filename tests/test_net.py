@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from fluctlab.net import (
     backward,
     forward,
     init,
+    layer_views,
     mse,
 )
 
@@ -41,6 +43,33 @@ class TestArchitecture:
         assert arch.encoder_neurons == 97
         assert arch.decoder_neurons == 98
 
+    def test_spec_with_derived_sizes_read_behaves_like_a_fresh_one(self):
+        derived = (
+            "encoder_layer_count",
+            "layer_shapes",
+            "relu_flags",
+            "parameter_count",
+            "out_dims",
+            "total_neurons",
+            "encoder_neurons",
+            "decoder_neurons",
+        )
+        used = ArchitectureSpec()
+        sizes = [getattr(used, name) for name in derived]
+        fresh = ArchitectureSpec()
+        other = ArchitectureSpec(encoder_dims=(2, 8, 1), decoder_dims=(1, 8, 2))
+        assert [getattr(other, name) for name in derived] != sizes
+        assert used != other and hash(used) != hash(other)
+        assert used.to_json_dict() == fresh.to_json_dict()
+        for same in (used, pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+            assert same == fresh and hash(same) == hash(fresh) and repr(same) == repr(fresh)
+            assert same.to_json_dict() == fresh.to_json_dict()
+            assert [getattr(same, name) for name in derived] == sizes
+        for name in ("encoder_dims", "parameter_count"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(used, name, (2, 8, 1))
+        assert used.encoder_dims == (2, 64, 32, 1) and used.parameter_count == 4611
+
     def test_latent_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ArchitectureSpec(encoder_dims=(2, 8, 1), decoder_dims=(2, 8, 2))
@@ -49,27 +78,27 @@ class TestArchitecture:
 class TestInit:
     def test_first_layer_shape(self):
         net = init(ArchitectureSpec(), 1)
-        assert net.layers[0].weights.shape == (64, 2)
+        assert net.blocks[0][:, :-1].shape == (64, 2)
 
     def test_biases_zero(self):
         net = init(ArchitectureSpec(), 1)
-        assert all(np.all(l.biases == 0.0) for l in net.layers)
+        assert all(np.all(b[:, -1] == 0.0) for b in net.blocks)
 
     def test_bounds(self):
         net = init(ArchitectureSpec(), 5)
-        for layer, (in_dim, _) in zip(net.layers, net.spec.layer_shapes):
-            assert np.abs(layer.weights).max() <= math.sqrt(1.0 / in_dim)
+        for block, (in_dim, _) in zip(net.blocks, net.spec.layer_shapes):
+            assert np.abs(block[:, :-1]).max() <= math.sqrt(1.0 / in_dim)
 
     def test_determinism(self):
         a = init(ArchitectureSpec(), 77)
         b = init(ArchitectureSpec(), 77)
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.weights, lb.weights)
+        for ba, bb in zip(a.blocks, b.blocks):
+            assert np.array_equal(ba[:, :-1], bb[:, :-1])
 
     def test_seeds_differ(self):
         a = init(ArchitectureSpec(), 1)
         b = init(ArchitectureSpec(), 2)
-        assert not np.array_equal(a.layers[0].weights, b.layers[0].weights)
+        assert not np.array_equal(a.blocks[0][:, :-1], b.blocks[0][:, :-1])
 
 
 class TestForward:
@@ -83,14 +112,14 @@ class TestForward:
         # weights zero except a chain of 1.0 through neuron 0 of every layer;
         # a positive first component must pass through unchanged
         net = zero_net(ArchitectureSpec())
-        for layer in net.layers:
-            layer.weights[0, 0] = 1.0
+        for block in net.blocks:
+            block[0, 0] = 1.0
         trace = forward(net, np.array([[0.7, -0.3]]))
         # oracle: explicit matrix arithmetic, layer by layer
         arch = net.spec
         v = np.array([0.7, -0.3])
-        for k, layer in enumerate(net.layers):
-            v = layer.weights @ v + layer.biases
+        for k, block in enumerate(net.blocks):
+            v = block[:, :-1] @ v + block[:, -1]
             if arch.relu_flags[k]:
                 v = np.maximum(v, 0.0)
         assert np.allclose(trace.output[0], v)
@@ -98,8 +127,8 @@ class TestForward:
 
     def test_negative_component_clipped_by_relu(self):
         net = zero_net(ArchitectureSpec())
-        for layer in net.layers:
-            layer.weights[0, 0] = 1.0
+        for block in net.blocks:
+            block[0, 0] = 1.0
         trace = forward(net, np.array([[-0.5, 0.2]]))
         assert trace.output[0].tolist() == [0.0, 0.0]
 
@@ -122,7 +151,7 @@ class TestForward:
 
     def test_overflow_names_layer(self):
         net = init(ArchitectureSpec(), 3)
-        net.layers[2].weights[0, 0] = np.inf
+        net.blocks[2][0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError) as err:
             forward(net, np.array([[0.5, 0.5]]))
         assert err.value.layer == 2
@@ -132,8 +161,8 @@ class TestForward:
         rng = np.random.default_rng(7)
         for arch in (GRADCHECK_ARCH, ArchitectureSpec()):
             net = init(arch, 7)
-            for layer in net.layers:
-                layer.biases[:] = rng.uniform(-0.5, 0.5, size=layer.biases.shape)
+            for biases in layer_views(net.theta, arch)[1]:
+                biases[:] = rng.uniform(-0.5, 0.5, size=biases.shape)
             batch = rng.uniform(-1, 1, size=(37, 2))
             trace = forward(net, batch)
             a = batch
@@ -152,7 +181,7 @@ class TestForward:
         assert all(np.all(b[:, -1] == 1.0) for b in trace.buffers)
         assert forward(net, second, out=trace) is trace
         assert all(np.all(b[:, -1] == 1.0) for b in trace.buffers)
-        net.layers[3].weights[:] = np.inf
+        net.blocks[3][:, :-1] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError):
             forward(net, second, out=trace)
         assert all(np.all(b[:, -1] == 1.0) for b in trace.buffers)
@@ -197,12 +226,12 @@ def gradcheck_case(seed=13, n_points=10):
     differences legitimately disagree."""
     net = init(GRADCHECK_ARCH, seed)
     rng = np.random.default_rng(seed)
-    for layer in net.layers:
-        layer.biases[:] = rng.uniform(0.05, 0.25, size=layer.biases.shape)
+    for biases in layer_views(net.theta, net.spec)[1]:
+        biases[:] = rng.uniform(0.05, 0.25, size=biases.shape)
     batch = rng.uniform(-1, 1, size=(n_points, 2))
     trace = forward(net, batch)
     inputs = [batch, *trace.post[:-1]]
-    margin = min(np.abs(a @ l.weights.T + l.biases).min() for a, l in zip(inputs, net.layers))
+    margin = min(np.abs(a @ b[:, :-1].T + b[:, -1]).min() for a, b in zip(inputs, net.blocks))
     assert margin > 1e-3  # >> h, so no kink crossings in the FD stencil
     return net, batch
 
@@ -214,15 +243,16 @@ def finite_difference_grads(net, batch, h=1e-5):
         return mse(batch, forward(n, batch).output)
 
     w_grads, b_grads = [], []
-    for k in range(len(net.layers)):
-        for attr, sink in (("weights", w_grads), ("biases", b_grads)):
-            param = getattr(net.layers[k], attr)
+    for k in range(len(net.blocks)):
+        # the weight columns [W_k] and the bias column b_k of block k
+        for cols, sink in ((np.s_[:, :-1], w_grads), (np.s_[:, -1], b_grads)):
+            param = net.blocks[k][cols]
             g = np.zeros_like(param)
             for idx in np.ndindex(param.shape):
                 probe = copy.deepcopy(net)
-                getattr(probe.layers[k], attr)[idx] += h
+                probe.blocks[k][cols][idx] += h
                 up = loss_at(probe)
-                getattr(probe.layers[k], attr)[idx] -= 2 * h
+                probe.blocks[k][cols][idx] -= 2 * h
                 down = loss_at(probe)
                 g[idx] = (up - down) / (2 * h)
             sink.append(g)
@@ -234,9 +264,9 @@ class TestBackward:
         net = init(GRADCHECK_ARCH, 4)
         batch = np.random.default_rng(4).uniform(-1, 1, size=(6, 2))
         trace = forward(net, batch)
-        grads = backward(net, trace.output.copy(), trace)
-        assert all(np.all(g == 0.0) for g in grads.weight_grads)
-        assert all(np.all(g == 0.0) for g in grads.bias_grads)
+        weight_grads, bias_grads = layer_views(backward(net, trace.output.copy(), trace), net.spec)
+        assert all(np.all(g == 0.0) for g in weight_grads)
+        assert all(np.all(g == 0.0) for g in bias_grads)
 
     def test_matches_finite_differences(self):
         net, batch = gradcheck_case()
@@ -244,7 +274,7 @@ class TestBackward:
         grads = backward(net, batch, trace)
         fd_w, fd_b = finite_difference_grads(net, batch)
         worst = 0.0
-        for a, n in zip(grads.weight_grads + grads.bias_grads, fd_w + fd_b):
+        for a, n in zip(weights_then_biases(grads, net.spec), fd_w + fd_b):
             rel = np.abs(a - n) / np.maximum(np.abs(a) + np.abs(n), 1e-6)
             worst = max(worst, float(rel.max()))
         assert worst < 1e-4
@@ -255,7 +285,7 @@ class TestBackward:
         doubled = np.repeat(batch, 2, axis=0)
         g1 = backward(net, batch, forward(net, batch))
         g2 = backward(net, doubled, forward(net, doubled))
-        for a, b in zip(g1.weight_grads, g2.weight_grads):
+        for a, b in zip(layer_views(g1, net.spec)[0], layer_views(g2, net.spec)[0]):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_duplication_invariance_across_gradient_blocks(self):
@@ -265,13 +295,14 @@ class TestBackward:
         net = init(GRADCHECK_ARCH, 9)
         rng = np.random.default_rng(9)
         batch = rng.uniform(-1, 1, size=(5, 2))
-        for layer in net.layers:
-            layer.biases[:] = rng.uniform(-0.2, 0.2, size=layer.biases.shape)
+        for biases in layer_views(net.theta, net.spec)[1]:
+            biases[:] = rng.uniform(-0.2, 0.2, size=biases.shape)
         g1 = backward(net, batch, forward(net, batch))
         for copies in (60, 62):
             repeated = np.repeat(batch, copies, axis=0)
             g2 = backward(net, repeated, forward(net, repeated))
-            for a, b in zip(g1.weight_grads + g1.bias_grads, g2.weight_grads + g2.bias_grads):
+            pairs = zip(weights_then_biases(g1, net.spec), weights_then_biases(g2, net.spec))
+            for a, b in pairs:
                 assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -308,9 +339,12 @@ class TestBackward:
             net = init(arch, 2)
             batch = np.random.default_rng(2).uniform(-1, 1, size=(4, 2))
             grads = backward(net, batch, forward(net, batch))
-            for k, layer in enumerate(net.layers):
-                assert grads.weight_grads[k].shape == layer.weights.shape
-                assert grads.bias_grads[k].shape == layer.biases.shape
+            assert grads.shape == net.theta.shape and grads.dtype == np.float64
+            weights, biases = layer_views(net.theta, arch)
+            weight_grads, bias_grads = layer_views(grads, arch)
+            for k in range(len(net.blocks)):
+                assert weight_grads[k].shape == weights[k].shape
+                assert bias_grads[k].shape == biases[k].shape
 
 
 class TestOutBuffers:
@@ -338,12 +372,11 @@ class TestOutBuffers:
         rng = np.random.default_rng(22)
         first, second = rng.uniform(-1, 1, size=(2, 50, 2))
         grads = backward(net, first, forward(net, first))
-        arrays = grads.weight_grads + grads.bias_grads
         got = backward(net, second, forward(net, second), out=grads)
         fresh = backward(net, second, forward(net, second))
         assert got is grads
-        assert all(a is b for a, b in zip(arrays, got.weight_grads + got.bias_grads))
-        for a, b in zip(got.weight_grads + got.bias_grads, fresh.weight_grads + fresh.bias_grads):
+        pairs = zip(weights_then_biases(got, net.spec), weights_then_biases(fresh, net.spec))
+        for a, b in pairs:
             assert np.array_equal(a, b)
 
     def test_backward_keeps_activations_and_repeats_exactly(self):
@@ -351,8 +384,8 @@ class TestOutBuffers:
         batch = np.random.default_rng(26).uniform(-1, 1, size=(300, 2))
         trace = forward(net, batch)
         saved = [b.copy() for b in trace.buffers]
-        first = backward(net, batch, trace).grad.copy()
-        assert backward(net, batch, trace).grad.tobytes() == first.tobytes()
+        first = backward(net, batch, trace).copy()
+        assert backward(net, batch, trace).tobytes() == first.tobytes()
         assert all(np.array_equal(a, b) for a, b in zip(saved, trace.buffers))
 
     def test_other_batch_size_gets_new_trace(self):
@@ -378,7 +411,8 @@ class TestOutBuffers:
         own = forward(net, batch)
         got = backward(net, batch, own, out=grads)
         assert got is not grads
-        for a, b in zip(got.weight_grads, backward(net, batch, own).weight_grads):
+        fresh = backward(net, batch, own)
+        for a, b in zip(layer_views(got, net.spec)[0], layer_views(fresh, net.spec)[0]):
             assert np.array_equal(a, b)
 
     def test_other_relu_layout_gets_new_trace(self):
@@ -395,11 +429,40 @@ class TestOutBuffers:
         for a, b in zip(got.buffers, fresh.buffers):
             assert np.array_equal(a, b)
 
+    def test_backward_returns_out_itself(self):
+        net = init(ArchitectureSpec(), 27)
+        batch = np.random.default_rng(27).uniform(-1, 1, size=(260, 2))
+        trace = forward(net, batch)
+        out = np.full(net.theta.shape, np.nan)
+        assert backward(net, batch, trace, out=out) is out
+        assert out.tobytes() == backward(net, batch, trace).tobytes()
+
+    def test_unfit_out_gets_a_new_vector_and_stays_unwritten(self):
+        net = init(GRADCHECK_ARCH, 28)
+        batch = np.random.default_rng(28).uniform(-1, 1, size=(9, 2))
+        trace = forward(net, batch)
+        fresh = backward(net, batch, trace)
+        n = net.theta.size
+        unfit = (
+            np.full(n - 1, 7.0),
+            np.full(n + 1, 7.0),
+            np.full((1, n), 7.0),
+            np.full(n, 7.0, dtype=np.float32),
+            np.full(n, 7, dtype=np.int64),
+        )
+        for out in unfit:
+            saved = out.copy()
+            got = backward(net, batch, trace, out=out)
+            assert got is not out and not np.shares_memory(got, out)
+            assert got.shape == net.theta.shape and got.dtype == np.float64
+            assert got.tobytes() == fresh.tobytes()
+            assert out.dtype == saved.dtype and out.tobytes() == saved.tobytes()
+
     def test_overflow_names_layer_with_reused_trace(self):
         net = init(ArchitectureSpec(), 3)
         batch = np.array([[0.5, 0.5]])
         trace = forward(net, batch)
-        net.layers[2].weights[0, 0] = np.inf
+        net.blocks[2][0, 0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError) as err:
             forward(net, batch, out=trace)
         assert err.value.layer == 2
@@ -411,7 +474,14 @@ def layer_order(weights, biases):
 
 
 def layer_weights_and_biases(net):
-    return [l.weights.copy() for l in net.layers], [l.biases.copy() for l in net.layers]
+    weights, biases = layer_views(net.theta, net.spec)
+    return [w.copy() for w in weights], [b.copy() for b in biases]
+
+
+def weights_then_biases(flat, spec):
+    """Every layer's weight view of a flat vector, then every bias view."""
+    weights, biases = layer_views(flat, spec)
+    return weights + biases
 
 
 class TestFlatParameters:
@@ -423,18 +493,19 @@ class TestFlatParameters:
         net = init(ArchitectureSpec(), 30)
         net.theta[:] = np.arange(net.theta.size)
         start = 0
-        for block, layer, (in_dim, out_dim) in zip(net.blocks, net.layers, net.spec.layer_shapes):
+        layers = zip(net.blocks, *layer_views(net.theta, net.spec), net.spec.layer_shapes)
+        for block, weights, biases, (in_dim, out_dim) in layers:
             assert block.shape == (out_dim, in_dim + 1)
             assert np.array_equal(block.ravel(), np.arange(start, start + block.size))
-            assert np.array_equal(layer.weights, block[:, :-1])
-            assert np.array_equal(layer.biases, block[:, -1])
+            assert np.array_equal(weights, block[:, :-1])
+            assert np.array_equal(biases, block[:, -1])
             start += block.size
         assert start == net.theta.size
 
     def test_init_draws_the_frozen_weight_values(self):
         """The values drawn before the bias moved into the blocks: the same
         sequence, layer by layer and row-major, at new positions in theta."""
-        weights = np.concatenate([l.weights.ravel() for l in init(ArchitectureSpec(), 101).layers])
+        weights = np.concatenate([b[:, :-1].ravel() for b in init(ArchitectureSpec(), 101).blocks])
         digest = "d8bef236742eac5ec033af207c8d148f2b1b60feb516bbfa6c174bbe35bc773a"
         assert hashlib.sha256(weights.tobytes()).hexdigest() == digest
         assert weights[:2].tolist() == [0.4475154375799536, -0.6827944715297778]
@@ -442,16 +513,16 @@ class TestFlatParameters:
     def test_layers_view_theta_after_init_deepcopy_and_packing(self):
         net = init(GRADCHECK_ARCH, 31)
         rng = np.random.default_rng(31)
-        for layer in net.layers:
-            layer.biases[:] = rng.uniform(-1, 1, size=layer.biases.shape)
+        for biases in layer_views(net.theta, net.spec)[1]:
+            biases[:] = rng.uniform(-1, 1, size=biases.shape)
         weights, biases = layer_weights_and_biases(net)
         copied = copy.deepcopy(net)
         packed = NetworkState(GRADCHECK_ARCH)
         packed.theta[...] = layer_order(weights, biases)
         for n in (net, copied, packed):
-            for layer in n.layers:
-                assert np.shares_memory(layer.weights, n.theta)
-                assert np.shares_memory(layer.biases, n.theta)
+            for block in n.blocks:
+                assert np.shares_memory(block[:, :-1], n.theta)
+                assert np.shares_memory(block[:, -1], n.theta)
             assert np.array_equal(n.theta, layer_order(weights, biases))
         assert not np.shares_memory(copied.theta, net.theta)
         assert not any(np.shares_memory(packed.theta, a) for a in weights + biases)
@@ -463,15 +534,28 @@ class TestFlatParameters:
         grads = backward(net, first, forward(net, first))
         got = backward(net, second, forward(net, second), out=grads)
         assert got is grads
-        for g in got.weight_grads + got.bias_grads:
-            assert np.shares_memory(g, got.grad)
+        for g in weights_then_biases(got, net.spec):
+            assert np.shares_memory(g, got)
         fresh = backward(net, second, forward(net, second))
-        assert np.array_equal(got.grad, layer_order(fresh.weight_grads, fresh.bias_grads))
+        assert np.array_equal(got, layer_order(*layer_views(fresh, net.spec)))
 
-    def test_layer_arrays_cannot_be_rebound(self):
-        net = init(GRADCHECK_ARCH, 34)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            net.layers[0].weights = np.zeros((4, 2))
+    def test_blocks_and_forward_read_a_rebound_or_copied_theta(self):
+        """After `theta` is rebound to a copy, and in a deepcopy, `blocks` views
+        the network's current vector and forward gives an untouched twin's bits."""
+        twin = init(GRADCHECK_ARCH, 34)
+        batch = np.random.default_rng(34).uniform(-1, 1, size=(7, 2))
+        rebound = init(GRADCHECK_ARCH, 34)
+        old = rebound.theta
+        rebound.theta = old.copy()
+        copied = copy.deepcopy(twin)
+        for n in (rebound, copied):
+            assert all(np.shares_memory(b, n.theta) for b in n.blocks)
+            assert [b.tobytes() for b in n.blocks] == [b.tobytes() for b in twin.blocks]
+            assert forward(n, batch).output.tobytes() == forward(twin, batch).output.tobytes()
+        assert not any(np.shares_memory(b, old) for b in rebound.blocks)
+        assert not any(np.shares_memory(b, twin.theta) for b in copied.blocks)
+        rebound.blocks[0][0, 0] += 1.0
+        assert rebound.theta[0] == old[0] + 1.0
 
     def test_edit_through_theta_reaches_forward(self):
         net = init(ArchitectureSpec(), 35)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import TINY_ARCH, edit_manifest, make_manifest, make_snapshot, write_synthetic_run
+from conftest import (
+    TINY_ARCH,
+    edit_manifest,
+    make_manifest,
+    make_snapshot,
+    snapshot_channel,
+    write_synthetic_run,
+)
 from fluctlab import runfile
 from fluctlab.analysis import analyze_run, neuron_delta_series
 from fluctlab.net import ArchitectureSpec
@@ -58,7 +65,7 @@ def frame_bytes_oracle(snaps):
     expected = b""
     for snap in snaps:
         channels = b"".join(
-            getattr(snap, channel)[k].astype("<f4").tobytes()
+            snapshot_channel(snap, channel)[k].astype("<f4").tobytes()
             for k in range(len(snap.spec.layer_shapes))
             for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
         )
@@ -137,7 +144,7 @@ class TestLayout:
         for epoch, loss in ((2, 0.123456789012345), (7, 3.0e-5)):
             snap = make_snapshot(TINY_ARCH, epoch, loss, rng=rng)
             for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means"):
-                for view in getattr(snap, channel):
+                for view in snapshot_channel(snap, channel):
                     view[...] = rng.normal(0, 2, size=view.shape)
             snaps.append(snap)
         path = tmp_path / "oracle.nfl"
@@ -159,7 +166,7 @@ class TestLayout:
                 assert got.values.tobytes() == widened.tobytes()
                 for k in range(len(arch.layer_shapes)):
                     for name in STORAGE_CHANNELS:
-                        view = getattr(got, name)[k].astype(np.float32)
+                        view = snapshot_channel(got, name)[k].astype(np.float32)
                         assert frames[f"{name}{k}"][i].tobytes() == view.tobytes()
 
     def test_frames_hold_the_trained_layers(self, tmp_path):
@@ -179,9 +186,9 @@ class TestLayout:
             writer.finalize(complete=True)
         with RunAccessor(path) as acc:
             last = acc.frames()[-1]
-        for k, layer in enumerate(net.layers):
-            assert last[f"weights{k}"].tobytes() == layer.weights.astype(np.float32).tobytes()
-            assert last[f"biases{k}"].tobytes() == layer.biases.astype(np.float32).tobytes()
+        for k, block in enumerate(net.blocks):
+            assert last[f"weights{k}"].tobytes() == block[:, :-1].astype(np.float32).tobytes()
+            assert last[f"biases{k}"].tobytes() == block[:, -1].astype(np.float32).tobytes()
 
     def test_byte_determinism(self, tmp_path):
         blobs = []
@@ -205,7 +212,8 @@ class TestRoundTrip:
                 assert got.epoch == snap.epoch
                 assert got.loss == snap.loss
                 for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means"):
-                    for a, b in zip(getattr(got, channel), getattr(snap, channel)):
+                    pairs = zip(snapshot_channel(got, channel), snapshot_channel(snap, channel))
+                    for a, b in pairs:
                         assert np.array_equal(a, b)
 
     def test_manifest_round_trip(self, tmp_path):
@@ -229,7 +237,8 @@ class TestAccess:
             for i in (4, 0, 2, 3, 1):
                 got = acc.snapshot(i)
                 assert got.epoch == sequential[i].epoch
-                for a, b in zip(got.weights, sequential[i].weights):
+                weights = snapshot_channel(got, "weights")
+                for a, b in zip(weights, snapshot_channel(sequential[i], "weights")):
                     assert np.array_equal(a, b)
 
     def test_neuron_series_matches_full_load_oracle(self, tmp_path):
@@ -246,7 +255,7 @@ class TestAccess:
                 (3, "activations", "activation_means", 0),
             )
             for layer, channel, storage, idx in cases:
-                naive = np.stack([getattr(s, storage)[layer][idx] for s in full])
+                naive = np.stack([snapshot_channel(s, storage)[layer][idx] for s in full])
                 deltas = neuron_delta_series(acc, layer, idx, channel)
                 assert deltas.dtype == np.float64
                 assert deltas.tobytes() == np.diff(naive, axis=0).ravel().tobytes()
@@ -284,7 +293,7 @@ class TestAccess:
                 for layer in range(len(TINY_ARCH.layer_shapes)):
                     for name in STORAGE_CHANNELS:
                         field = frames[f"{name}{layer}"][i]
-                        expected = getattr(snap, name)[layer].astype(np.float32)
+                        expected = snapshot_channel(snap, name)[layer].astype(np.float32)
                         assert field.dtype == np.float32
                         assert field.tobytes() == expected.tobytes()
 

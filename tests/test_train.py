@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib
 import math
@@ -7,12 +8,11 @@ import pytest
 
 from fluctlab.net import (
     ArchitectureSpec,
-    GradientSet,
-    LayerState,
     NetworkState,
     backward,
     forward,
     init,
+    layer_views,
     mse,
 )
 from fluctlab.shapes import ShapeKind, generate
@@ -36,9 +36,11 @@ TINY = ArchitectureSpec(encoder_dims=(2, 4, 3, 1), decoder_dims=(1, 3, 4, 2))
 
 
 def unit_gradients(net, value=1.0):
-    grads = GradientSet(net.spec)
-    grads.grad[:] = value
-    return grads
+    return np.full(net.theta.shape, value)
+
+
+def weights_of(net):
+    return [block[:, :-1] for block in net.blocks]
 
 
 def adam_delta_oracle(steps, lr=0.001, b1=0.9, b2=0.999, eps=1e-8, g=1.0):
@@ -110,13 +112,14 @@ class TestParams:
                 RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, **{name: value})
 
 
-def per_layer_adam_step(weights, biases, grads, m, v, t, lr):
+def per_layer_adam_step(weights, biases, grads, spec, m, v, t, lr):
     """Reference: Adam as a loop over each layer's arrays, in place.  m and v
     hold the weight moments of every layer, then the bias moments."""
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     mc = 1.0 - b1**t
     vc = 1.0 - b2**t
-    for p, g, mk, vk in zip(weights + biases, grads.weight_grads + grads.bias_grads, m, v):
+    weight_grads, bias_grads = layer_views(grads, spec)
+    for p, g, mk, vk in zip(weights + biases, weight_grads + bias_grads, m, v):
         mk *= b1
         mk += (1.0 - b1) * g
         vk *= b2
@@ -134,33 +137,33 @@ def layer_order(per_layer, layers):
 class TestAdamStep:
     def test_zero_gradient_is_noop(self):
         net = init(TINY, 1)
-        before = [l.weights.copy() for l in net.layers]
+        before = [w.copy() for w in weights_of(net)]
         opt = init_optimizer(net)
         adam_step(net, unit_gradients(net, 0.0), opt, 0.01)
         assert opt.t == 1
-        for b, layer in zip(before, net.layers):
-            assert np.abs(layer.weights - b).max() <= 1e-15
+        for b, weights in zip(before, weights_of(net)):
+            assert np.abs(weights - b).max() <= 1e-15
 
     def test_first_step_magnitude(self):
         # fresh state, unit gradient: the bias-corrected step is lr/(1+eps)
         net = init(TINY, 2)
-        before = [l.weights.copy() for l in net.layers]
+        before = [w.copy() for w in weights_of(net)]
         opt = init_optimizer(net)
         lr = 0.001
         adam_step(net, unit_gradients(net), opt, lr)
         (expected,) = adam_delta_oracle(1, lr=lr)
         assert abs(expected - 0.000999999990) < 1e-12
-        for b, layer in zip(before, net.layers):
-            assert np.abs((b - layer.weights) - expected).max() <= 1e-15
+        for b, weights in zip(before, weights_of(net)):
+            assert np.abs((b - weights) - expected).max() <= 1e-15
 
     def test_second_step_stays_near_lr(self):
         net = init(TINY, 3)
         opt = init_optimizer(net)
         lr = 0.001
-        snapshots = [[l.weights.copy() for l in net.layers]]
+        snapshots = [[w.copy() for w in weights_of(net)]]
         for _ in range(2):
             adam_step(net, unit_gradients(net), opt, lr)
-            snapshots.append([l.weights.copy() for l in net.layers])
+            snapshots.append([w.copy() for w in weights_of(net)])
         deltas = adam_delta_oracle(2, lr=lr)
         step2 = snapshots[1][0][0, 0] - snapshots[2][0][0, 0]
         assert abs(step2 - deltas[1]) <= 1e-15
@@ -170,9 +173,9 @@ class TestAdamStep:
         net = init(TINY, 4)
         opt = init_optimizer(net)
         rng = np.random.default_rng(0)
-        grads = GradientSet(net.spec)
+        grads = np.zeros_like(net.theta)
         for t in range(1, 6):
-            grads.grad[:] = rng.normal(size=grads.grad.shape)
+            grads[:] = rng.normal(size=grads.shape)
             adam_step(net, grads, opt, 0.01)
             assert opt.t == t
             assert np.all(opt.v >= 0.0)  # every weight and bias moment
@@ -180,19 +183,20 @@ class TestAdamStep:
     @pytest.mark.parametrize("lr", [0.01, 0.0001])
     def test_flat_step_matches_per_layer_oracle(self, lr):
         net = init(ArchitectureSpec(), 40)
-        oracle = [l.weights.copy() for l in net.layers] + [l.biases.copy() for l in net.layers]
+        weights, biases = layer_views(net.theta, net.spec)
+        oracle = [w.copy() for w in weights] + [b.copy() for b in biases]
         m = [np.zeros_like(a) for a in oracle]
         v = [np.zeros_like(a) for a in oracle]
         opt = init_optimizer(net)
-        grads = GradientSet(net.spec)
+        grads = np.zeros_like(net.theta)
         rng = np.random.default_rng(41)
-        n = grads.grad.size
-        layers = len(net.layers)
+        n = grads.size
+        layers = len(net.blocks)
         for t in range(1, 2001):
             # magnitudes from 1e-9 to 10, so eps matters for some entries
-            grads.grad[:] = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 1, size=n)
+            grads[:] = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 1, size=n)
             adam_step(net, grads, opt, lr)
-            per_layer_adam_step(oracle[:layers], oracle[layers:], grads, m, v, t, lr)
+            per_layer_adam_step(oracle[:layers], oracle[layers:], grads, net.spec, m, v, t, lr)
         assert opt.t == 2000
         assert net.theta.tobytes() == layer_order(oracle, layers).tobytes()
         assert opt.m.tobytes() == layer_order(m, layers).tobytes()
@@ -201,8 +205,9 @@ class TestAdamStep:
     def test_nonfinite_gradient_names_first_bad_layer(self):
         net = init(ArchitectureSpec(), 11)
         grads = unit_gradients(net)
-        grads.bias_grads[3][0] = np.nan
-        grads.weight_grads[5][1, 0] = np.inf
+        weight_grads, bias_grads = layer_views(grads, net.spec)
+        bias_grads[3][0] = np.nan
+        weight_grads[5][1, 0] = np.inf
         opt = init_optimizer(net)
         before = net.theta.copy()
         with pytest.raises(FloatingPointError, match="layer 3"):
@@ -210,28 +215,32 @@ class TestAdamStep:
         assert opt.t == 0
         assert np.array_equal(net.theta, before)
 
-    def test_rejects_arrays_detached_from_flat_vectors(self):
-        def detached_layer(net, grads):
-            layer = net.layers[2]
-            net.layers[2] = LayerState(layer.weights.copy(), layer.biases)
-
-        def rebound_theta(net, grads):
-            net.theta = net.theta.copy()
-
-        def detached_gradient(net, grads):
-            grads.bias_grads[1] = grads.bias_grads[1].copy()
-
-        for detach in (detached_layer, rebound_theta, detached_gradient):
-            net = init(TINY, 12)
-            grads = unit_gradients(net)
-            detach(net, grads)
-            with pytest.raises(ValueError, match="views"):
-                adam_step(net, grads, init_optimizer(net), 0.01)
+    def test_rebound_and_copied_theta_step_like_an_untouched_twin(self):
+        """adam_step moves the network's current theta: a network whose theta
+        was rebound to a copy, and a deepcopy, train bit for bit like the
+        network they came from, and the old vector stays where it was."""
+        twin = init(TINY, 12)
+        rebound = init(TINY, 12)
+        old = rebound.theta
+        rebound.theta = old.copy()
+        copied = copy.deepcopy(twin)
+        assert not np.shares_memory(copied.theta, twin.theta)
+        nets = (twin, rebound, copied)
+        opts = [init_optimizer(n) for n in nets]
+        pts = np.random.default_rng(12).uniform(-1, 1, size=(20, 2))
+        for _ in range(3):
+            for n, opt in zip(nets, opts):
+                adam_step(n, backward(n, pts, forward(n, pts)), opt, 0.01)
+            for n in (rebound, copied):
+                assert n.theta.tobytes() == twin.theta.tobytes()
+                assert [b.tobytes() for b in n.blocks] == [b.tobytes() for b in twin.blocks]
+        assert old.tobytes() == init(TINY, 12).theta.tobytes()
+        assert twin.theta.tobytes() != old.tobytes()
 
     def test_nonfinite_gradient_rejected(self):
         net = init(TINY, 5)
         grads = unit_gradients(net)
-        grads.weight_grads[0][0, 0] = np.nan
+        layer_views(grads, net.spec)[0][0][0, 0] = np.nan
         with pytest.raises(FloatingPointError):
             adam_step(net, grads, init_optimizer(net), 0.01)
 
@@ -316,9 +325,9 @@ class TestTrain:
         net1, loss1 = train(cfg, None)
         net2, loss2 = train(cfg, None)
         assert loss1 == loss2
-        for a, b in zip(net1.layers, net2.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.biases, b.biases)
+        for a, b in zip(net1.blocks, net2.blocks):
+            assert np.array_equal(a[:, :-1], b[:, :-1])
+            assert np.array_equal(a[:, -1], b[:, -1])
 
     def test_loss_decreases(self):
         cfg = RunConfig(
@@ -351,7 +360,7 @@ class TestTrain:
     def test_divergence_before_first_step_names_epoch_one(self, monkeypatch):
         def overflowing_init(spec, seed):
             net = init(spec, seed)
-            net.layers[0].weights[:] = np.inf
+            net.blocks[0][:, :-1] = np.inf
             return net
 
         monkeypatch.setattr(train_module, "init", overflowing_init)
@@ -390,17 +399,17 @@ class TestTrain:
             probe = forward(net, pts)
             assert snap.loss == mse(pts, probe.output)
             expected = (
-                [l.weights for l in net.layers],
-                [l.biases for l in net.layers],
-                grads.weight_grads,
-                grads.bias_grads,
+                *layer_views(net.theta, net.spec),
+                *layer_views(grads, net.spec),
                 [np.ones(len(pts)) @ p / len(pts) for p in probe.post],
             )
             actual = (
-                snap.weights, snap.biases, snap.weight_grads, snap.bias_grads, snap.activation_means
+                *layer_views(snap.theta, snap.spec),
+                *layer_views(snap.grad, snap.spec),
+                snap.activation_means,
             )
             for want, have in zip(expected, actual):
-                assert len(want) == len(have) == len(net.layers)
+                assert len(want) == len(have) == len(net.blocks)
                 assert all(np.array_equal(w, h) for w, h in zip(want, have))
 
     def test_snapshots_hold_their_own_copies(self):
@@ -408,18 +417,19 @@ class TestTrain:
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=3, data_seed=3)
         net, _ = train(cfg, got.append)
         first, last = got[0], got[-1]
-        assert not np.array_equal(first.weights[0], last.weights[0])
+        first_weights, last_weights = (layer_views(s.theta, s.spec)[0] for s in (first, last))
+        assert not np.array_equal(first_weights[0], last_weights[0])
         assert np.array_equal(last.theta, net.theta)
         assert not np.shares_memory(first.values, last.values)
         for snap in got:
             assert not np.shares_memory(snap.values, net.theta)
-            views = snap.weights + snap.biases + snap.weight_grads + snap.bias_grads
-            assert all(a.base is snap.values for a in views + snap.activation_means)
+            views = [snap.theta, snap.grad, *snap.activation_means]
+            assert all(a.base is snap.values for a in views)
 
     def test_snapshot_fields_cannot_be_rebound(self):
         # a rebound array would not be the values the writer gathers from
         snap = EpochSnapshot(1, 0.5, TINY, np.zeros(EpochSnapshot.length(TINY)))
-        for name, value in (("values", np.ones(snap.values.size)), ("weights", [])):
+        for name, value in (("values", np.ones(snap.values.size)), ("theta", [])):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(snap, name, value)
 
