@@ -347,6 +347,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     run_path = Path(args.run)
     json_path = Path(args.json) if args.json else run_path.with_suffix(".report.json")
     csv_path = Path(args.csv) if args.csv else run_path.with_suffix(".neurons.csv")
+    if len({run_path.resolve(), json_path.resolve(), csv_path.resolve()}) < 3:
+        raise ValueError("--run, --json and --csv must name three different files")
     # beside a run file of `all` or `report`, the default names are the
     # report files of those commands: only an explicit path may replace one
     defaults = [p for p, given in ((json_path, args.json), (csv_path, args.csv)) if not given]

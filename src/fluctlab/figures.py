@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, check_analyzable, half_slices
+from .blas import one_thread
 from .net import NetworkState, forward, mse
 from .runfile import RunAccessor
 from .shapes import generate
@@ -46,6 +47,7 @@ class ReconstructionResult:
             )
 
 
+@one_thread()
 def reconstruct(run: RunAccessor) -> ReconstructionResult:
     """Load the final network from an open, complete run file and reconstruct
     the run's training set."""

@@ -21,13 +21,12 @@ from .rng import SplitMix64
 
 ENCODER_DIMS = (2, 64, 32, 1)
 DECODER_DIMS = (1, 32, 64, 2)
-# Batch rows per block of the gradient sums g.T @ a_prev.  OpenBLAS splits a
-# product over all 500 rows across its threads, which changes the order of
-# the sums and so the bits with the thread count.  Each 125-row block stays
-# below its threading threshold, and the blocks are added in a fixed order,
-# so training gives the same bits at any thread count.  Activations stay
-# row-major (n, width): feature-major (width, n), the forward and propagation
-# products of layers 1 and 4 change bits at 2 threads, with any block rows.
+# Batch rows per block of the gradient sums g.T @ a_prev.  The thread guard on
+# every OpenBLAS kernel is the one-thread pin around training
+# (`blas.one_thread`): unpinned, OpenBLAS splits large products across its
+# threads, and under some kernels that changes the order of the sums and so
+# the bits.  The blocks are a speed choice: at one thread, 125-row blocks
+# added in a fixed order are faster than one 500-row product.
 GRADIENT_BLOCK_ROWS = 125
 
 
@@ -175,8 +174,7 @@ def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
     net = NetworkState(spec)
     for block, (in_dim, out_dim) in zip(net.blocks, spec.layer_shapes):
         bound = (1.0 / in_dim) ** 0.5
-        for r, c in np.ndindex(out_dim, in_dim):
-            block[r, c] = rng.uniform(-bound, bound)
+        block[:, :-1] = rng.uniform(-bound, bound, out_dim * in_dim).reshape(out_dim, in_dim)
     return net
 
 

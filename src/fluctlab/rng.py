@@ -13,17 +13,22 @@ from the seed alone:
     z = z ^ (z >> 31)
 
 Doubles are derived from the top 53 bits: (z >> 11) * 2**-53, uniform in
-[0, 1).
+[0, 1).  Values are drawn as arrays: a draw of `count` outputs mixes the
+states state + k * 0x9E3779B97F4A7C15 (mod 2^64) for k = 1..count, then
+advances the state by count times that constant, so it is the same stream.
 """
 
 from __future__ import annotations
 
+import numbers
+
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 SEED_MAX = _MASK64
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_DOUBLE_SCALE = 2.0**-53
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 class SplitMix64:
@@ -32,23 +37,22 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= SEED_MAX:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self._state = seed
+        integer = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+        if not (integer and 0 <= seed <= SEED_MAX):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        self._state = int(seed)
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    def next_u64(self, count: int) -> np.ndarray:
+        """The next `count` outputs as a uint64 array."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        # uint64 array arithmetic wraps mod 2^64
+        z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
         return z ^ (z >> 31)
 
-    def next_double(self) -> float:
-        return (self.next_u64() >> 11) * _DOUBLE_SCALE
-
-    def uniform(self, low: float, high: float) -> float:
-        """Uniform double in [low, high)."""
-        return low + (high - low) * self.next_double()
-
-    def doubles(self, count: int) -> list[float]:
-        return [self.next_double() for _ in range(count)]
+    def uniform(self, low: float, high: float, count: int) -> np.ndarray:
+        """The next `count` doubles, uniform in [low, high), as a float64 array."""
+        return low + (high - low) * ((self.next_u64(count) >> 11) * 2.0**-53)

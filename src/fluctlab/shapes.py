@@ -72,45 +72,39 @@ def polygon_vertices(n: int) -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def circle_point(theta: float) -> tuple[float, float]:
-    return (math.cos(theta), math.sin(theta))
+def circle_point(theta: np.ndarray) -> np.ndarray:
+    """Points (cos t, sin t) for the angles `theta`: shape theta.shape + (2,)."""
+    return np.stack((np.cos(theta), np.sin(theta)), axis=-1)
 
 
-def spiral_point(theta: float) -> tuple[float, float]:
-    """Archimedean spiral point: radius theta/(4*pi), so r(0)=0 and r(4*pi)=1."""
+def spiral_point(theta: np.ndarray) -> np.ndarray:
+    """Archimedean spiral points: radius theta/(4*pi), so r(0)=0 and r(4*pi)=1."""
     r = theta / (2.0 * SPIRAL_TURNS * math.pi)
-    return (r * math.cos(theta), r * math.sin(theta))
+    return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
 
 
-def polygon_point(vertices: np.ndarray, t: float) -> tuple[float, float]:
-    """Point at arc length t along the polygon boundary (t in [0, perimeter))."""
+def polygon_point(vertices: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points at arc lengths t along the polygon boundary (t in [0, perimeter)):
+    shape t.shape + (2,)."""
     n = len(vertices)
     side = float(np.linalg.norm(vertices[1] - vertices[0]))
-    k = min(int(t // side), n - 1)
-    frac = (t - k * side) / side
-    a = vertices[k]
-    b = vertices[(k + 1) % n]
-    return (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
+    k = np.minimum(t // side, n - 1).astype(np.intp)
+    frac = ((t - k * side) / side)[..., None]
+    a, b = vertices[k], vertices[(k + 1) % n]
+    return a + frac * (b - a)
 
 
 def sample_contour(kind: ShapeKind, count: int, rng: SplitMix64) -> np.ndarray:
-    """Raw contour samples before box normalization.  Returns (count, 2)."""
+    """Raw contour samples before box normalization, from one draw: (count, 2)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    pts = np.empty((count, 2), dtype=np.float64)
     if kind is ShapeKind.CIRCLE:
-        for i in range(count):
-            pts[i] = circle_point(rng.uniform(0.0, 2.0 * math.pi))
-    elif kind is ShapeKind.SPIRAL:
-        for i in range(count):
-            pts[i] = spiral_point(rng.uniform(0.0, 2.0 * SPIRAL_TURNS * math.pi))
-    else:
-        vertices = polygon_vertices(kind.vertex_count)
-        side = float(np.linalg.norm(vertices[1] - vertices[0]))
-        perimeter = side * len(vertices)
-        for i in range(count):
-            pts[i] = polygon_point(vertices, rng.uniform(0.0, perimeter))
-    return pts
+        return circle_point(rng.uniform(0.0, 2.0 * math.pi, count))
+    if kind is ShapeKind.SPIRAL:
+        return spiral_point(rng.uniform(0.0, 2.0 * SPIRAL_TURNS * math.pi, count))
+    vertices = polygon_vertices(kind.vertex_count)
+    perimeter = float(np.linalg.norm(vertices[1] - vertices[0])) * len(vertices)
+    return polygon_point(vertices, rng.uniform(0.0, perimeter, count))
 
 
 def normalize_to_unit_box(points: np.ndarray) -> np.ndarray:
@@ -122,15 +116,10 @@ def normalize_to_unit_box(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         raise ValueError(f"expected a non-empty (n, 2) array, got shape {points.shape}")
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    out = np.empty_like(points)
-    for axis in range(2):
-        span = hi[axis] - lo[axis]
-        if span == 0.0:
-            out[:, axis] = 0.0
-        else:
-            out[:, axis] = (2.0 * points[:, axis] - (lo[axis] + hi[axis])) / span
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    span = hi - lo
+    out = (2.0 * points - (lo + hi)) / np.where(span == 0.0, 1.0, span)
+    out[:, span == 0.0] = 0.0
     return out
 
 

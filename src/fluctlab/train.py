@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .blas import one_thread
 from .net import ArchitectureSpec, NetworkState, backward, forward, init, layer_blocks, mse
 from .rng import SEED_MAX
 from .shapes import ShapeKind, generate
@@ -180,6 +181,7 @@ def snapshot_count(epochs: int, capture_every: int) -> int:
     return epochs // capture_every + (capture_every > 1)
 
 
+@one_thread()
 def train(
     config: RunConfig,
     capture_sink: Callable[[EpochSnapshot], None] | None = None,

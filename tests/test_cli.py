@@ -164,6 +164,27 @@ class TestAnalyze:
         assert jpath.read_bytes() == (outdir / "spiral_0.01_4.report.json").read_bytes()
         assert cpath.read_bytes() == (outdir / "spiral_0.01_4.neurons.csv").read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_output_naming_the_run_exits_2_before_writing(
+        self, two_runs, tmp_path, monkeypatch, flag, capsys
+    ):
+        run = tmp_path / "x.nfl"
+        run.write_bytes(two_runs[0.01].read_bytes())
+        monkeypatch.chdir(tmp_path)
+        # one file, named relatively for --run and absolutely for the output
+        assert run_cli(["analyze", "--run", "x.nfl", flag, str(run)]) == 2
+        assert "three different files" in capsys.readouterr().err
+        assert run.read_bytes() == two_runs[0.01].read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["x.nfl"]
+        assert run_cli(["analyze", "--run", "x.nfl"]) == 0
+
+    def test_json_and_csv_naming_one_file_exits_2_before_writing(self, two_runs, tmp_path, capsys):
+        both = tmp_path / "out" / "r.txt"
+        argv = ["analyze", "--run", str(two_runs[0.01]), "--json", str(both), "--csv", str(both)]
+        assert run_cli(argv) == 2
+        assert "three different files" in capsys.readouterr().err
+        assert not both.parent.exists()
+
 
     def test_unknown_format_version_exits_2_before_writing(self, two_runs, tmp_path, capsys):
         run = tmp_path / "v9.nfl"

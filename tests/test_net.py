@@ -4,6 +4,8 @@ import hashlib
 import math
 import os
 import pickle
+import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import fluctlab
+from fluctlab.blas import corename
 from fluctlab.net import (
     GRADIENT_BLOCK_ROWS,
     ArchitectureSpec,
@@ -25,6 +28,53 @@ from fluctlab.net import (
 )
 
 GRADCHECK_ARCH = ArchitectureSpec(encoder_dims=(2, 4, 3, 1), decoder_dims=(1, 3, 4, 2))
+
+
+def forced_kernels():
+    """OpenBLAS kernels this host can be made to run with OPENBLAS_CORETYPE,
+    each with the names OpenBLAS reports for it: Prescott on any x86-64 CPU
+    (OpenBLAS names it Katmai), Haswell where the CPU has AVX2.  A kernel the
+    CPU cannot execute would crash the process."""
+    if corename() is None or platform.machine().lower() not in ("x86_64", "amd64"):
+        return {}
+    kernels = {"Prescott": ("Prescott", "Katmai")}
+    try:
+        flags = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        flags = ""
+    if re.search(r"\bavx2\b", flags):
+        kernels["Haswell"] = ("Haswell",)
+    return kernels
+
+
+FORCED_KERNELS = forced_kernels()
+
+
+def subprocess_pythonpath():
+    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return os.pathsep.join(filter(None, paths))
+
+
+def blas_thread_digests(tmp_path, thread_counts, coretype=None):
+    """sha256 of a 40-epoch spiral run file trained in a fresh process at each
+    BLAS thread count, optionally under a forced OpenBLAS kernel."""
+    digests = {}
+    for threads in thread_counts:
+        env = {
+            **os.environ,
+            "PYTHONPATH": subprocess_pythonpath(),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / f"threads{threads}.nfl"
+        argv = ["train", "--shape", "spiral", "--lr", "0.01", "--epochs", "40",
+                "--data-seed", "1", "--init-seed", "101", "--out", str(out)]
+        cmd = [sys.executable, "-m", "fluctlab.cli", *argv]
+        subprocess.run(cmd, check=True, capture_output=True, env=env, timeout=300)
+        digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
 
 
 def zero_net(arch):
@@ -307,23 +357,19 @@ class TestBackward:
 
     def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         """A spiral run trained at 1, 2 and 4 BLAS threads is one file, byte for
-        byte.  Without the blocked weight-gradient sums, OpenBLAS threads the
-        500-row products and the files differ from 20 epochs on."""
-        paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        digests = {}
-        for threads in ("1", "2", "4"):
-            env = {
-                **os.environ,
-                "PYTHONPATH": os.pathsep.join(filter(None, paths)),
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-            }
-            out = tmp_path / f"threads{threads}.nfl"
-            argv = ["train", "--shape", "spiral", "--lr", "0.01", "--epochs", "40",
-                    "--data-seed", "1", "--init-seed", "101", "--out", str(out)]
-            cmd = [sys.executable, "-m", "fluctlab.cli", *argv]
-            subprocess.run(cmd, check=True, capture_output=True, env=env, timeout=300)
-            digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+        byte, under the host's own OpenBLAS kernel."""
+        digests = blas_thread_digests(tmp_path, ("1", "2", "4"))
+        assert len(set(digests.values())) == 1, digests
+
+    @pytest.mark.parametrize("kernel", FORCED_KERNELS)
+    def test_run_bytes_do_not_depend_on_blas_threads_under_forced_kernel(self, tmp_path, kernel):
+        """Under these kernels OpenBLAS threads the forward products too, and
+        unpinned the files differ at 1 and 2 threads; training runs on one."""
+        env = {**os.environ, "PYTHONPATH": subprocess_pythonpath(), "OPENBLAS_CORETYPE": kernel}
+        probe = [sys.executable, "-c", "from fluctlab.blas import corename; print(corename())"]
+        loaded = subprocess.run(probe, check=True, capture_output=True, text=True, env=env, timeout=60)
+        assert loaded.stdout.strip() in FORCED_KERNELS[kernel]
+        digests = blas_thread_digests(tmp_path, ("1", "2"), coretype=kernel)
         assert len(set(digests.values())) == 1, digests
 
     def test_trace_mismatch_rejected(self):

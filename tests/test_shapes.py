@@ -53,10 +53,10 @@ class TestShapeKind:
 
 class TestParameterizations:
     def test_circle_at_zero_angle(self):
-        assert circle_point(0.0) == (1.0, 0.0)
+        assert circle_point(0.0).tolist() == [1.0, 0.0]
 
     def test_spiral_starts_at_origin(self):
-        assert spiral_point(0.0) == (0.0, 0.0)
+        assert spiral_point(0.0).tolist() == [0.0, 0.0]
 
     def test_spiral_full_radius_at_two_turns(self):
         x, y = spiral_point(4.0 * math.pi)
