@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,10 @@ REPORT_SCHEMA_VERSION = 1
 # run) was no faster, and the allocator keeps it after it is freed, which
 # raised peak RSS by 14%.
 SPREAD_BUFFER_BYTES = 1 << 20
+# At most this many threads, the calling one included, share a run's spread
+# computations.  The four largest fields (weights and weight_grads of layers
+# 1 and 4) take about a fifth of the analysis each, and the rest is small.
+MAX_SPREAD_WORKERS = 4
 
 
 class InsufficientDataError(ValueError):
@@ -247,18 +253,31 @@ def calibrate_epsilon(
     return None
 
 
+def _row_sums(data: np.ndarray, axis) -> np.ndarray:
+    """np.add.reduce(data, axis) with numpy's own bits, one sum per neuron row.
+
+    For axis (0, 2) numpy sums each step's cols pairwise, then adds the steps
+    in order; the two reduces below do the same with less work.  A one-row
+    block is one flat run of values to numpy, summed pairwise as a whole.
+    """
+    if axis == (0, 2) and data.shape[1] > 1:
+        return np.add.reduce(np.add.reduce(data, axis=2), axis=0)
+    return np.add.reduce(data, axis=axis)
+
+
 def _std_in_place(data: np.ndarray, axis) -> np.ndarray:
     """np.std(data, axis) computed in data's own memory, which it overwrites.
 
     The steps are numpy's own (_methods._var, then sqrt), ufunc for ufunc, so
-    the bits are np.std's, without its temporary copy of data - mean.
+    the bits are np.std's, without its temporary copy of data - mean.  axis
+    is 0 for a (T, rows) block and (0, 2) for a (T, rows, cols) one.
     """
-    mean = np.add.reduce(data, axis=axis, keepdims=True)
+    mean = _row_sums(data, axis)
     count = data.size // mean.size
     mean /= count
-    np.subtract(data, mean, out=data)
+    np.subtract(data, mean if axis == 0 else mean[:, None], out=data)
     np.square(data, out=data)
-    var = np.add.reduce(data, axis=axis)
+    var = _row_sums(data, axis)
     var /= count
     return np.sqrt(var, out=var)
 
@@ -293,6 +312,60 @@ def _channel_spreads(f: np.ndarray, mode: str, work: np.ndarray) -> np.ndarray:
     return spreads
 
 
+def _worker_count() -> int:
+    """Threads for a run's spreads: one per CPU this process may run on, at
+    most MAX_SPREAD_WORKERS."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, MAX_SPREAD_WORKERS)
+
+
+def _field_spreads(fields: list[np.ndarray], mode: str) -> list[np.ndarray]:
+    """_channel_spreads of each field, computed by _worker_count() threads.
+
+    The calling thread takes a share too, so on one CPU no thread starts.
+    Fields are handed out one at a time, largest first, and each is computed
+    whole by one thread, so the bits do not depend on the thread count or on
+    scheduling.  numpy releases the GIL in the casting subtract and in the
+    reductions.  An error in any share is raised here once every thread has
+    stopped, and no thread outlives the call.  Threads run nothing but
+    _channel_spreads: a traced function must not run off the calling thread.
+    """
+    pending = iter(sorted(range(len(fields)), key=lambda i: fields[i].size, reverse=True))
+    lock = threading.Lock()
+    spreads: list = [None] * len(fields)
+    errors: list[BaseException] = []
+
+    def share(work: np.ndarray) -> None:
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(pending, None)
+                if i is None:
+                    return
+                spreads[i] = _channel_spreads(fields[i], mode, work)
+        except BaseException as exc:  # raised again by the calling thread
+            with lock:
+                errors.append(exc)
+
+    # The caller allocates every thread's buffer: buffers a thread allocates
+    # itself come from its own malloc arena and raise peak RSS further.
+    count = min(_worker_count(), len(fields))
+    works = [np.empty(SPREAD_BUFFER_BYTES // 8) for _ in range(count)]
+    started: list[threading.Thread] = []
+    try:
+        for work in works[1:]:
+            thread = threading.Thread(target=share, args=(work,))
+            thread.start()
+            started.append(thread)
+        share(works[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return spreads
+
+
 def analyze_run(
     run: RunAccessor,
     epsilon: float = DEFAULT_EPSILON,
@@ -310,16 +383,13 @@ def analyze_run(
     check_analyzable(run, mode)
     arch = run.manifest.architecture
     frames = run.frames()
-    work = np.empty(SPREAD_BUFFER_BYTES // 8)
+    layers = range(len(arch.layer_shapes))
+    names = [f"{_STORAGE_NAME.get(ch, ch)}{layer}" for ch in ANALYSIS_CHANNELS for layer in layers]
+    field_spreads = dict(zip(names, _field_spreads([frames[name] for name in names], mode)))
     channels: dict[str, ChannelStats] = {}
     for ch in ANALYSIS_CHANNELS:
         storage = _STORAGE_NAME.get(ch, ch)
-        spreads = np.concatenate(
-            [
-                _channel_spreads(frames[f"{storage}{layer}"], mode, work)
-                for layer in range(len(arch.layer_shapes))
-            ]
-        )
+        spreads = np.concatenate([field_spreads[f"{storage}{layer}"] for layer in layers])
         inactive = detect_inactive(spreads, epsilon)
         halves: dict[str, HalfStats] = {}
         for half, part in half_slices(arch).items():

@@ -31,15 +31,20 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+def check_seed(value, name: str = "seed") -> None:
+    """Reject a seed that is not an integer in 0..2^64-1; a bool is none."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and 0 <= value <= SEED_MAX):
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+
+
 class SplitMix64:
     """Deterministic stream of 64-bit integers and [0,1) doubles."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        integer = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-        if not (integer and 0 <= seed <= SEED_MAX):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        check_seed(seed)
         self._state = int(seed)
 
     def next_u64(self, count: int) -> np.ndarray:

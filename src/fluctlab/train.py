@@ -21,7 +21,7 @@ import numpy as np
 
 from .blas import one_thread
 from .net import ArchitectureSpec, NetworkState, backward, forward, init, layer_blocks, mse
-from .rng import SEED_MAX
+from .rng import check_seed
 from .shapes import ShapeKind, generate
 
 TRAIN_SAMPLE_COUNT = 500
@@ -59,10 +59,7 @@ class RunConfig:
         ):
             raise ValueError(f"learning_rate must be positive and finite, got {lr!r}")
         for name in ("data_seed", "init_seed"):
-            seed = getattr(self, name)
-            integer = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-            if not (integer and 0 <= seed <= SEED_MAX):
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
+            check_seed(getattr(self, name), name)
         for name in ("epochs", "capture_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -487,3 +490,92 @@ class TestSpreadsInPlace:
         default = report_bytes()
         monkeypatch.setattr(analysis, "SPREAD_BUFFER_BYTES", 8)  # two-row chunks
         assert report_bytes() == default
+
+    @pytest.mark.parametrize("cols", [32, 64, 129, 300])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_row_sums_keep_np_std_bits_at_real_widths(self, rows, cols):
+        """The real fields have 32 and 64 cols, and numpy's pairwise sum
+        recurses above 128 values: widths f32_series never reaches."""
+        rng = np.random.default_rng(rows * 1000 + cols)
+        f = rng.normal(0.0, 3.0, size=(41, rows, cols)).astype(np.float32)
+        raw = f.astype(np.float64)
+        for mode, whole in (("raw", raw), ("delta", np.diff(raw, axis=0))):
+            expected = np.std(whole, axis=(0, 2)).tobytes()
+            assert analysis._std_in_place(whole.copy(), (0, 2)).tobytes() == expected
+            # three-row chunks: a five-row field ends in a two-row chunk
+            assert analysis._channel_spreads(f, mode, np.empty(3 * cols * 41)).tobytes() == expected
+
+
+class TestSpreadWorkers:
+    @pytest.mark.parametrize("mode", ["delta", "raw"])
+    def test_report_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, mode):
+        path = tmp_path / "run.nfl"
+        spiral_run(path)
+
+        def report_bytes(workers):
+            monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
+            report = analyze_file(path, epsilon=1e-3, mode=mode)
+            return canonical_json_bytes(report.to_json_dict()), report.neuron_csv()
+
+        assert report_bytes(1) == report_bytes(3)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_no_thread_outlives_the_analysis(self, tmp_path, monkeypatch, workers):
+        path = tmp_path / "run.nfl"
+        write_synthetic_run(path, count=4)
+        monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
+        before = threading.active_count()
+        analyze_file(path)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_error_in_any_share_is_raised(self, tmp_path, monkeypatch, workers):
+        path = tmp_path / "run.nfl"
+        write_synthetic_run(path, count=4)
+        monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
+        channel_spreads = analysis._channel_spreads
+        calls = itertools.count(1)  # next() on it is one atomic step
+
+        def failing_on_one_field(f, mode, work):
+            if next(calls) == 7:
+                raise ArithmeticError("field 7 failed")
+            return channel_spreads(f, mode, work)
+
+        monkeypatch.setattr(analysis, "_channel_spreads", failing_on_one_field)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="field 7 failed"):
+            analyze_file(path)
+        assert threading.active_count() == before
+        # no field is handed out after the error; the other threads finish theirs
+        assert next(calls) <= 7 + workers
+
+    def test_more_threads_than_cores_take_each_field_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.nfl"
+        inexact_run(path)
+        monkeypatch.setattr(analysis, "_worker_count", lambda: 1)
+        serial = canonical_json_bytes(analyze_file(path).to_json_dict())
+        channel_spreads = analysis._channel_spreads
+        lock = threading.Lock()
+        taken = []
+
+        def recording(f, mode, work):
+            with lock:
+                taken.append(f.__array_interface__["data"][0])
+            return channel_spreads(f, mode, work)
+
+        monkeypatch.setattr(analysis, "_channel_spreads", recording)
+        monkeypatch.setattr(analysis, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = canonical_json_bytes(analyze_file(path).to_json_dict())
+        finally:
+            sys.setswitchinterval(interval)
+        fields = len(ANALYSIS_CHANNELS) * len(TINY_ARCH.layer_shapes)
+        assert len(taken) == len(set(taken)) == fields
+        assert threaded == serial
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (4, 4), (16, 4)])
+    def test_one_worker_per_usable_cpu_up_to_the_cap(self, monkeypatch, cpus, workers):
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert analysis._worker_count() == workers
