@@ -253,62 +253,50 @@ def calibrate_epsilon(
     return None
 
 
-def _row_sums(data: np.ndarray, axis) -> np.ndarray:
-    """np.add.reduce(data, axis) with numpy's own bits, one sum per neuron row.
-
-    For axis (0, 2) numpy sums each step's cols pairwise, then adds the steps
-    in order; the two reduces below do the same with less work.  A one-row
-    block is one flat run of values to numpy, summed pairwise as a whole.
-    """
-    if axis == (0, 2) and data.shape[1] > 1:
-        return np.add.reduce(np.add.reduce(data, axis=2), axis=0)
-    return np.add.reduce(data, axis=axis)
-
-
-def _std_in_place(data: np.ndarray, axis) -> np.ndarray:
-    """np.std(data, axis) computed in data's own memory, which it overwrites.
-
-    The steps are numpy's own (_methods._var, then sqrt), ufunc for ufunc, so
-    the bits are np.std's, without its temporary copy of data - mean.  axis
-    is 0 for a (T, rows) block and (0, 2) for a (T, rows, cols) one.
-    """
-    mean = _row_sums(data, axis)
-    count = data.size // mean.size
+def _std_in_place(data: np.ndarray) -> np.ndarray:
+    """np.std of each row of a 2-D data, computed in data's own memory, which
+    it overwrites.  The steps are numpy's own (_methods._var, then sqrt),
+    ufunc for ufunc, and each row is one contiguous run of values, so each
+    gets the bits of np.std(row), without its temporary copy of row - mean."""
+    count = data.shape[1]
+    mean = np.add.reduce(data, axis=1)
     mean /= count
-    np.subtract(data, mean if axis == 0 else mean[:, None], out=data)
+    np.subtract(data, mean[:, None], out=data)
     np.square(data, out=data)
-    var = _row_sums(data, axis)
+    var = np.add.reduce(data, axis=1)
     var /= count
     return np.sqrt(var, out=var)
 
 
 def _channel_spreads(f: np.ndarray, mode: str, work: np.ndarray) -> np.ndarray:
     """Spread of each neuron row of one f32 channel series f, (T, rows) or
-    (T, rows, cols), widened to f64 in work a few rows at a time.
+    (T, rows, cols), computed in work a few rows at a time.
 
-    Each row gets the bits of np.std over the whole widened channel, except
-    that numpy sums a one-row block as one flat run of values.  So a chunk of
-    a channel with two or more rows holds at least two: a lone last row is
-    taken together with the row before it.
+    A chunk of rows is widened to f64 neuron-major, (rows, T, cols), and in
+    delta mode differenced into a second region of work, (rows, T - 1, cols).
+    So each neuron's pooled values are one contiguous row, and its spread has
+    the bits of spread(neuron_delta_series(...)), or in raw mode of np.std of
+    its widened values, at any chunk size.  One row that outgrows work gets a
+    buffer of its own.
     """
-    steps = len(f) - 1 if mode == "delta" else len(f)
-    rows = f.shape[1]
-    row_items = steps * math.prod(f.shape[2:])
-    chunk = min(rows, max(2, work.size // row_items))
-    if chunk * row_items > work.size:  # two rows outgrow the budget on long runs
+    length, rows = f.shape[:2]
+    steps = length - 1 if mode == "delta" else length
+    cols = math.prod(f.shape[2:])
+    row_items = (length + steps if mode == "delta" else length) * cols
+    chunk = min(rows, max(1, work.size // row_items))
+    if chunk * row_items > work.size:
         work = np.empty(chunk * row_items)
-    axis = (0, 2) if f.ndim == 3 else 0
     spreads = np.empty(rows)
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
-        start = max(min(start, stop - 2), 0)
-        part = work[: (stop - start) * row_items].reshape((steps, stop - start) + f.shape[2:])
+        n = stop - start
+        wide = work[: n * length * cols].reshape((n, length) + f.shape[2:])
+        np.copyto(np.moveaxis(wide, 0, 1), f[:, start:stop])
+        data = wide
         if mode == "delta":
-            # dtype widens before subtracting: a f32 difference would round
-            np.subtract(f[1:, start:stop], f[:-1, start:stop], out=part, dtype=np.float64)
-        else:
-            part[...] = f[:, start:stop]
-        spreads[start:stop] = _std_in_place(part, axis)
+            data = work[n * length * cols : n * row_items].reshape((n, steps) + f.shape[2:])
+            np.subtract(wide[:, 1:], wide[:, :-1], out=data)
+        spreads[start:stop] = _std_in_place(data.reshape(n, steps * cols))
     return spreads
 
 
@@ -325,10 +313,11 @@ def _field_spreads(fields: list[np.ndarray], mode: str) -> list[np.ndarray]:
     The calling thread takes a share too, so on one CPU no thread starts.
     Fields are handed out one at a time, largest first, and each is computed
     whole by one thread, so the bits do not depend on the thread count or on
-    scheduling.  numpy releases the GIL in the casting subtract and in the
-    reductions.  An error in any share is raised here once every thread has
-    stopped, and no thread outlives the call.  Threads run nothing but
-    _channel_spreads: a traced function must not run off the calling thread.
+    scheduling.  numpy releases the GIL in the widening copy, the subtract
+    and the reductions.  An error in any share is raised here once every
+    thread has stopped, and no thread outlives the call.  Threads run nothing
+    but _channel_spreads: a traced function must not run off the calling
+    thread.
     """
     pending = iter(sorted(range(len(fields)), key=lambda i: fields[i].size, reverse=True))
     lock = threading.Lock()

@@ -430,7 +430,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"cannot read config: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("cannot read config: config file must hold a JSON object")

@@ -82,9 +82,13 @@ class RunManifest:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunManifest":
-        if d["format_version"] != FORMAT_VERSION:
+        version = d["format_version"]
+        # 1.0 and true equal 1 in Python; neither is an integer version
+        if isinstance(version, bool) or not isinstance(version, int):
+            raise ValueError(f"format_version must be an integer, got {version!r}")
+        if version != FORMAT_VERSION:
             raise ValueError(
-                f"format version {d['format_version']!r}; this reader reads version {FORMAT_VERSION}"
+                f"format version {version!r}; this reader reads version {FORMAT_VERSION}"
             )
         for section in ("config", "architecture"):
             if not isinstance(d[section], dict):
@@ -311,7 +315,8 @@ def _read_manifest(stream) -> RunManifest:
         raise RunFormatError("truncated manifest region")
     try:
         return RunManifest.from_json_dict(json.loads(region[:length]))
-    except (ValueError, KeyError, TypeError) as exc:  # TypeError: not a JSON object
+    # TypeError: not a JSON object; RecursionError: nested too deep to parse
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise RunFormatError(f"unreadable manifest: {exc}") from exc
 
 

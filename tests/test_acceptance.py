@@ -11,8 +11,11 @@ tests/test_acceptance.py` to see the verdict lines.
 
 import hashlib
 import io
+import multiprocessing
+import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,56 +40,72 @@ def verdict(number: int, description: str, ok: bool) -> bool:
     return ok
 
 
+def _study_cell(base, pair, lr):
+    """Train one (seed pair, learning rate) cell of the study and reduce it to
+    the quantities the criteria assert on.  Its run file, if any, is deleted
+    as soon as its statistics are extracted."""
+    data_seed, init_seed = pair
+    cfg = RunConfig(
+        shape=ShapeKind.SPIRAL,
+        learning_rate=lr,
+        epochs=EPOCHS,
+        data_seed=data_seed,
+        init_seed=init_seed,
+    )
+    if lr == 0.001:
+        _, loss = train(cfg, None)  # ordering only needs the loss
+        return {"loss": loss}
+    path = base / f"{data_seed}_{lr}.nfl"
+    cell = {"loss": train_run_to_file(cfg, path)}
+    with RunAccessor(path) as acc:
+        report = analyze_run(acc)
+        cell["act_inactive"] = int(report.channels["activations"].inactive.sum())
+        if pair == SEED_PAIRS[0] and lr == 0.01:
+            cell["snapshots"] = len(acc)
+            weights = report.channels["weights"]
+            cell["weights_spreads"] = weights.spreads
+            cell["weights_inactive_default"] = int(weights.inactive.sum())
+            cell["hist_sums"] = {
+                half: sum(report.channels["weights"].halves[half].hist_counts)
+                for half in ("encoder", "decoder")
+            }
+            cell["grad_vs_weight_medians"] = (
+                float(np.median(report.channels["weight_grads"].spreads)),
+                float(np.median(report.channels["weights"].spreads)),
+            )
+            raw = analyze_run(acc, mode="raw")
+            cell["grad_vs_weight_medians_raw"] = (
+                float(np.median(raw.channels["weight_grads"].spreads)),
+                float(np.median(raw.channels["weights"].spreads)),
+            )
+    path.unlink()
+    return cell
+
+
 @pytest.fixture(scope="module")
 def spiral_study(tmp_path_factory):
     """Full 1000-epoch spiral runs over the documented seed pairs, reduced to
-    the quantities the criteria assert on.  Run files are deleted as soon as
-    their statistics are extracted."""
+    the quantities the criteria assert on.  The 15 cells run in one worker
+    process per usable CPU, each started fresh ("spawn": a fork would copy
+    this process's BLAS threads); a cell's numbers depend only on its seeds
+    and learning rate."""
     base = tmp_path_factory.mktemp("acceptance")
     study = {
         "losses": {},  # (pair, lr) -> final loss
         "act_inactive": {},  # (pair, lr) -> activation-channel inactive count
     }
+    keys = [(pair, lr) for pair in SEED_PAIRS for lr in (0.01, 0.001, 0.0001)]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(len(os.sched_getaffinity(0)), mp_context=spawn) as pool:
+        futures = {key: pool.submit(_study_cell, base, *key) for key in keys}
+    for key, future in futures.items():
+        cell = future.result()
+        study["losses"][key] = cell.pop("loss")
+        if "act_inactive" in cell:
+            study["act_inactive"][key] = cell.pop("act_inactive")
+        study.update(cell)  # the first pair's lr 0.01 cell carries the rest
     for pair in SEED_PAIRS:
         data_seed, init_seed = pair
-        for lr in (0.01, 0.001, 0.0001):
-            cfg = RunConfig(
-                shape=ShapeKind.SPIRAL,
-                learning_rate=lr,
-                epochs=EPOCHS,
-                data_seed=data_seed,
-                init_seed=init_seed,
-            )
-            if lr == 0.001:
-                _, loss = train(cfg, None)  # ordering only needs the loss
-                study["losses"][(pair, lr)] = loss
-                continue
-            path = base / f"{data_seed}_{lr}.nfl"
-            loss = train_run_to_file(cfg, path)
-            study["losses"][(pair, lr)] = loss
-            with RunAccessor(path) as acc:
-                report = analyze_run(acc)
-                act_inactive = report.channels["activations"].inactive
-                study["act_inactive"][(pair, lr)] = int(act_inactive.sum())
-                if pair == SEED_PAIRS[0] and lr == 0.01:
-                    study["snapshots"] = len(acc)
-                    weights = report.channels["weights"]
-                    study["weights_spreads"] = weights.spreads
-                    study["weights_inactive_default"] = int(weights.inactive.sum())
-                    study["hist_sums"] = {
-                        half: sum(report.channels["weights"].halves[half].hist_counts)
-                        for half in ("encoder", "decoder")
-                    }
-                    study["grad_vs_weight_medians"] = (
-                        float(np.median(report.channels["weight_grads"].spreads)),
-                        float(np.median(report.channels["weights"].spreads)),
-                    )
-                    raw = analyze_run(acc, mode="raw")
-                    study["grad_vs_weight_medians_raw"] = (
-                        float(np.median(raw.channels["weight_grads"].spreads)),
-                        float(np.median(raw.channels["weights"].spreads)),
-                    )
-            path.unlink()
         net = init(ArchitectureSpec(), init_seed)
         pts = generate(ShapeKind.SPIRAL, 500, data_seed)
         study.setdefault("initial_losses", {})[pair] = mse(pts, forward(net, pts).output)

@@ -298,7 +298,7 @@ class TestAnalyzeRun:
                 assert stats.spreads.shape == (TINY_ARCH.total_neurons,)
                 for (layer, index), s in zip(neuron_keys(TINY_ARCH), stats.spreads):
                     deltas = neuron_delta_series(acc, layer, index, ch)
-                    assert abs(s - spread(deltas)) <= 1e-15
+                    assert s == spread(deltas)
                 assert np.array_equal(stats.inactive, stats.spreads < report.epsilon)
         flagged = sum(int(report.channels[ch].inactive.sum()) for ch in ANALYSIS_CHANNELS)
         assert 0 < flagged < len(ANALYSIS_CHANNELS) * TINY_ARCH.total_neurons
@@ -393,19 +393,26 @@ def spiral_run(path, epochs=30):
         writer.finalize(complete=True)
 
 
+def per_neuron_std(series, mode):
+    """np.std of each neuron's pooled values in a (T, rows) or (T, rows, cols)
+    series: widened to f64, differenced over time in delta mode, then the
+    neuron's (steps, cols) values raveled into one flat sequence."""
+    data = series.astype(np.float64)
+    data = np.diff(data, axis=0) if mode == "delta" else data
+    return np.array([np.std(data[:, r].ravel()) for r in range(data.shape[1])])
+
+
 def per_field_spreads(acc, mode):
-    """Spreads by the per-field formula: each channel's series stacked from the
-    snapshots (widened to f64), differenced in delta mode, then .std over time
-    and, for weight channels, over the incoming weights."""
+    """Spreads by the per-neuron definition: each channel's series stacked
+    from the snapshots, then per_neuron_std of each layer."""
     snaps = list(acc)
     spreads = {}
     for ch in ANALYSIS_CHANNELS:
         storage = "activation_means" if ch == "activations" else ch
-        per_layer = []
-        for layer in range(len(acc.manifest.architecture.layer_shapes)):
-            series = np.stack([snapshot_channel(s, storage)[layer] for s in snaps])
-            data = np.diff(series, axis=0) if mode == "delta" else series
-            per_layer.append(data.std(axis=(0, 2) if data.ndim == 3 else 0))
+        per_layer = [
+            per_neuron_std(np.stack([snapshot_channel(s, storage)[layer] for s in snaps]), mode)
+            for layer in range(len(acc.manifest.architecture.layer_shapes))
+        ]
         spreads[ch] = np.concatenate(per_layer)
     return spreads
 
@@ -417,15 +424,26 @@ def f64_bytes(values) -> bytes:
 class TestAnalyzeOracle:
     @pytest.mark.parametrize("mode", ["delta", "raw"])
     @pytest.mark.parametrize("make_run", [inexact_run, spiral_run], ids=["tiny", "spiral"])
-    def test_report_equals_per_field_formula_bit_for_bit(self, tmp_path, make_run, mode):
+    def test_report_equals_per_field_formula_bit_for_bit(
+        self, tmp_path, monkeypatch, make_run, mode
+    ):
         path = tmp_path / "run.nfl"
         make_run(path)
         with RunAccessor(path) as acc:
             reference = per_field_spreads(acc, mode)
             # the median spread flags some neurons and leaves others
             epsilon = float(np.median(np.concatenate(list(reference.values()))))
-            report = analyze_run(acc, epsilon=epsilon, mode=mode)
+            reports = []
+            # one-row chunks and the default buffer, on one thread and on three
+            for budget, workers in itertools.product([8, analysis.SPREAD_BUFFER_BYTES], [1, 3]):
+                monkeypatch.setattr(analysis, "SPREAD_BUFFER_BYTES", budget)
+                monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
+                reports.append(analyze_run(acc, epsilon=epsilon, mode=mode))
             arch = acc.manifest.architecture
+        for report in reports[1:]:
+            for ch, expected in reference.items():
+                assert f64_bytes(report.channels[ch].spreads) == f64_bytes(expected)
+        report = reports[0]
         flagged = 0
         for ch, expected in reference.items():
             stats = report.channels[ch]
@@ -453,14 +471,21 @@ def f32_series(ndim):
     )
 
 
+def neuron_major(series):
+    """A (T, rows[, cols]) series widened to f64 as one row per neuron, each
+    neuron's (T, cols) values raveled in order."""
+    wide = series.astype(np.float64)
+    return np.ascontiguousarray(np.moveaxis(wide, 1, 0)).reshape(wide.shape[1], -1)
+
+
 class TestSpreadsInPlace:
-    @pytest.mark.parametrize("ndim, axis", [(2, 0), (3, (0, 2))])
+    @pytest.mark.parametrize("ndim", [2, 3])
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_std_in_place_equals_np_std_bit_for_bit(self, ndim, axis, data):
-        x = data.draw(f32_series(ndim)).astype(np.float64)
-        expected = np.std(x, axis=axis)
-        assert analysis._std_in_place(x.copy(), axis).tobytes() == expected.tobytes()
+    def test_std_in_place_equals_np_std_bit_for_bit(self, ndim, data):
+        f = data.draw(f32_series(ndim))
+        expected = per_neuron_std(f, "raw")
+        assert analysis._std_in_place(neuron_major(f)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", ["delta", "raw"])
     @pytest.mark.parametrize("ndim", [2, 3])
@@ -468,11 +493,10 @@ class TestSpreadsInPlace:
     @settings(max_examples=100, deadline=None)
     def test_chunked_spreads_equal_whole_channel_std(self, mode, ndim, data):
         """Whatever the buffer size, every row gets the bits of np.std over the
-        whole widened channel."""
+        neuron's whole pooled series, as spread(neuron_delta_series(...))."""
         f = data.draw(f32_series(ndim))
-        work = np.empty(data.draw(st.integers(1, f.size)))
-        whole = np.diff(f.astype(np.float64), axis=0) if mode == "delta" else f.astype(np.float64)
-        expected = np.std(whole, axis=(0, 2) if ndim == 3 else 0)
+        work = np.empty(data.draw(st.integers(1, 2 * f.size)))
+        expected = per_neuron_std(f, mode)
         assert analysis._channel_spreads(f, mode, work).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode", ["delta", "raw"])
@@ -488,7 +512,7 @@ class TestSpreadsInPlace:
             return canonical_json_bytes(report.to_json_dict()), report.neuron_csv()
 
         default = report_bytes()
-        monkeypatch.setattr(analysis, "SPREAD_BUFFER_BYTES", 8)  # two-row chunks
+        monkeypatch.setattr(analysis, "SPREAD_BUFFER_BYTES", 8)  # one-row chunks
         assert report_bytes() == default
 
     @pytest.mark.parametrize("cols", [32, 64, 129, 300])
@@ -499,11 +523,13 @@ class TestSpreadsInPlace:
         rng = np.random.default_rng(rows * 1000 + cols)
         f = rng.normal(0.0, 3.0, size=(41, rows, cols)).astype(np.float32)
         raw = f.astype(np.float64)
-        for mode, whole in (("raw", raw), ("delta", np.diff(raw, axis=0))):
-            expected = np.std(whole, axis=(0, 2)).tobytes()
-            assert analysis._std_in_place(whole.copy(), (0, 2)).tobytes() == expected
+        # a row of work holds T values per col, and T - 1 deltas more in delta mode
+        for mode, whole, per_col in (("raw", raw, 41), ("delta", np.diff(raw, axis=0), 81)):
+            expected = np.array([np.std(whole[:, r].ravel()) for r in range(rows)]).tobytes()
+            assert analysis._std_in_place(neuron_major(whole)).tobytes() == expected
             # three-row chunks: a five-row field ends in a two-row chunk
-            assert analysis._channel_spreads(f, mode, np.empty(3 * cols * 41)).tobytes() == expected
+            work = np.empty(3 * per_col * cols)
+            assert analysis._channel_spreads(f, mode, work).tobytes() == expected
 
 
 class TestSpreadWorkers:

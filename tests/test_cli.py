@@ -13,7 +13,7 @@ from conftest import edit_manifest
 import fluctlab
 import fluctlab.cli as cli
 from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main, train_run_to_file
-from fluctlab.runfile import RunAccessor
+from fluctlab.runfile import MAGIC, MANIFEST_REGION, RunAccessor
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import RunConfig, TrainingDivergedError, snapshot_count
 
@@ -44,7 +44,9 @@ def two_runs(tmp_path_factory):
     return paths
 
 
-UNANALYZABLE = ["one_snapshot", "incomplete", "not_a_run_file"]
+UNANALYZABLE = ["one_snapshot", "incomplete", "not_a_run_file", "manifest_nested_too_deep"]
+# JSON nested deeper than the interpreter's recursion limit
+TOO_DEEP = b"[" * 1500
 
 
 def unanalyzable_run(path, defect):
@@ -56,6 +58,9 @@ def unanalyzable_run(path, defect):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
                 train_run_to_file(cfg, path)
+    elif defect == "manifest_nested_too_deep":
+        header = MAGIC + len(TOO_DEEP).to_bytes(4, "little")
+        path.write_bytes(header + TOO_DEEP.ljust(MANIFEST_REGION, b" "))
     else:
         path.write_text("x,y\n0.5,0.5\n")
     return path
@@ -209,6 +214,14 @@ class TestAnalyze:
         assert run_cli(["analyze", "--run", str(run)]) == 2
         assert key in capsys.readouterr().err
         assert [p.name for p in run.parent.iterdir()] == ["x.nfl"]
+
+    def test_manifest_nested_too_deep_exits_2_before_writing(self, tmp_path, capsys):
+        run = unanalyzable_run(tmp_path / "deep.nfl", "manifest_nested_too_deep")
+        outdir = tmp_path / "an"
+        argv = ["analyze", "--run", str(run), "--json", str(outdir / "r.json")]
+        assert run_cli(argv + ["--csv", str(outdir / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable manifest: ")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "0"], ["--bins", "0"]])
     def test_bad_analysis_setting_exits_2_before_writing(self, two_runs, tmp_path, flags, capsys):
@@ -603,9 +616,10 @@ class TestAll:
         assert not outdir.exists()
 
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
-        cfg_path = tmp_path / "plan.json"
+        cfg_path, deep_path = tmp_path / "plan.json", tmp_path / "deep.json"
         cfg_path.write_text("[1, 2]")
-        for path in (cfg_path, tmp_path / "missing.json"):
+        deep_path.write_bytes(TOO_DEEP)
+        for path in (cfg_path, deep_path, tmp_path / "missing.json"):
             assert run_cli(["all", "--config", str(path), "--outdir", str(tmp_path / "o")]) == 2
             assert capsys.readouterr().err.startswith("error: cannot read config: ")
         assert not (tmp_path / "o").exists()

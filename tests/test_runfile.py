@@ -520,6 +520,9 @@ class TestErrors:
             # a section that is not a JSON object
             (None, "config", 5),
             (None, "architecture", []),
+            # each equals 1 in Python, the one version read
+            (None, "format_version", True),
+            (None, "format_version", 1.0),
         ],
     )
     def test_manifest_value_of_the_wrong_type(self, tmp_path, section, key, value):
