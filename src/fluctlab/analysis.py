@@ -30,7 +30,6 @@ from .net import ArchitectureSpec
 from .runfile import RunAccessor
 
 ANALYSIS_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
-_STORAGE_NAME = {"activations": "activation_means"}
 
 HALVES = ("encoder", "decoder")
 
@@ -227,7 +226,7 @@ def neuron_delta_series(run: RunAccessor, layer: int, index: int, channel: str) 
     layers = len(run.manifest.architecture.layer_shapes)
     if not 0 <= layer < layers:
         raise ValueError(f"layer {layer} out of range [0, {layers})")
-    series = run.frames()[f"{_STORAGE_NAME.get(channel, channel)}{layer}"]
+    series = run.frames()[f"{channel}{layer}"]
     rows = series.shape[1]
     if not 0 <= index < rows:
         raise ValueError(f"neuron index {index} out of range [0, {rows})")
@@ -373,12 +372,11 @@ def analyze_run(
     arch = run.manifest.architecture
     frames = run.frames()
     layers = range(len(arch.layer_shapes))
-    names = [f"{_STORAGE_NAME.get(ch, ch)}{layer}" for ch in ANALYSIS_CHANNELS for layer in layers]
+    names = [f"{ch}{layer}" for ch in ANALYSIS_CHANNELS for layer in layers]
     field_spreads = dict(zip(names, _field_spreads([frames[name] for name in names], mode)))
     channels: dict[str, ChannelStats] = {}
     for ch in ANALYSIS_CHANNELS:
-        storage = _STORAGE_NAME.get(ch, ch)
-        spreads = np.concatenate([field_spreads[f"{storage}{layer}"] for layer in layers])
+        spreads = np.concatenate([field_spreads[f"{ch}{layer}"] for layer in layers])
         inactive = detect_inactive(spreads, epsilon)
         halves: dict[str, HalfStats] = {}
         for half, part in half_slices(arch).items():

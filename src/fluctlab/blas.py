@@ -14,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import functools
 
+import numpy  # noqa: F401 - loads the OpenBLAS that _openblas looks for
+
 # (set threads, get threads, kernel name) of the scipy-openblas wheels numpy
 # ships with (64- and 32-bit integers), then of a system OpenBLAS
 _SYMBOLS = (
@@ -26,7 +28,8 @@ _SYMBOLS = (
 
 @functools.cache
 def _openblas():
-    """(set, get, corename) functions of the OpenBLAS numpy has loaded, or None."""
+    """(set, get, corename) functions of the OpenBLAS numpy has loaded, or None;
+    the maps are scanned on the first call only."""
     import ctypes
 
     try:

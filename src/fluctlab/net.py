@@ -156,10 +156,6 @@ class ForwardTrace:
     parts: list[np.ndarray]
 
     @property
-    def latent(self) -> np.ndarray:
-        return self.post[self.spec.encoder_layer_count - 1]
-
-    @property
     def output(self) -> np.ndarray:
         return self.post[-1]
 
@@ -178,30 +174,25 @@ def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
     return net
 
 
-def _as_batch(inputs, in_dim: int) -> np.ndarray:
-    arr = np.asarray(inputs, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != in_dim:
-        raise ValueError(f"expected inputs of shape (n, {in_dim}), got {arr.shape}")
-    return arr
-
-
 def forward(net: NetworkState, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the full encoder/decoder chain; the trace keeps every activation.
 
-    `inputs` is (n, 2) (a single (2,) point is promoted to a 1-row batch).
-    Raises NumericOverflowError naming the first layer that produces a
-    non-finite value.  A trace `out` of the same geometry and batch size is
-    overwritten and returned; otherwise a new trace is allocated.  Layer k is
-    one product of its input buffer with [W_k | b_k], into the next buffer.
+    `inputs` is (n, in_dim), in_dim the first layer's width: (n, 2) for the
+    default geometry.  Raises NumericOverflowError naming the first layer
+    that produces a non-finite value.  A trace `out` of the same geometry and
+    batch size is overwritten and returned; otherwise a new trace is
+    allocated.  Layer k is one product of its input buffer with [W_k | b_k],
+    into the next buffer.
     """
-    x = _as_batch(inputs, net.spec.layer_shapes[0][0])
+    spec, x = net.spec, np.asarray(inputs, dtype=np.float64)
+    in_dim = spec.layer_shapes[0][0]
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ValueError(f"expected inputs of shape (n, {in_dim}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
-    spec, n = net.spec, len(x)
+    n = len(x)
     if out is None or out.spec != spec or len(out.buffers[0]) != n:
-        buffers = [np.ones((n, width + 1)) for width in (spec.layer_shapes[0][0], *spec.out_dims)]
+        buffers = [np.ones((n, width + 1)) for width in (in_dim, *spec.out_dims)]
         row_grads = [np.empty((n, out_dim)) for out_dim in spec.out_dims]
         parts = [np.empty((n // GRADIENT_BLOCK_ROWS, o, i + 1)) for i, o in spec.layer_shapes]
         out = ForwardTrace(spec, buffers, [b[:, :-1] for b in buffers[1:]], row_grads, parts)
@@ -239,8 +230,6 @@ def backward(
     weight and bias gradients, written into its block of the flat gradient.
     """
     t = np.asarray(targets, dtype=np.float64)
-    if t.ndim == 1:
-        t = t.reshape(1, -1)
     if trace.spec != net.spec or t.shape != trace.output.shape:
         raise ValueError(f"targets {t.shape} or the trace do not match the network")
     if out is None or out.shape != net.theta.shape or out.dtype != np.float64:

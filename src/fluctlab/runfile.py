@@ -11,14 +11,14 @@ Layout (all integers little-endian, no padding between fields):
 
     frame      one packed record of frame_layout(architecture): u32 payload
                length, u32 epoch, f64 loss, then per layer the raw f32
-               weights, biases, weight_grads, bias_grads and
-               activation_means, matrices row-major
+               weights, biases, weight_grads, bias_grads and activations
+               (the mean activations), matrices row-major
 
 All frames of a run have that record's size, so frame i starts at
 DATA_START + i * itemsize.  The reader reads every frame of a run at open,
 in one read of the frame region, into one record array whose fields are the
-channels' series.  Writer and reader map a snapshot's flat values to a
-frame's f32 payload by one gather index.
+channels' series.  Writing a snapshot, and widening a frame back into one,
+maps a snapshot's flat values to a frame's f32 payload by one gather index.
 
 The manifest region is rewritten on finalize to set the actual snapshot
 count and the complete flag, so a crashed run is detectable.  Values are
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,7 +48,7 @@ FORMAT_VERSION = 1
 FRAME_HEAD = np.dtype([("length", "<u4"), ("epoch", "<u4"), ("loss", "<f8")])
 HEADER_BYTES = FRAME_HEAD.fields["loss"][1]
 
-STORAGE_CHANNELS = ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
+STORAGE_CHANNELS = ("weights", "biases", "weight_grads", "bias_grads", "activations")
 
 
 class RunFormatError(Exception):
@@ -114,26 +115,31 @@ def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def frame_layout(arch: ArchitectureSpec) -> tuple[np.dtype, np.ndarray]:
+def frame_layout(arch: ArchitectureSpec) -> np.dtype:
     """One frame as a packed record: FRAME_HEAD, then per layer k the f32 fields
     {channel}{k} in STORAGE_CHANNELS order, shaped like layer k's views of the
-    snapshot: `layer_views` of theta and of grad, then its activation means.
-    Its itemsize is the frame size.  The f32 payload after the head holds
-    snapshot.values[index], where index is those views of value positions."""
+    snapshot: `layer_views` of theta and of grad, then its activations.  Its
+    itemsize is the frame size."""
+    fields = FRAME_HEAD.descr
+    for k, (in_dim, out_dim) in enumerate(arch.layer_shapes):
+        shapes = ((out_dim, in_dim), (out_dim,), (out_dim, in_dim), (out_dim,), (out_dim,))
+        fields += [(f"{name}{k}", "<f4", shape) for name, shape in zip(STORAGE_CHANNELS, shapes)]
+    return np.dtype(fields)
+
+
+def gather_index(arch: ArchitectureSpec) -> np.ndarray:
+    """The positions in snapshot.values of a frame's f32 payload, in
+    frame_layout's field order: the payload holds snapshot.values[index]."""
     positions = EpochSnapshot(0, 0.0, arch, np.arange(EpochSnapshot.length(arch)))
     # per channel in STORAGE_CHANNELS order, one view per layer
     channels = [
         *layer_views(positions.theta, arch),
         *layer_views(positions.grad, arch),
-        positions.activation_means,
+        positions.activations,
     ]
-    fields, index = FRAME_HEAD.descr, []
-    for k in range(len(arch.layer_shapes)):
-        for name, views in zip(STORAGE_CHANNELS, channels):
-            view = views[k]
-            fields.append((f"{name}{k}", "<f4", view.shape))
-            index.append(view.ravel())
-    return np.dtype(fields), np.concatenate(index)
+    return np.concatenate(
+        [views[k].ravel() for k in range(len(arch.layer_shapes)) for views in channels]
+    )
 
 
 class RunWriter:
@@ -143,9 +149,9 @@ class RunWriter:
 
     def __init__(self, destination: str | Path, manifest: RunManifest):
         self._manifest = manifest
-        frame, self._index = frame_layout(manifest.architecture)
+        self._index = gather_index(manifest.architecture)
         # One record, refilled by every append; its f32 payload follows the head.
-        self._record = np.zeros(1, dtype=frame)
+        self._record = np.zeros(1, dtype=frame_layout(manifest.architecture))
         self._payload = self._record.view(np.uint8)[FRAME_HEAD.itemsize :].view("<f4")
         self._record["length"] = self._record.itemsize - 4
         self._count = 0
@@ -231,7 +237,7 @@ class RunAccessor:
     def __init__(self, source: str | Path):
         with open(source, "rb", buffering=0) as stream:
             self.manifest = _read_manifest(stream)
-            self._frame, self._index = frame_layout(self.manifest.architecture)
+            self._frame = frame_layout(self.manifest.architecture)
             size = os.fstat(stream.fileno()).st_size - DATA_START
             count, tail = divmod(size, self._frame.itemsize)
             frames = np.zeros(count + (tail > 0), dtype=self._frame)
@@ -270,6 +276,11 @@ class RunAccessor:
 
     def __len__(self) -> int:
         return len(self._frames)
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        # built on the first snapshot(): it costs as much as the values it maps
+        return gather_index(self.manifest.architecture)
 
     def snapshot(self, index: int) -> EpochSnapshot:
         if not 0 <= index < len(self):

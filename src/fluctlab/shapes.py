@@ -129,24 +129,12 @@ def generate(kind: ShapeKind, count: int, seed: int) -> np.ndarray:
     return normalize_to_unit_box(sample_contour(kind, count, SplitMix64(seed)))
 
 
-class CsvWriteError(OSError):
-    """Raised when a CSV export fails mid-write; carries the bytes written so far."""
-
-    def __init__(self, bytes_written: int, cause: OSError):
-        super().__init__(f"dataset export failed after {bytes_written} bytes: {cause}")
-        self.bytes_written = bytes_written
-
-
 def export_csv(points: np.ndarray, destination: IO[str]) -> int:
     """Write `x,y` header plus one `%.8f,%.8f` row per point.
 
     Newline endings are `\\n`; returns the number of bytes written.
     """
-    written = 0
-    try:
-        written += destination.write("x,y\n")
-        for x, y in points:
-            written += destination.write(f"{x:.8f},{y:.8f}\n")
-    except OSError as exc:
-        raise CsvWriteError(written, exc) from exc
+    written = destination.write("x,y\n")
+    for x, y in points:
+        written += destination.write(f"{x:.8f},{y:.8f}\n")
     return written

@@ -95,7 +95,7 @@ class EpochSnapshot:
     """Everything captured for one epoch in one flat vector `values`: the
     post-step parameters `theta`, then the full-batch gradients `grad` that
     produced the step, then the post-step per-neuron mean activations in
-    layer order.  `theta`, `grad` and `activation_means` are views into it,
+    layer order.  `theta`, `grad` and `activations` are views into it,
     and per-layer views come from `layer_views` of `theta` or `grad`.
     `loss` is the post-step loss."""
 
@@ -121,7 +121,7 @@ class EpochSnapshot:
         return self.values[self.spec.parameter_count : 2 * self.spec.parameter_count]
 
     @property
-    def activation_means(self) -> list[np.ndarray]:
+    def activations(self) -> list[np.ndarray]:
         start = 2 * self.spec.parameter_count
         bounds = list(itertools.accumulate(self.spec.out_dims, initial=start))
         return [self.values[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -172,12 +172,6 @@ def adam_step(
     return net, opt
 
 
-def snapshot_count(epochs: int, capture_every: int) -> int:
-    """How many snapshots train() emits under its capture rule: epoch 1 and
-    every epoch e with e % capture_every == 0."""
-    return epochs // capture_every + (capture_every > 1)
-
-
 @one_thread()
 def train(
     config: RunConfig,
@@ -185,9 +179,10 @@ def train(
 ) -> tuple[NetworkState, float]:
     """Run the configured training and emit snapshots to the sink.
 
-    Snapshots are taken at every epoch e with e % capture_every == 0, plus
-    epoch 1 always, so delta series start at the first step.  Returns the
-    final network and the post-step loss of the last epoch.
+    Snapshots are taken at epoch 1, at the last epoch and at every epoch e
+    with e % capture_every == 0, so delta series start at the first step and
+    the file's last loss is the returned one.  Returns the final network and
+    the post-step loss of the last epoch.
 
     One forward before the loop traces the initial network; each epoch's
     post-step probe is the forward the next epoch's backward uses, so a run
@@ -217,11 +212,12 @@ def train(
         loss = mse(pts, trace.output)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch, f"loss is {loss}")
-        if capture_sink is not None and (epoch == 1 or epoch % config.capture_every == 0):
+        captured = epoch in (1, config.epochs) or epoch % config.capture_every == 0
+        if capture_sink is not None and captured:
             snap = EpochSnapshot(epoch, loss, net.spec, np.empty(EpochSnapshot.length(net.spec)))
             snap.theta[...] = net.theta
             snap.grad[...] = grad
-            for post, means in zip(trace.post, snap.activation_means):
+            for post, means in zip(trace.post, snap.activations):
                 np.matmul(ones, post, out=means)
                 means /= len(pts)
             capture_sink(snap)

@@ -49,8 +49,8 @@ def snapshot_channel(snap, name):
     """Per-layer views of a snapshot for one of the run file's channel names,
     derived from its flat vectors: `layer_views` of theta or of grad, or the
     activation means."""
-    if name == "activation_means":
-        return snap.activation_means
+    if name == "activations":
+        return snap.activations
     weights, biases = layer_views(snap.grad if name.endswith("_grads") else snap.theta, snap.spec)
     return weights if name.startswith("weight") else biases
 

@@ -274,7 +274,7 @@ def test_criterion_8_format_round_trips(tmp_path):
                 snapshot_channel(acc.snapshot(i), ch)[k], snapshot_channel(snaps[i], ch)[k]
             )
             for i in range(3)
-            for ch in ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
+            for ch in ("weights", "biases", "weight_grads", "bias_grads", "activations")
             for k in range(6)
         )
 

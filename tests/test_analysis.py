@@ -256,7 +256,7 @@ class TestDeltaSeries:
     def test_activations_channel_reads_probe_means(self, tmp_path):
         path = tmp_path / "act.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2)]
-        snaps[1].activation_means[2][0] = 4.0
+        snaps[1].activations[2][0] = 4.0
         write_run(make_manifest(epochs=2), snaps, path)
         with RunAccessor(path) as acc:
             deltas = neuron_delta_series(acc, 2, 0, "activations")
@@ -408,9 +408,8 @@ def per_field_spreads(acc, mode):
     snaps = list(acc)
     spreads = {}
     for ch in ANALYSIS_CHANNELS:
-        storage = "activation_means" if ch == "activations" else ch
         per_layer = [
-            per_neuron_std(np.stack([snapshot_channel(s, storage)[layer] for s in snaps]), mode)
+            per_neuron_std(np.stack([snapshot_channel(s, ch)[layer] for s in snaps]), mode)
             for layer in range(len(acc.manifest.architecture.layer_shapes))
         ]
         spreads[ch] = np.concatenate(per_layer)

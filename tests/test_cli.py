@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ import fluctlab.cli as cli
 from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main, train_run_to_file
 from fluctlab.runfile import MAGIC, MANIFEST_REGION, RunAccessor
 from fluctlab.shapes import ShapeKind
-from fluctlab.train import RunConfig, TrainingDivergedError, snapshot_count
+from fluctlab.train import RunConfig, TrainingDivergedError
 
 
 def run_cli(argv):
@@ -91,6 +93,21 @@ class TestGen:
         assert run_cli(["gen", "--shape", "circle", "--count", "10", "--seed", "1"]) == 0
         assert (tmp_path / "envout" / "circle_10_1.csv").exists()
 
+    def test_failed_write_exits_2_with_the_os_error(self, tmp_path, monkeypatch, capsys):
+        """A write that fails after the header ends gen with exit 2 and the
+        OS error's own message."""
+        error = OSError(errno.ENOSPC, "No space left on device")
+
+        class FullFile(io.StringIO):
+            def write(self, text):
+                if self.tell() > 0:
+                    raise error
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullFile(), raising=False)
+        assert run_cli(["gen", "--shape", "circle", "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
 
 class TestTrain:
     def test_smoke(self, tmp_path, capsys):
@@ -113,6 +130,24 @@ class TestTrain:
         assert code == 1
         with RunAccessor(out) as acc:
             assert acc.manifest.complete is False
+
+    def test_last_epoch_is_stored_when_capture_every_does_not_divide_epochs(
+        self, tmp_path, capsys
+    ):
+        """train's printed loss, the file's last loss and all's final_loss are
+        one value: the last epoch is captured whatever the stride."""
+        cell = ["--epochs", "10", "--capture-every", "3"]
+        run = tmp_path / "c.nfl"
+        assert run_cli(["train", "--shape", "circle", "--lr", "0.01", *cell, "--out", str(run)]) == 0
+        printed = float(capsys.readouterr().out.split("final_loss=")[1])
+        with RunAccessor(run) as acc:
+            assert [s.epoch for s in acc] == [1, 3, 6, 9, 10]
+            stored = float(acc.losses()[-1])
+        outdir = tmp_path / "all"
+        argv = ["all", "--shapes", "circle", "--lrs", "0.01", *cell, "--outdir", str(outdir)]
+        assert run_cli(argv) == 0
+        (entry,) = json.loads((outdir / "index.json").read_text())["entries"]
+        assert printed == stored == entry["final_loss"]
 
 
     @pytest.mark.parametrize(
@@ -499,10 +534,7 @@ class TestAll:
         assert "init_seed" in capsys.readouterr().err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--epochs", "1"], ["--epochs", "3", "--capture-every", "5"], ["--capture-every", "3"]],
-    )
+    @pytest.mark.parametrize("flags", [["--epochs", "1"]])
     def test_plan_keeping_fewer_than_2_snapshots_is_usage_error(self, tmp_path, flags, capsys):
         argv = ["all", "--shapes", "circle", "--lrs", "0.01", "--epochs", "2"]
         outdir = tmp_path / "few"
@@ -522,10 +554,11 @@ class TestAll:
                 path = tmp_path / f"{epochs}_{capture_every}.nfl"
                 train_run_to_file(cfg, path)
                 with RunAccessor(path) as acc:
-                    frames = len(acc)
-                assert snapshot_count(epochs, capture_every) == frames
+                    frames = [s.epoch for s in acc]
+                kept = {1, epochs, *range(capture_every, epochs + 1, capture_every)}
+                assert frames == sorted(kept)
                 settings = {"epochs": epochs, "capture_every": capture_every}
-                if frames >= 2:
+                if len(frames) >= 2:
                     ExperimentPlan(**settings)
                 else:
                     with pytest.raises(ValueError, match="snapshot"):

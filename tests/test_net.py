@@ -156,7 +156,7 @@ class TestForward:
         net = zero_net(ArchitectureSpec())
         trace = forward(net, np.array([[0.3, -0.8]]))
         assert np.all(trace.output == 0.0)
-        assert np.all(trace.latent == 0.0)
+        assert np.all(trace.post[net.spec.encoder_layer_count - 1] == 0.0)
 
     def test_unit_path_routes_first_component(self):
         # weights zero except a chain of 1.0 through neuron 0 of every layer;
@@ -240,7 +240,14 @@ class TestForward:
         arch = ArchitectureSpec()
         trace = forward(init(arch, 9), np.zeros((11, 2)))
         assert [p.shape for p in trace.post] == [(11, d) for d in arch.out_dims]
-        assert trace.latent.shape == (11, 1) and trace.output.shape == (11, 2)
+        assert trace.post[arch.encoder_layer_count - 1].shape == (11, 1)
+        assert trace.output.shape == (11, 2)
+
+    def test_single_point_is_refused(self):
+        """A (2,) point is not a batch: a (1, 2) array is."""
+        net = init(ArchitectureSpec(), 9)
+        with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2,\)"):
+            forward(net, np.zeros(2))
 
 
 class TestMse:
@@ -379,6 +386,13 @@ class TestBackward:
         trace = forward(other, batch)
         with pytest.raises(ValueError):
             backward(net, batch, trace)
+
+    def test_single_target_is_refused(self):
+        """(2,) targets do not match the trace of a (1, 2) batch."""
+        net = init(ArchitectureSpec(), 1)
+        trace = forward(net, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=r"targets \(2,\)"):
+            backward(net, np.zeros(2), trace)
 
     def test_shape_congruence(self):
         for arch in (GRADCHECK_ARCH, ArchitectureSpec()):

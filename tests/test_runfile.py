@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -67,7 +68,7 @@ def frame_bytes_oracle(snaps):
         channels = b"".join(
             snapshot_channel(snap, channel)[k].astype("<f4").tobytes()
             for k in range(len(snap.spec.layer_shapes))
-            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
+            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations")
         )
         expected += struct.pack("<IId", 12 + len(channels), snap.epoch, snap.loss) + channels
     return expected
@@ -94,7 +95,7 @@ def small_runs(draw):
 def paper_arch_payload_oracle():
     """Byte count built straight from the layer dimensions: epoch + loss header
     plus f32 channels (weights, biases, weight_grads, bias_grads,
-    activation_means) for each of the six layers."""
+    activations) for each of the six layers."""
     per_layer = (
         2 * (64 * 2 + 64)
         + 2 * (32 * 64 + 32)
@@ -143,7 +144,7 @@ class TestLayout:
         snaps = []
         for epoch, loss in ((2, 0.123456789012345), (7, 3.0e-5)):
             snap = make_snapshot(TINY_ARCH, epoch, loss, rng=rng)
-            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means"):
+            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations"):
                 for view in snapshot_channel(snap, channel):
                     view[...] = rng.normal(0, 2, size=view.shape)
             snaps.append(snap)
@@ -174,9 +175,9 @@ class TestLayout:
         biases{k} fields are the trained network's arrays rounded to f32, and
         the paper's frame keeps its size and field order, so older files read
         as the same weights and biases."""
-        frame, _ = runfile.frame_layout(ArchitectureSpec())
+        frame = runfile.frame_layout(ArchitectureSpec())
         assert frame.itemsize == 37_684
-        channels = ("weights", "biases", "weight_grads", "bias_grads", "activation_means")
+        channels = ("weights", "biases", "weight_grads", "bias_grads", "activations")
         fields = [f"{c}{k}" for k in range(6) for c in channels]
         assert frame.names == ("length", "epoch", "loss", *fields)
         manifest = make_manifest(arch=ArchitectureSpec(), epochs=3)
@@ -211,7 +212,7 @@ class TestRoundTrip:
                 got = acc.snapshot(i)
                 assert got.epoch == snap.epoch
                 assert got.loss == snap.loss
-                for channel in ("weights", "biases", "weight_grads", "bias_grads", "activation_means"):
+                for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations"):
                     pairs = zip(snapshot_channel(got, channel), snapshot_channel(snap, channel))
                     for a, b in pairs:
                         assert np.array_equal(a, b)
@@ -248,14 +249,9 @@ class TestAccess:
         write_synthetic_run(path, count=6, seed=3)
         with RunAccessor(path) as acc:
             full = list(acc)  # naive oracle: load everything sequentially
-            cases = (
-                (0, "weights", "weights", 3),
-                (4, "weight_grads", "weight_grads", 1),
-                (1, "biases", "biases", 2),
-                (3, "activations", "activation_means", 0),
-            )
-            for layer, channel, storage, idx in cases:
-                naive = np.stack([snapshot_channel(s, storage)[layer][idx] for s in full])
+            cases = ((0, "weights", 3), (4, "weight_grads", 1), (1, "biases", 2), (3, "activations", 0))
+            for layer, channel, idx in cases:
+                naive = np.stack([snapshot_channel(s, channel)[layer][idx] for s in full])
                 deltas = neuron_delta_series(acc, layer, idx, channel)
                 assert deltas.dtype == np.float64
                 assert deltas.tobytes() == np.diff(naive, axis=0).ravel().tobytes()
@@ -285,7 +281,7 @@ class TestAccess:
         with RunAccessor(path) as acc:
             frames = acc.frames()
             assert frames.shape == (4,)
-            assert frames.dtype == runfile.frame_layout(TINY_ARCH)[0]
+            assert frames.dtype == runfile.frame_layout(TINY_ARCH)
             assert frames["epoch"].tolist() == [s.epoch for s in written]
             assert frames["loss"].tolist() == [s.loss for s in written]
             for i in range(len(acc)):
@@ -319,6 +315,24 @@ class TestAccess:
             acc.snapshot(frames - 1)
             analyze_run(acc)
             assert counted.reads == 3
+
+    def test_open_allocates_for_the_file_not_the_claimed_architecture(self, tmp_path):
+        """A manifest-only file that claims two 3000-wide layers opens in under
+        1 MB: the gather index grows with the claimed widths (hundreds of MB
+        here), so only writing or widening a snapshot builds it."""
+        path = tmp_path / "wide.nfl"
+        write_run(make_manifest(), [], path)
+        wide = {"encoder_dims": [2, 3000, 3000, 1], "decoder_dims": [1, 2]}
+        edit_manifest(path, "architecture", wide)
+        assert path.stat().st_size == DATA_START
+        tracemalloc.start()
+        try:
+            with RunAccessor(path) as acc:
+                assert len(acc) == 0 and acc.manifest.complete
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_close_releases_the_frames(self, tmp_path):
         path = tmp_path / "rel.nfl"

@@ -1,11 +1,11 @@
 import copy
 import dataclasses
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import fluctlab.train as train_module
 from fluctlab.blas import one_thread
 from fluctlab.net import (
     ArchitectureSpec,
@@ -26,12 +26,8 @@ from fluctlab.train import (
     TrainingDivergedError,
     adam_step,
     init_optimizer,
-    snapshot_count,
     train,
 )
-
-# the module, not the `train` function that fluctlab's package namespace exports
-train_module = importlib.import_module("fluctlab.train")
 
 TINY = ArchitectureSpec(encoder_dims=(2, 4, 3, 1), decoder_dims=(1, 3, 4, 2))
 
@@ -293,7 +289,7 @@ class TestProbe:
         for snap in got:
             net = snapshot_network(snap)
             with one_thread():  # as train() runs, so the bits match on every kernel
-                means = zip(snap.activation_means, mean_activations(net, pts), forward(net, pts).post)
+                means = zip(snap.activations, mean_activations(net, pts), forward(net, pts).post)
             for a, b, p in means:
                 assert np.array_equal(a, b)
                 assert np.allclose(a, p.mean(axis=0), rtol=1e-12, atol=1e-15)
@@ -312,7 +308,7 @@ class TestTrain:
             shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=10, capture_every=3
         )
         train(cfg, got.append)
-        assert [s.epoch for s in got] == [1, 3, 6, 9]
+        assert [s.epoch for s in got] == [1, 3, 6, 9, 10]
 
     def test_every_epoch_captured(self):
         got = []
@@ -410,7 +406,7 @@ class TestTrain:
             actual = (
                 *layer_views(snap.theta, snap.spec),
                 *layer_views(snap.grad, snap.spec),
-                snap.activation_means,
+                snap.activations,
             )
             for want, have in zip(expected, actual):
                 assert len(want) == len(have) == len(net.blocks)
@@ -427,7 +423,7 @@ class TestTrain:
         assert not np.shares_memory(first.values, last.values)
         for snap in got:
             assert not np.shares_memory(snap.values, net.theta)
-            views = [snap.theta, snap.grad, *snap.activation_means]
+            views = [snap.theta, snap.grad, *snap.activations]
             assert all(a.base is snap.values for a in views)
 
     def test_snapshot_fields_cannot_be_rebound(self):
