@@ -242,14 +242,12 @@ def calibrate_epsilon(
     count_range, or None if no such threshold exists."""
     vals = np.sort(np.asarray(spread_values, dtype=np.float64))
     lo, hi = epsilon_range
-    candidates = [lo] + [
-        float(np.nextafter(v, np.inf)) for v in vals if lo <= np.nextafter(v, np.inf) <= hi
-    ] + [hi]
-    for eps in sorted(set(candidates)):
-        count = int(np.searchsorted(vals, eps, side="left"))
-        if count_range[0] <= count <= count_range[1]:
-            return eps
-    return None
+    # the count below eps changes only just above a spread value
+    above = np.nextafter(vals, np.inf)
+    candidates = np.unique(np.concatenate(([lo], above[(lo <= above) & (above <= hi)], [hi])))
+    counts = np.searchsorted(vals, candidates, side="left")
+    hits = np.flatnonzero((count_range[0] <= counts) & (counts <= count_range[1]))
+    return float(candidates[hits[0]]) if hits.size else None
 
 
 def _std_in_place(data: np.ndarray) -> np.ndarray:

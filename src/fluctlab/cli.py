@@ -98,7 +98,7 @@ class ExperimentPlan:
     created_utc: int = 0
 
     def __post_init__(self):
-        if self.shapes == "all":
+        if isinstance(self.shapes, str) and self.shapes.strip().lower() == "all":
             self.shapes = list(SHAPE_NAMES)
         self.shapes = _listed(self.shapes, "shapes", lambda name: ShapeKind.from_name(name).value)
         self.learning_rates = _listed(self.learning_rates, "learning_rates", float)
@@ -109,30 +109,21 @@ class ExperimentPlan:
         if type(self.parallelism) is not int or self.parallelism < 1:  # a bool is no count
             raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
         check_analysis_settings(self.epsilon, self.bins)
+        # each cell's RunConfig, in run order; a cell that cannot run is a bad
+        # plan: reject it before anything is written
+        self.cells = [
+            RunConfig(ShapeKind(s), lr, self.epochs, self.data_seed, self.init_seed, self.capture_every)
+            for s in self.shapes
+            for lr in self.learning_rates
+        ]
         # two cells with one artifact stem would write the same files
-        repeated = _duplicates(
-            [f"{s}_{_format_lr(lr)}" for s in self.shapes for lr in self.learning_rates]
-        )
+        repeated = _duplicates([_run_stem(cell) for cell in self.cells])
         if repeated:
             raise ValueError(f"plan repeats cells: {', '.join(repeated)}")
-        # a cell that cannot run is a bad plan: reject it before anything is written
-        for shape in self.shapes:
-            for lr in self.learning_rates:
-                self.run_config(shape, lr)
         # every cell is analysed in delta mode, which needs two snapshots;
         # train() keeps the first and the last epoch, so two epochs suffice
         if self.epochs < 2:
             raise ValueError(f"epochs {self.epochs} keeps 1 snapshot; analysis needs at least 2")
-
-    def run_config(self, shape: str, lr: float) -> RunConfig:
-        return RunConfig(
-            shape=ShapeKind(shape),
-            learning_rate=lr,
-            epochs=self.epochs,
-            data_seed=self.data_seed,
-            init_seed=self.init_seed,
-            capture_every=self.capture_every,
-        )
 
     def to_json_dict(self) -> dict:
         # parallelism is a scheduling knob, not an experiment parameter, so it
@@ -263,12 +254,11 @@ def write_comparisons(out_dir: Path, shape: str, entries: list[dict]) -> list[st
     return names
 
 
-def _execute_run(plan: ExperimentPlan, shape: str, lr: float) -> dict:
-    """Worker for one (shape, learning rate) cell; returns an index entry."""
-    entry = {"shape": shape, "learning_rate": lr, "status": "ok"}
+def _execute_run(plan: ExperimentPlan, config: RunConfig) -> dict:
+    """Worker for one cell of the plan; returns an index entry."""
+    entry = {"shape": config.shape.value, "learning_rate": config.learning_rate, "status": "ok"}
     out_dir = Path(plan.out_dir)
     try:
-        config = plan.run_config(shape, lr)
         run_path = out_dir / f"{_run_stem(config)}.nfl"
         train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name
@@ -286,16 +276,15 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     (index dict, exit code)."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(shape, lr) for shape in plan.shapes for lr in plan.learning_rates]
     if plan.parallelism > 1:
         # imported here: it costs about a tenth of the CLI's import time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            futures = [pool.submit(_execute_run, plan, shape, lr) for shape, lr in cells]
+            futures = [pool.submit(_execute_run, plan, cell) for cell in plan.cells]
             entries = [f.result() for f in futures]
     else:
-        entries = [_execute_run(plan, shape, lr) for shape, lr in cells]
+        entries = [_execute_run(plan, cell) for cell in plan.cells]
 
     comparison_figures = []
     for shape in plan.shapes:

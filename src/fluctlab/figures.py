@@ -4,8 +4,8 @@ with byte-deterministic output (no plotting library)."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from html import escape
 
 import numpy as np
 
@@ -60,15 +60,6 @@ def reconstruct(run: RunAccessor) -> ReconstructionResult:
     return ReconstructionResult(points, output, mse(points, output))
 
 
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
 def scatter_svg(result: ReconstructionResult, title: str) -> bytes:
     """Original vs reconstructed points on an equal-aspect [-1.2, 1.2]^2 frame.
 
@@ -98,7 +89,7 @@ def scatter_svg(result: ReconstructionResult, title: str) -> bytes:
         f'viewBox="0 0 {w} {h}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
         f'<text x="{w / 2:.1f}" y="28" text-anchor="middle" font-size="18" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
+        f'font-family="sans-serif">{escape(title)}</text>',
         f'<rect x="{ox:.2f}" y="{oy:.2f}" width="{side:.2f}" height="{side:.2f}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
@@ -123,12 +114,12 @@ def scatter_svg(result: ReconstructionResult, title: str) -> bytes:
         )
     lines.append(
         f'<text x="{ox + side / 2:.2f}" y="{oy + side + 36:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{_escape(SCATTER_X_LABEL)}</text>'
+        f'font-size="13" font-family="sans-serif">{escape(SCATTER_X_LABEL)}</text>'
     )
     lines.append(
         f'<text x="{ox - 40:.2f}" y="{oy + side / 2:.2f}" text-anchor="middle" '
         f'font-size="13" font-family="sans-serif" '
-        f'transform="rotate(-90 {ox - 40:.2f} {oy + side / 2:.2f})">{_escape(SCATTER_Y_LABEL)}</text>'
+        f'transform="rotate(-90 {ox - 40:.2f} {oy + side / 2:.2f})">{escape(SCATTER_Y_LABEL)}</text>'
     )
     for x, y in result.original:
         px, py = to_px(float(x), float(y))
@@ -174,7 +165,7 @@ def _hist_panel(
     )
     lines.append(
         f'<text x="{x0 + pw / 2:.2f}" y="{y0 - 6:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{_escape(caption)}</text>'
+        f'font-size="13" font-family="sans-serif">{escape(caption)}</text>'
     )
     degenerate = edges[0] == edges[-1]
     span = (edges[-1] - edges[0]) or 1.0
@@ -222,9 +213,9 @@ def hist_svg(report: FluctuationReport, channel: str, title: str) -> bytes:
         f'viewBox="0 0 {w} {h}">',
         '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
         f'<text x="{w / 2:.1f}" y="26" text-anchor="middle" font-size="17" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
+        f'font-family="sans-serif">{escape(title)}</text>',
         f'<text x="{w / 2:.1f}" y="{h - 14:.1f}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif">{_escape(HIST_X_LABEL)}</text>',
+        f'font-family="sans-serif">{escape(HIST_X_LABEL)}</text>',
     ]
     for i, (half, color) in enumerate(zip(HALVES, (ENCODER_COLOR, DECODER_COLOR))):
         hs = stats.halves[half]
@@ -285,35 +276,22 @@ def fluctuation_table(report: FluctuationReport) -> tuple[bytes, bytes]:
     )
 
 
-_SVG_SIZE_RE = re.compile(rb'<svg[^>]*?\swidth="(\d+)"[^>]*?\sheight="(\d+)"')
-
-
 def stack_svgs(children: list[bytes], title: str) -> bytes:
-    """Stack standalone SVG documents vertically into one composite SVG."""
+    """Stack hist_svg documents, each WIDTH x HEIGHT, vertically into one
+    composite SVG."""
     if not children:
         raise ValueError("nothing to stack")
-    sizes = []
-    for child in children:
-        m = _SVG_SIZE_RE.search(child)
-        if m is None:
-            raise ValueError("child SVG lacks integer width/height attributes")
-        sizes.append((int(m.group(1)), int(m.group(2))))
-    width = max(s[0] for s in sizes)
-    height = STACK_TITLE_HEIGHT + sum(s[1] for s in sizes)
+    height = STACK_TITLE_HEIGHT + len(children) * HEIGHT
     parts = [
         _XML_DECL
-        + f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="19" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
+        + f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="19" '
+        f'font-family="sans-serif">{escape(title)}</text>',
     ]
-    y = STACK_TITLE_HEIGHT
-    for child, (cw, ch) in zip(children, sizes):
-        body = child.decode("utf-8")
-        if body.startswith("<?xml"):
-            body = body[body.index("?>") + 2 :].lstrip()
-        body = body.replace("<svg ", f'<svg x="0" y="{y}" ', 1)
-        parts.append(body)
-        y += ch
+    for i, child in enumerate(children):
+        body = child.decode("utf-8").removeprefix(_XML_DECL)
+        y = STACK_TITLE_HEIGHT + i * HEIGHT
+        parts.append(body.replace("<svg ", f'<svg x="0" y="{y}" ', 1))
     parts.append("</svg>\n")
     return "\n".join(parts).encode("utf-8")

@@ -239,32 +239,36 @@ class RunAccessor:
             self.manifest = _read_manifest(stream)
             self._frame = frame_layout(self.manifest.architecture)
             size = os.fstat(stream.fileno()).st_size - DATA_START
-            count, tail = divmod(size, self._frame.itemsize)
-            frames = np.zeros(count + (tail > 0), dtype=self._frame)
-            got = stream.readinto(frames.view(np.uint8))
+            region = np.empty(size, dtype=np.uint8)
+            got = stream.readinto(region)
         if got < size:
             message = f"file shrank while opening: read {got} of {size} frame bytes"
             raise RunCorruptionError(message, got // self._frame.itemsize - 1)
-        self._check(frames, count, tail)
+        whole = size - size % self._frame.itemsize
+        frames = region[:whole].view(self._frame)
+        self._check(frames, region[whole:])
         frames.flags.writeable = False
         self._frames = frames
 
-    def _check(self, frames: np.ndarray, count: int, tail: int) -> None:
-        """Raise RunCorruptionError at the lowest faulty frame; at one frame a
-        wrong length comes first, then a cut tail, then an epoch that does not
-        increase.  Then check the manifest's count."""
+    def _check(self, frames: np.ndarray, tail: np.ndarray) -> None:
+        """Raise RunCorruptionError at the lowest faulty frame, the cut tail
+        last; at one frame a wrong length comes first, then a cut tail, then
+        an epoch that does not increase.  Then check the manifest's count."""
+        count = len(frames)
         need = self._frame.itemsize - 4
         # a cut tail that holds the two u32 fields still declares its length
-        lengths = frames["length"][: count + (tail >= HEADER_BYTES)]
-        epochs = frames["epoch"][:count]
+        lengths = frames["length"]
+        if tail.size >= HEADER_BYTES:
+            lengths = np.append(lengths, tail[:4].view("<u4"))
+        epochs = frames["epoch"]
         wrong = np.flatnonzero(lengths != need)
         repeats = np.flatnonzero(epochs[1:] <= epochs[:-1]) + 1
         i = int(min([*wrong[:1], *repeats[:1], count]))
         if wrong.size and wrong[0] == i:
             message = f"frame {i} declares {lengths[i]} payload bytes, architecture needs {need}"
             raise RunCorruptionError(message, i - 1)
-        if i == count and tail:
-            cut = "truncated frame header" if tail < HEADER_BYTES else f"frame {i} is cut short"
+        if i == count and tail.size:
+            cut = "truncated frame header" if tail.size < HEADER_BYTES else f"frame {i} is cut short"
             raise RunCorruptionError(cut, i - 1)
         if i < count:
             raise RunCorruptionError(f"epoch {epochs[i]} at frame {i} does not increase", i - 1)

@@ -208,6 +208,25 @@ class TestCalibrateEpsilon:
     def test_none_when_all_above_range(self):
         assert calibrate_epsilon(np.array([0.5, 0.7]), (1, 2), (1e-6, 1e-3)) is None
 
+    @given(
+        vals=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2e-3)), max_size=30),
+        bounds=st.tuples(st.floats(0.0, 2e-3), st.floats(0.0, 2e-3)).map(sorted),
+        low=st.integers(0, 12),
+        width=st.integers(0, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_scan_of_its_candidates(self, vals, bounds, low, width):
+        """The first of lo, hi and each value's next float up inside [lo, hi],
+        in ascending order, that leaves between low and low + width values
+        below it."""
+        lo, hi = bounds
+        above = [math.nextafter(v, math.inf) for v in vals]
+        candidates = sorted({lo, hi, *(a for a in above if lo <= a <= hi)})
+        scan = (eps for eps in candidates if low <= sum(v < eps for v in vals) <= low + width)
+        expected = next(scan, None)
+        got = calibrate_epsilon(np.array(vals), (low, low + width), (lo, hi))
+        assert got == expected and type(got) is type(expected)
+
 
 def ramp_run(path, count=3):
     """Snapshots whose every stored value equals the epoch number."""

@@ -511,7 +511,7 @@ class TestAll:
         outdir = tmp_path / "dup"
         code = run_cli(argv + cells + ["--outdir", str(outdir)])
         assert code == 2
-        assert "circle_0.01" in capsys.readouterr().err
+        assert "plan repeats cells: circle_0.01_2" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize(
@@ -591,6 +591,42 @@ class TestAll:
         assert tree_hashes(mixed) == tree_hashes(lower)
         out = capsys.readouterr().out
         assert out.count("spiral lr=0.01: ok") == 2
+
+    @pytest.mark.parametrize("shapes", ["all", " ALL", "All ", "aLL"])
+    def test_all_keyword_matches_like_shape_names(self, shapes):
+        plan = ExperimentPlan(shapes=shapes, learning_rates=[0.01], epochs=2)
+        assert plan.shapes == list(SHAPE_NAMES) and len(plan.shapes) == 8
+
+    def test_all_keyword_flag_reaches_the_plan_checks(self, tmp_path, capsys):
+        # a one-epoch plan is refused after its shapes are read, before training
+        argv = ["all", "--shapes", "ALL", "--lrs", "0.01", "--epochs", "1"]
+        assert run_cli(argv + ["--outdir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown shape" not in err and "analysis needs at least 2" in err
+
+    def test_all_keyword_inside_a_list_is_an_unknown_shape(self):
+        with pytest.raises(ValueError, match="unknown shape 'all'"):
+            ExperimentPlan(shapes=["all"])
+
+    def test_cells_are_the_configs_the_plan_trains(self, tmp_path, monkeypatch):
+        plan = ExperimentPlan(
+            shapes="spiral,circle", learning_rates="0.01,0.001", epochs=3, data_seed=2,
+            init_seed=7, capture_every=2, out_dir=str(tmp_path),
+        )
+        shapes, lrs = (ShapeKind.SPIRAL, ShapeKind.CIRCLE), (0.01, 0.001)
+        assert plan.cells == [RunConfig(s, lr, 3, 2, 7, 2) for s in shapes for lr in lrs]
+        assert "cells" not in plan.to_json_dict()
+        trained = []
+
+        def refuse(config, path, created_utc):
+            trained.append(config)
+            raise RuntimeError("not trained")
+
+        monkeypatch.setattr(cli, "train_run_to_file", refuse)
+        index, code = cli.run_plan(plan)
+        assert code == 1
+        assert [e["error"] for e in index["entries"]] == ["RuntimeError: not trained"] * 4
+        assert len(trained) == 4 and all(t is c for t, c in zip(trained, plan.cells))
 
     @pytest.mark.parametrize(
         "config",

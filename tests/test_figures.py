@@ -233,3 +233,35 @@ class TestStackSvgs:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stack_svgs([], title="t")
+
+    def test_places_each_child_below_the_last(self, frozen_run):
+        report = analyze_file(frozen_run)
+        children = [hist_svg(report, ch, ch) for ch in ("weights", "biases", "activations")]
+        stacked = stack_svgs(children, title="three")
+        assert stacked.count(b"<?xml") == 1
+        root = ET.fromstring(stacked)
+        assert (root.attrib["width"], root.attrib["height"]) == ("800", str(34 + 3 * 600))
+        nested = [(c.attrib["x"], c.attrib["y"]) for c in root if c.tag.endswith("svg")]
+        assert nested == [("0", "34"), ("0", "634"), ("0", "1234")]
+
+
+TITLE_TO_ESCAPE = 'a & b < c > d "e"'
+
+
+class TestEscapedTitles:
+    def assert_title_escaped(self, blob: bytes):
+        assert b"a &amp; b &lt; c &gt; d &quot;e&quot;" in blob
+        assert_well_formed_svg(blob)
+        root = ET.fromstring(blob)
+        assert TITLE_TO_ESCAPE in [t.text for t in root.iter() if t.tag.endswith("text")]
+
+    def test_scatter_svg(self):
+        result = ReconstructionResult(np.array([[0.5, 0.5]]), np.array([[0.1, -0.2]]), 0.1)
+        self.assert_title_escaped(scatter_svg(result, TITLE_TO_ESCAPE))
+
+    def test_hist_svg(self, frozen_run):
+        self.assert_title_escaped(hist_svg(analyze_file(frozen_run), "weights", TITLE_TO_ESCAPE))
+
+    def test_stack_svgs(self, frozen_run):
+        child = hist_svg(analyze_file(frozen_run), "weights", "w")
+        self.assert_title_escaped(stack_svgs([child, child], TITLE_TO_ESCAPE))

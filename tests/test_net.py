@@ -243,6 +243,12 @@ class TestForward:
         assert trace.post[arch.encoder_layer_count - 1].shape == (11, 1)
         assert trace.output.shape == (11, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_are_refused(self, bad):
+        net = init(ArchitectureSpec(), 9)
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            forward(net, np.array([[0.5, 0.5], [bad, 0.1]]))
+
     def test_single_point_is_refused(self):
         """A (2,) point is not a batch: a (1, 2) array is."""
         net = init(ArchitectureSpec(), 9)

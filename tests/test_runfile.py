@@ -334,6 +334,26 @@ class TestAccess:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
 
+    def test_open_of_a_cut_tail_allocates_for_the_file(self, tmp_path):
+        """The same file with 10 bytes after the manifest: the cut tail's
+        length is read from its own bytes, not from a frame of the claimed
+        size (about 72 MB here), and is refused in under 1 MB."""
+        path = tmp_path / "wide_tail.nfl"
+        write_run(make_manifest(), [], path)
+        wide = {"encoder_dims": [2, 3000, 3000, 1], "decoder_dims": [1, 2]}
+        edit_manifest(path, "architecture", wide)
+        with open(path, "ab") as fh:
+            fh.write(bytes(10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RunCorruptionError, match="frame 0 declares 0 payload bytes") as err:
+                RunAccessor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.last_valid_index == -1
+        assert peak < 1 << 20, peak
+
     def test_close_releases_the_frames(self, tmp_path):
         path = tmp_path / "rel.nfl"
         write_synthetic_run(path, count=3)
@@ -375,6 +395,22 @@ class TestErrors:
         path = tmp_path / "bad.nfl"
         path.write_bytes(b"ROOT" + b"\0" * 100)
         with pytest.raises(RunFormatError):
+            RunAccessor(path)
+
+    def test_manifest_length_beyond_its_region(self, tmp_path):
+        path = tmp_path / "long.nfl"
+        write_synthetic_run(path, count=1)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (MANIFEST_REGION + 1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(RunFormatError, match=f"manifest length {MANIFEST_REGION + 1} exceeds"):
+            RunAccessor(path)
+
+    def test_file_cut_inside_the_manifest_region(self, tmp_path):
+        path = tmp_path / "cut.nfl"
+        write_synthetic_run(path, count=1)
+        path.write_bytes(path.read_bytes()[: DATA_START - 1])
+        with pytest.raises(RunFormatError, match="truncated manifest region"):
             RunAccessor(path)
 
     def test_truncated_frame_names_last_snapshot(self, tmp_path):
@@ -593,6 +629,16 @@ class TestErrors:
             with pytest.raises(RunFormatError, match="architecture"):
                 writer.append(wrong)
         writer.finalize(complete=False)
+
+    def test_append_after_finalize_is_refused(self, tmp_path):
+        path = tmp_path / "done.nfl"
+        rng = np.random.default_rng(0)
+        writer = RunWriter(path, make_manifest())
+        writer.append(make_snapshot(TINY_ARCH, 1, 0.5, rng=rng))
+        size = writer.finalize(complete=True)
+        with pytest.raises(RunFormatError, match="writer already finalized"):
+            writer.append(make_snapshot(TINY_ARCH, 2, 0.4, rng=rng))
+        assert path.stat().st_size == size
 
     def test_unfinalized_writer_leaves_incomplete_flag(self, tmp_path):
         path = tmp_path / "crash.nfl"

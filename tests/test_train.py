@@ -10,6 +10,7 @@ from fluctlab.blas import one_thread
 from fluctlab.net import (
     ArchitectureSpec,
     NetworkState,
+    NumericOverflowError,
     backward,
     forward,
     init,
@@ -354,6 +355,17 @@ class TestTrain:
                 train(cfg, None)
         assert err.value.epoch == 1
         assert "loss is inf" in str(err.value)
+
+    def test_overflow_in_the_probe_forward_names_epoch_and_cause(self):
+        """At lr 1e60 the first step's weights overflow the post-step forward
+        pass, before any loss is computed."""
+        cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=1e60, epochs=50, data_seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                train(cfg, None)
+        assert err.value.epoch == 1
+        assert isinstance(err.value.__cause__, NumericOverflowError)
+        assert str(err.value) == f"run aborted at epoch 1: {err.value.__cause__}"
 
     def test_divergence_before_first_step_names_epoch_one(self, monkeypatch):
         def overflowing_init(spec, seed):
