@@ -19,7 +19,6 @@ when a report is written out.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import ArchitectureSpec
+from .rng import check_integer, check_positive
 from .runfile import RunAccessor
 
 ANALYSIS_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
@@ -167,14 +167,9 @@ def spread_of_spread(spreads: np.ndarray) -> float:
 
 def check_analysis_settings(epsilon: float, bins: int = DEFAULT_BINS) -> None:
     """Reject an inactivity threshold that is not positive and finite (NaN
-    would flag no neuron and write invalid JSON) or a bin count below 1.  A
-    bool (a JSON true or false) is neither."""
-    if isinstance(epsilon, bool) or not (
-        isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0.0
-    ):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if isinstance(bins, bool) or not (isinstance(bins, numbers.Integral) and bins >= 1):
-        raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
+    would flag no neuron and write invalid JSON) or a bin count below 1."""
+    check_positive(epsilon, "epsilon")
+    check_integer(bins, "bins", 1)
 
 
 def check_analyzable(run: RunAccessor, mode: str = "delta") -> None:
@@ -199,8 +194,7 @@ def histogram(spreads: np.ndarray, bins: int) -> tuple[list[float], list[int]]:
     """Uniform bins over [0, max spread]; bins are left-closed, right-open,
     with the last bin closed.  All-zero spreads collapse to one degenerate
     bin, as does a range too small to subdivide on the float64 grid."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    check_integer(bins, "bins", 1)
     vals = np.asarray(spreads, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("histogram of an empty sequence is undefined")

@@ -34,6 +34,7 @@ from .figures import (
     stack_svgs,
 )
 from .net import ArchitectureSpec
+from .rng import check_integer
 from .runfile import RunAccessor, RunFormatError, RunManifest, RunWriter, canonical_json_bytes
 from .shapes import ShapeKind, export_csv, generate
 from .train import DEFAULT_LEARNING_RATES, TRAIN_SAMPLE_COUNT, RunConfig, TrainingDivergedError, train
@@ -77,7 +78,8 @@ def _listed(value, key: str, item) -> list:
         raise ValueError(f"{key} entries must not be true or false, got {value!r}")
     try:
         return [item(entry) for entry in entries]
-    except (TypeError, ValueError) as exc:
+    # OverflowError: float() of an int past the float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
@@ -106,8 +108,7 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one shape and one learning rate")
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
-        if type(self.parallelism) is not int or self.parallelism < 1:  # a bool is no count
-            raise ValueError(f"parallelism must be an integer >= 1, got {self.parallelism!r}")
+        check_integer(self.parallelism, "parallelism", 1)
         check_analysis_settings(self.epsilon, self.bins)
         # each cell's RunConfig, in run order; a cell that cannot run is a bad
         # plan: reject it before anything is written
@@ -276,11 +277,13 @@ def run_plan(plan: ExperimentPlan) -> tuple[dict, int]:
     (index dict, exit code)."""
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if plan.parallelism > 1:
+    # a fork pool starts all its workers at the first submit: one per cell at most
+    workers = min(plan.parallelism, len(plan.cells))
+    if workers > 1:
         # imported here: it costs about a tenth of the CLI's import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_execute_run, plan, cell) for cell in plan.cells]
             entries = [f.result() for f in futures]
     else:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, is_integer
 
 ENCODER_DIMS = (2, 64, 32, 1)
 DECODER_DIMS = (1, 32, 64, 2)
@@ -50,10 +50,10 @@ class ArchitectureSpec:
     def __post_init__(self):
         for name in ("encoder_dims", "decoder_dims"):
             dims = getattr(self, name)
-            # not int(d): it takes 64.9, "64" or true as a size, and tuple() a string's digits
-            if not isinstance(dims, (tuple, list)) or any(type(d) is not int for d in dims):
+            # checked before int(d), which takes 64.9, "64" or true as a size
+            if not isinstance(dims, (tuple, list)) or not all(map(is_integer, dims)):
                 raise ValueError(f"{name} must be a list of integers, got {dims!r}")
-            object.__setattr__(self, name, tuple(dims))
+            object.__setattr__(self, name, tuple(int(d) for d in dims))
         if len(self.encoder_dims) < 2 or len(self.decoder_dims) < 2:
             raise ValueError("each half needs at least one layer")
         if any(d < 1 for d in self.encoder_dims + self.decoder_dims):

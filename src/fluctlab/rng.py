@@ -16,10 +16,14 @@ Doubles are derived from the top 53 bits: (z >> 11) * 2**-53, uniform in
 [0, 1).  Values are drawn as arrays: a draw of `count` outputs mixes the
 states state + k * 0x9E3779B97F4A7C15 (mod 2^64) for k = 1..count, then
 advances the state by count times that constant, so it is the same stream.
+
+Every setting, from a flag, a config file or a manifest, meets one of two
+rules here: `check_integer` (as does a seed) or `check_positive`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -31,10 +35,33 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+def is_integer(value) -> bool:
+    """An integral number that is not a bool: a JSON true or false is no number."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer(value, name: str, low: int | None = None) -> None:
+    """Reject a value that is not an integer, or that is below low when given."""
+    if not (is_integer(value) and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_positive(value, name: str) -> None:
+    """Reject a value that is not a real number, finite as a float and > 0;
+    a bool is none, and an int past the float range is not finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # math.isfinite of an int past the float range
+        finite = False
+    if not (finite and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def check_seed(value, name: str = "seed") -> None:
-    """Reject a seed that is not an integer in 0..2^64-1; a bool is none."""
-    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not (integer and 0 <= value <= SEED_MAX):
+    """Reject a seed that is not an integer in 0..2^64-1."""
+    if not (is_integer(value) and 0 <= value <= SEED_MAX):
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 

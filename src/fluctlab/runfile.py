@@ -37,6 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .net import ArchitectureSpec, layer_views
+from .rng import check_integer
 from .train import EpochSnapshot, RunConfig
 
 MAGIC = b"NFL1"
@@ -84,9 +85,7 @@ class RunManifest:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunManifest":
         version = d["format_version"]
-        # 1.0 and true equal 1 in Python; neither is an integer version
-        if isinstance(version, bool) or not isinstance(version, int):
-            raise ValueError(f"format_version must be an integer, got {version!r}")
+        check_integer(version, "format_version")  # 1.0 and true equal 1, but are no version
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"format version {version!r}; this reader reads version {FORMAT_VERSION}"
@@ -95,13 +94,10 @@ class RunManifest:
             if not isinstance(d[section], dict):
                 raise ValueError(f"{section} must be a JSON object, got {d[section]!r}")
         count, complete, created = d["snapshot_count"], d["complete"], d["created_utc"]
-        # a JSON true or false is not a number, and a string is neither
-        if isinstance(count, bool) or not (isinstance(count, int) and count >= 0):
-            raise ValueError(f"snapshot_count must be an integer >= 0, got {count!r}")
+        check_integer(count, "snapshot_count", 0)
         if not isinstance(complete, bool):
             raise ValueError(f"complete must be true or false, got {complete!r}")
-        if isinstance(created, bool) or not isinstance(created, int):
-            raise ValueError(f"created_utc must be an integer, got {created!r}")
+        check_integer(created, "created_utc")
         return cls(
             config=RunConfig.from_json_dict(d["config"]),
             architecture=ArchitectureSpec.from_json_dict(d["architecture"]),
@@ -236,8 +232,7 @@ class RunAccessor:
 
     def __init__(self, source: str | Path):
         with open(source, "rb", buffering=0) as stream:
-            self.manifest = _read_manifest(stream)
-            self._frame = frame_layout(self.manifest.architecture)
+            self.manifest, self._frame = _read_manifest(stream)
             size = os.fstat(stream.fileno()).st_size - DATA_START
             region = np.empty(size, dtype=np.uint8)
             got = stream.readinto(region)
@@ -318,7 +313,8 @@ class RunAccessor:
         self.close()
 
 
-def _read_manifest(stream) -> RunManifest:
+def _read_manifest(stream) -> tuple[RunManifest, np.dtype]:
+    """The manifest and its frame_layout; a fault in either is a RunFormatError."""
     head = stream.read(8)
     if len(head) < 8 or head[:4] != MAGIC:
         raise RunFormatError(f"not a run file: expected magic {MAGIC!r}")
@@ -329,7 +325,9 @@ def _read_manifest(stream) -> RunManifest:
     if len(region) < MANIFEST_REGION:
         raise RunFormatError("truncated manifest region")
     try:
-        return RunManifest.from_json_dict(json.loads(region[:length]))
+        manifest = RunManifest.from_json_dict(json.loads(region[:length]))
+        # numpy refuses a layer size or a frame past a C int with a ValueError
+        return manifest, frame_layout(manifest.architecture)
     # TypeError: not a JSON object; RecursionError: nested too deep to parse
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise RunFormatError(f"unreadable manifest: {exc}") from exc

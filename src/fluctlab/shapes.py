@@ -22,7 +22,7 @@ from typing import IO
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, check_integer
 
 
 class ShapeKind(enum.Enum):
@@ -96,8 +96,7 @@ def polygon_point(vertices: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def sample_contour(kind: ShapeKind, count: int, rng: SplitMix64) -> np.ndarray:
     """Raw contour samples before box normalization, from one draw: (count, 2)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_integer(count, "count", 1)
     if kind is ShapeKind.CIRCLE:
         return circle_point(rng.uniform(0.0, 2.0 * math.pi, count))
     if kind is ShapeKind.SPIRAL:

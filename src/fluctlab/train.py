@@ -12,16 +12,14 @@ trace feeds the next backward: a run makes epochs + 1 forwards.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .blas import one_thread
 from .net import ArchitectureSpec, NetworkState, backward, forward, init, layer_blocks, mse
-from .rng import check_seed
+from .rng import check_integer, check_positive, check_seed
 from .shapes import ShapeKind, generate
 
 TRAIN_SAMPLE_COUNT = 500
@@ -53,41 +51,21 @@ class RunConfig:
     capture_every: int = 1
 
     def __post_init__(self):
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not (
-            isinstance(lr, numbers.Real) and math.isfinite(lr) and lr > 0.0
-        ):
-            raise ValueError(f"learning_rate must be positive and finite, got {lr!r}")
+        check_positive(self.learning_rate, "learning_rate")
         for name in ("data_seed", "init_seed"):
             check_seed(getattr(self, name), name)
         for name in ("epochs", "capture_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_integer(getattr(self, name), name, 1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "shape": self.shape.value,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "data_seed": self.data_seed,
-            "init_seed": self.init_seed,
-            "adam": dict(ADAM_JSON),
-            "capture_every": self.capture_every,
-        }
+        return {**asdict(self), "shape": self.shape.value, "adam": dict(ADAM_JSON)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
         if d["adam"] != ADAM_JSON:
             raise ValueError(f"adam settings {d['adam']!r} differ from the trainer's {ADAM_JSON!r}")
-        return cls(
-            shape=ShapeKind(d["shape"]),
-            learning_rate=d["learning_rate"],
-            epochs=d["epochs"],
-            data_seed=d["data_seed"],
-            init_seed=d["init_seed"],
-            capture_every=d["capture_every"],
-        )
+        values = {f.name: d[f.name] for f in fields(cls)}
+        return cls(**{**values, "shape": ShapeKind(d["shape"])})
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import errno
 import hashlib
 import io
@@ -237,7 +238,8 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "section, key, value",
         [("config", "learning_rate", True), ("config", "learning_rate", "0.01"),
-         (None, "snapshot_count", "30"), ("architecture", "encoder_dims", [2, 64.9, 32, True])],
+         (None, "snapshot_count", "30"), ("architecture", "encoder_dims", [2, 64.9, 32, True]),
+         pytest.param("config", "learning_rate", 10**400, id="lr-past-the-float-range")],
     )
     def test_mistyped_manifest_exits_2_before_writing(
         self, two_runs, tmp_path, section, key, value, capsys
@@ -257,6 +259,17 @@ class TestAnalyze:
         assert run_cli(argv + ["--csv", str(outdir / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: unreadable manifest: ")
         assert not outdir.exists()
+
+    def test_manifest_with_layers_past_a_c_int_exits_2_before_writing(
+        self, two_runs, tmp_path, capsys
+    ):
+        run = tmp_path / "wide" / "x.nfl"
+        run.parent.mkdir()
+        run.write_bytes(two_runs[0.01].read_bytes())
+        edit_manifest(run, "encoder_dims", [2, 2**40, 2**40, 1], "architecture")
+        assert run_cli(["analyze", "--run", str(run)]) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable manifest: ")
+        assert [p.name for p in run.parent.iterdir()] == ["x.nfl"]
 
     @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "0"], ["--bins", "0"]])
     def test_bad_analysis_setting_exits_2_before_writing(self, two_runs, tmp_path, flags, capsys):
@@ -467,6 +480,35 @@ class TestAll:
         assert run_cli(base + ["--outdir", str(d2), "--parallelism", "2"]) == 0
         assert tree_hashes(d1) == tree_hashes(d2)
 
+    def test_pool_starts_at_most_one_worker_per_cell(self, tmp_path, monkeypatch):
+        # a fork pool starts all max_workers processes at its first submit, so
+        # a pool is never asked for more workers than the plan has cells
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        base = ["all", "--lrs", "0.01", "--epochs", "2", "--parallelism", "500"]
+        assert run_cli(base + ["--shapes", "circle,triangle", "--outdir", str(tmp_path / "two")]) == 0
+        assert sizes == [2]
+        # one cell runs in this process, with no pool
+        assert run_cli(base + ["--shapes", "circle", "--outdir", str(tmp_path / "one")]) == 0
+        assert sizes == [2]
+        assert (tmp_path / "one" / "circle_0.01_2.nfl").exists()
+
     def test_failed_cell_recorded_and_others_continue(self, tmp_path):
         outdir = tmp_path / "fail"
         with np.errstate(over="ignore", invalid="ignore"):
@@ -652,6 +694,9 @@ class TestAll:
             {"epsilon": True},
             {"parallelism": True},
             {"learning_rates": [True]},
+            # integers past the float range are not finite
+            {"epsilon": 10**400},
+            {"learning_rates": [10**400]},
         ],
     )
     def test_bad_config_key_is_usage_error(self, tmp_path, config, capsys):

@@ -573,6 +573,8 @@ class TestErrors:
             # each equals 1 in Python, the one version read
             (None, "format_version", True),
             (None, "format_version", 1.0),
+            # an int past the float range is not finite
+            pytest.param("config", "learning_rate", 10**400, id="lr-past-the-float-range"),
         ],
     )
     def test_manifest_value_of_the_wrong_type(self, tmp_path, section, key, value):
@@ -583,6 +585,14 @@ class TestErrors:
             assert acc.manifest.created_utc == 7 and len(acc) == 3
         edit_manifest(path, key, value, section)
         with pytest.raises(RunFormatError, match=key):
+            RunAccessor(path)
+
+    def test_layer_sizes_past_a_c_int(self, tmp_path):
+        # numpy cannot build the frame record; opening says so as a format error
+        path = tmp_path / "wide.nfl"
+        write_synthetic_run(path, count=3)
+        edit_manifest(path, "encoder_dims", [2, 2**40, 2**40, 1], "architecture")
+        with pytest.raises(RunFormatError, match="unreadable manifest: .*C int"):
             RunAccessor(path)
 
     def test_manifest_that_is_not_a_json_object(self, tmp_path):

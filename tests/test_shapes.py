@@ -91,10 +91,9 @@ class TestGenerate:
         assert not np.array_equal(a, b)
 
     def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            generate(ShapeKind.CIRCLE, 0, 1)
-        with pytest.raises(ValueError):
-            generate(ShapeKind.CIRCLE, -5, 1)
+        for count in (0, -5, True, 2.0, "5"):  # a bool is no count
+            with pytest.raises(ValueError, match="count must be an integer >= 1"):
+                generate(ShapeKind.CIRCLE, count, 1)
 
     def test_polygon_membership(self):
         # raw contour samples must sit on an edge of the ideal inscribed n-gon
