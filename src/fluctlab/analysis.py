@@ -165,11 +165,11 @@ def spread_of_spread(spreads: np.ndarray) -> float:
     return float(np.std(np.sort(vals)))
 
 
-def check_analysis_settings(epsilon: float, bins: int = DEFAULT_BINS) -> None:
+def check_analysis_settings(epsilon: float, bins: int = DEFAULT_BINS) -> tuple[float, int]:
     """Reject an inactivity threshold that is not positive and finite (NaN
-    would flag no neuron and write invalid JSON) or a bin count below 1."""
-    check_positive(epsilon, "epsilon")
-    check_integer(bins, "bins", 1)
+    would flag no neuron and write invalid JSON) or a bin count below 1;
+    return both as Python numbers."""
+    return check_positive(epsilon, "epsilon"), check_integer(bins, "bins", 1)
 
 
 def check_analyzable(run: RunAccessor, mode: str = "delta") -> None:
@@ -359,7 +359,7 @@ def analyze_run(
     """
     if mode not in ("delta", "raw"):
         raise ValueError(f"mode must be 'delta' or 'raw', got {mode!r}")
-    check_analysis_settings(epsilon, bins)
+    epsilon, bins = check_analysis_settings(epsilon, bins)
     check_analyzable(run, mode)
     arch = run.manifest.architecture
     frames = run.frames()

@@ -108,8 +108,8 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one shape and one learning rate")
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
-        check_integer(self.parallelism, "parallelism", 1)
-        check_analysis_settings(self.epsilon, self.bins)
+        self.parallelism = check_integer(self.parallelism, "parallelism", 1)
+        self.epsilon, self.bins = check_analysis_settings(self.epsilon, self.bins)
         # each cell's RunConfig, in run order; a cell that cannot run is a bad
         # plan: reject it before anything is written
         self.cells = [
@@ -117,6 +117,10 @@ class ExperimentPlan:
             for s in self.shapes
             for lr in self.learning_rates
         ]
+        # the cells' rules passed; record the Python numbers they store
+        cell = self.cells[0]
+        self.epochs, self.capture_every = cell.epochs, cell.capture_every
+        self.data_seed, self.init_seed = cell.data_seed, cell.init_seed
         # two cells with one artifact stem would write the same files
         repeated = _duplicates([_run_stem(cell) for cell in self.cells])
         if repeated:
@@ -184,7 +188,7 @@ def measure_run(acc: RunAccessor, epsilon: float, bins: int) -> tuple:
     """What write_summary needs of one open run: its RunConfig, its
     FluctuationReport, its ReconstructionResult and its final loss."""
     report = analyze_run(acc, epsilon=epsilon, bins=bins)
-    return acc.manifest.config, report, reconstruct(acc), float(acc.losses()[-1])
+    return acc.manifest.config, report, reconstruct(acc), float(acc.frames()["loss"][-1])
 
 
 def write_summary(measured: tuple, out_dir: Path) -> dict:
@@ -392,7 +396,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if len(shapes) > 1:
             raise ValueError(f"runs mix shapes {sorted(shapes)}")
         report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins)
-        runs.append((report, float(acc.losses()[-1]), _inactive_counts(report)))
+        runs.append((report, float(acc.frames()["loss"][-1]), _inactive_counts(report)))
     best_mse = min(runs, key=lambda run: run[1])[0]
     most_engaged = min(runs, key=lambda run: run[2]["activations"])[0]
     print(f"shape: {shapes.pop()}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, check_analyzable, half_slices
 from .blas import one_thread
-from .net import NetworkState, forward, mse
+from .net import NetworkState, forward, layer_views, mse
 from .runfile import RunAccessor
 from .shapes import generate
 from .train import TRAIN_SAMPLE_COUNT
@@ -50,12 +50,16 @@ class ReconstructionResult:
 @one_thread()
 def reconstruct(run: RunAccessor) -> ReconstructionResult:
     """Load the final network from an open, complete run file and reconstruct
-    the run's training set."""
+    the run's training set.  The network's weights and biases are the last
+    frame's weights{k} and biases{k} fields, widened to f64."""
     check_analyzable(run, "raw")
-    cfg = run.manifest.config
+    cfg, spec = run.manifest.config, run.manifest.architecture
     points = generate(cfg.shape, TRAIN_SAMPLE_COUNT, cfg.data_seed)
-    net = NetworkState(run.manifest.architecture)
-    net.theta[...] = run.snapshot(len(run) - 1).theta
+    net = NetworkState(spec)
+    last = run.frames()[-1]
+    for k, (weights, biases) in enumerate(zip(*layer_views(net.theta, spec))):
+        weights[...] = last[f"weights{k}"]
+        biases[...] = last[f"biases{k}"]
     output = forward(net, points).output
     return ReconstructionResult(points, output, mse(points, output))
 

@@ -40,16 +40,19 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_integer(value, name: str, low: int | None = None) -> None:
-    """Reject a value that is not an integer, or that is below low when given."""
+def check_integer(value, name: str, low: int | None = None) -> int:
+    """Reject a value that is not an integer, or that is below low when given;
+    return it as a Python int (a numpy integer is no JSON number)."""
     if not (is_integer(value) and (low is None or value >= low)):
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
-def check_positive(value, name: str) -> None:
+def check_positive(value, name: str) -> float:
     """Reject a value that is not a real number, finite as a float and > 0;
-    a bool is none, and an int past the float range is not finite."""
+    a bool is none, and an int past the float range is not finite.  Return
+    it as a Python float."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         finite = real and math.isfinite(value)
@@ -57,12 +60,15 @@ def check_positive(value, name: str) -> None:
         finite = False
     if not (finite and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
-def check_seed(value, name: str = "seed") -> None:
-    """Reject a seed that is not an integer in 0..2^64-1."""
+def check_seed(value, name: str = "seed") -> int:
+    """Reject a seed that is not an integer in 0..2^64-1; return it as a
+    Python int."""
     if not (is_integer(value) and 0 <= value <= SEED_MAX):
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+    return int(value)
 
 
 class SplitMix64:
@@ -71,13 +77,13 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        check_seed(seed)
-        self._state = int(seed)
+        self._state = check_seed(seed)
 
     def next_u64(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint64 array."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
+        count = int(count)  # a numpy count would overflow count * _GAMMA
         # uint64 array arithmetic wraps mod 2^64
         z = np.uint64(self._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self._state = (self._state + count * _GAMMA) & _MASK64

@@ -17,12 +17,12 @@ Layout (all integers little-endian, no padding between fields):
 All frames of a run have that record's size, so frame i starts at
 DATA_START + i * itemsize.  The reader reads every frame of a run at open,
 in one read of the frame region, into one record array whose fields are the
-channels' series.  Writing a snapshot, and widening a frame back into one,
-maps a snapshot's flat values to a frame's f32 payload by one gather index.
+channels' series.  Writing a snapshot maps its flat values to a frame's f32
+payload by one gather index.
 
 The manifest region is rewritten on finalize to set the actual snapshot
 count and the complete flag, so a crashed run is detectable.  Values are
-stored as f32; readers widen back to f64.
+stored as f32; a reader widens a frame field to f64 where it needs to.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -226,8 +225,9 @@ class RunAccessor:
 
     Opening reads the whole file in three reads (the magic and manifest
     length, the manifest region, every frame) and checks the frames as one
-    record array.  The accessor then holds that array, read-only, and no
-    file; snapshots, losses and every channel's series come from it.
+    record array.  The accessor then holds its manifest and that array,
+    read-only, and no file: every epoch, loss and channel series of the run
+    is a field of frames().
     """
 
     def __init__(self, source: str | Path):
@@ -275,27 +275,6 @@ class RunAccessor:
 
     def __len__(self) -> int:
         return len(self._frames)
-
-    @cached_property
-    def _index(self) -> np.ndarray:
-        # built on the first snapshot(): it costs as much as the values it maps
-        return gather_index(self.manifest.architecture)
-
-    def snapshot(self, index: int) -> EpochSnapshot:
-        if not 0 <= index < len(self):
-            raise IndexError(f"snapshot index {index} out of range [0, {len(self)})")
-        frame = self._frames[index : index + 1]
-        values = np.empty(self._index.size, dtype=np.float64)
-        values[self._index] = frame.view(np.uint8)[FRAME_HEAD.itemsize :].view("<f4")
-        arch = self.manifest.architecture
-        return EpochSnapshot(int(frame["epoch"][0]), float(frame["loss"][0]), arch, values)
-
-    def __iter__(self) -> Iterator[EpochSnapshot]:
-        return map(self.snapshot, range(len(self)))
-
-    def losses(self) -> np.ndarray:
-        """Every snapshot's loss, as a float64 copy."""
-        return self._frames["loss"].astype(np.float64)
 
     def frames(self) -> np.ndarray:
         """Every frame as one read-only (T,) array of frame_layout's record;

@@ -51,11 +51,12 @@ class RunConfig:
     capture_every: int = 1
 
     def __post_init__(self):
-        check_positive(self.learning_rate, "learning_rate")
-        for name in ("data_seed", "init_seed"):
-            check_seed(getattr(self, name), name)
-        for name in ("epochs", "capture_every"):
-            check_integer(getattr(self, name), name, 1)
+        # each rule returns the Python number it accepted: a numpy scalar is no JSON number
+        stored = {"learning_rate": check_positive(self.learning_rate, "learning_rate")}
+        stored |= {n: check_seed(getattr(self, n), n) for n in ("data_seed", "init_seed")}
+        stored |= {n: check_integer(getattr(self, n), n, 1) for n in ("epochs", "capture_every")}
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "shape": self.shape.value, "adam": dict(ADAM_JSON)}

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The reconstruction-quality and engagement orderings are soft criteria
-evaluated over five documented seed pairs (data_seed, init_seed):
+The reconstruction-quality, engagement and spread orderings are soft
+criteria evaluated over five documented seed pairs (data_seed, init_seed):
 
     (1, 101), (2, 102), (3, 103), (4, 104), (5, 105)
 
@@ -11,6 +11,8 @@ tests/test_acceptance.py` to see the verdict lines.
 
 import hashlib
 import io
+import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -21,15 +23,22 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_VERDICTS, TINY_ARCH, make_manifest, make_snapshot, snapshot_channel
-from fluctlab.analysis import analyze_run, calibrate_epsilon, detect_inactive, spread_of_spread
+from fluctlab.analysis import (
+    ANALYSIS_CHANNELS,
+    HALVES,
+    analyze_run,
+    calibrate_epsilon,
+    spread_of_spread,
+)
 from fluctlab.cli import main, train_run_to_file
 from fluctlab.net import ArchitectureSpec, backward, forward, init, layer_views, mse
 from fluctlab.runfile import RunAccessor, standardize_channel, write_run
 from fluctlab.shapes import ShapeKind, export_csv, generate
-from fluctlab.train import ADAM_EPSILON, RunConfig, adam_step, init_optimizer, train
+from fluctlab.train import ADAM_EPSILON, RunConfig, adam_step, init_optimizer
 from test_net import finite_difference_grads, gradcheck_case, GRADCHECK_ARCH
 
 SEED_PAIRS = ((1, 101), (2, 102), (3, 103), (4, 104), (5, 105))
+LEARNING_RATES = (0.01, 0.001, 0.0001)
 EPOCHS = 1000
 
 
@@ -42,8 +51,8 @@ def verdict(number: int, description: str, ok: bool) -> bool:
 
 def _study_cell(base, pair, lr):
     """Train one (seed pair, learning rate) cell of the study and reduce it to
-    the quantities the criteria assert on.  Its run file, if any, is deleted
-    as soon as its statistics are extracted."""
+    the quantities the criteria assert on.  Its run file is deleted as soon
+    as its statistics are extracted."""
     data_seed, init_seed = pair
     cfg = RunConfig(
         shape=ShapeKind.SPIRAL,
@@ -52,14 +61,16 @@ def _study_cell(base, pair, lr):
         data_seed=data_seed,
         init_seed=init_seed,
     )
-    if lr == 0.001:
-        _, loss = train(cfg, None)  # ordering only needs the loss
-        return {"loss": loss}
     path = base / f"{data_seed}_{lr}.nfl"
     cell = {"loss": train_run_to_file(cfg, path)}
     with RunAccessor(path) as acc:
         report = analyze_run(acc)
         cell["act_inactive"] = int(report.channels["activations"].inactive.sum())
+        cell["spreads_of_spread"] = {
+            (ch, half): report.channels[ch].halves[half].spread_of_spread
+            for ch in ANALYSIS_CHANNELS
+            for half in HALVES
+        }
         if pair == SEED_PAIRS[0] and lr == 0.01:
             cell["snapshots"] = len(acc)
             weights = report.channels["weights"]
@@ -93,16 +104,17 @@ def spiral_study(tmp_path_factory):
     study = {
         "losses": {},  # (pair, lr) -> final loss
         "act_inactive": {},  # (pair, lr) -> activation-channel inactive count
+        "spreads_of_spread": {},  # (pair, lr) -> {(channel, half): spread of spread}
     }
-    keys = [(pair, lr) for pair in SEED_PAIRS for lr in (0.01, 0.001, 0.0001)]
+    keys = [(pair, lr) for pair in SEED_PAIRS for lr in LEARNING_RATES]
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(len(os.sched_getaffinity(0)), mp_context=spawn) as pool:
         futures = {key: pool.submit(_study_cell, base, *key) for key in keys}
     for key, future in futures.items():
         cell = future.result()
         study["losses"][key] = cell.pop("loss")
-        if "act_inactive" in cell:
-            study["act_inactive"][key] = cell.pop("act_inactive")
+        study["act_inactive"][key] = cell.pop("act_inactive")
+        study["spreads_of_spread"][key] = cell.pop("spreads_of_spread")
         study.update(cell)  # the first pair's lr 0.01 cell carries the rest
     for pair in SEED_PAIRS:
         data_seed, init_seed = pair
@@ -148,7 +160,7 @@ def test_criterion_2_pipeline_determinism(tmp_path):
 def test_criterion_3_reconstruction_quality_ordering(spiral_study):
     holds = 0
     for pair in SEED_PAIRS:
-        l = {lr: spiral_study["losses"][(pair, lr)] for lr in (0.01, 0.001, 0.0001)}
+        l = {lr: spiral_study["losses"][(pair, lr)] for lr in LEARNING_RATES}
         if l[0.01] < l[0.001] < l[0.0001]:
             holds += 1
     ok = holds >= 4
@@ -269,10 +281,9 @@ def test_criterion_8_format_round_trips(tmp_path):
     path = tmp_path / "rt.nfl"
     write_run(make_manifest(epochs=3), snaps, path)
     with RunAccessor(path) as acc:
-        run_ok = all(
-            np.array_equal(
-                snapshot_channel(acc.snapshot(i), ch)[k], snapshot_channel(snaps[i], ch)[k]
-            )
+        frames = acc.frames()
+        run_ok = len(frames) == 3 and all(
+            np.array_equal(frames[f"{ch}{k}"][i], snapshot_channel(snaps[i], ch)[k])
             for i in range(3)
             for ch in ("weights", "biases", "weight_grads", "bias_grads", "activations")
             for k in range(6)
@@ -315,6 +326,33 @@ def test_criterion_9_structural_counts(spiral_study):
         f"neurons 195/97/98={counts_ok}; snapshots==epochs={snapshots_ok}; "
         f"hist sums 97/98={hist_ok}",
         ok,
+    )
+
+
+def test_criterion_10_spread_ordering(spiral_study):
+    """The paper's headline: a larger learning rate spreads the per-neuron
+    fluctuations wider.  For each (channel, half), the spread of spread must
+    fall strictly from lr 0.01 to 0.001 to 0.0001 on at least 4 of 5 seed
+    pairs; the verdict names the smallest ratio between neighbouring rates."""
+    sos = spiral_study["spreads_of_spread"]
+    held, smallest = 0, None
+    for key in ((ch, half) for ch in ANALYSIS_CHANNELS for half in HALVES):
+        holds = 0
+        for pair in SEED_PAIRS:
+            values = [sos[(pair, lr)][key] for lr in LEARNING_RATES]
+            holds += values[0] > values[1] > values[2]
+            for (high, a), (low, b) in itertools.pairwise(zip(LEARNING_RATES, values)):
+                ratio = a / b if b else math.inf
+                if smallest is None or ratio < smallest[0]:
+                    smallest = (ratio, key, pair, high, low)
+        held += holds >= 4
+    ratio, (channel, half), pair, high, low = smallest
+    assert verdict(
+        10,
+        f"spread of spread lr 1e-2 > 1e-3 > 1e-4 on >= 4/5 seed pairs for {held}/10 "
+        f"(channel, half); smallest ratio {ratio:.2f}: {channel} {half}, pair {pair}, "
+        f"lr {high:g} against {low:g}",
+        held == 10,
     )
 
 

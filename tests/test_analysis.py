@@ -422,13 +422,13 @@ def per_neuron_std(series, mode):
 
 
 def per_field_spreads(acc, mode):
-    """Spreads by the per-neuron definition: each channel's series stacked
-    from the snapshots, then per_neuron_std of each layer."""
-    snaps = list(acc)
+    """Spreads by the per-neuron definition: per_neuron_std of each layer's
+    series, the frames' {channel}{layer} field."""
+    frames = acc.frames()
     spreads = {}
     for ch in ANALYSIS_CHANNELS:
         per_layer = [
-            per_neuron_std(np.stack([snapshot_channel(s, ch)[layer] for s in snaps]), mode)
+            per_neuron_std(frames[f"{ch}{layer}"], mode)
             for layer in range(len(acc.manifest.architecture.layer_shapes))
         ]
         spreads[ch] = np.concatenate(per_layer)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -142,8 +143,8 @@ class TestTrain:
         assert run_cli(["train", "--shape", "circle", "--lr", "0.01", *cell, "--out", str(run)]) == 0
         printed = float(capsys.readouterr().out.split("final_loss=")[1])
         with RunAccessor(run) as acc:
-            assert [s.epoch for s in acc] == [1, 3, 6, 9, 10]
-            stored = float(acc.losses()[-1])
+            assert acc.frames()["epoch"].tolist() == [1, 3, 6, 9, 10]
+            stored = float(acc.frames()["loss"][-1])
         outdir = tmp_path / "all"
         argv = ["all", "--shapes", "circle", "--lrs", "0.01", *cell, "--outdir", str(outdir)]
         assert run_cli(argv) == 0
@@ -368,7 +369,7 @@ class TestCompare:
         losses = {}
         for lr, path in two_runs.items():
             with RunAccessor(path) as acc:
-                losses[lr] = float(acc.losses()[-1])
+                losses[lr] = float(acc.frames()["loss"][-1])
         best = min(losses, key=losses.get)
         assert f"lowest final MSE: lr {best:g}" in out
         assert "fewest inactive activation neurons: lr" in out
@@ -388,7 +389,7 @@ class TestCompare:
             assert run_cli(argv + ["--csv", str(cpath)]) == 0
             channels = json.loads(jpath.read_text())["channels"]
             with RunAccessor(two_runs[lr]) as acc:
-                final_mse = acc.losses()[-1]
+                final_mse = acc.frames()["loss"][-1]
             assert row[:2] == [f"{lr:g}", format(final_mse, ".9g")]
             assert row[2:] == [str(channels[ch]["inactive_count"]) for ch in ALL_CHANNELS]
             halves = [channels[ch]["halves"] for ch in ALL_CHANNELS]
@@ -532,6 +533,28 @@ class TestAll:
         assert "error" in by_lr[1e30]
         assert by_lr[0.01]["status"] == "ok"
 
+    def test_failed_cell_under_the_pool_matches_in_process(self, tmp_path, monkeypatch, capsys):
+        """The same failing plan at --parallelism 1 and 2: exit 1, the lr 1e30
+        cell recorded as failed with the divergence, and the same index.json
+        and stdout byte for byte (a relative --outdir keeps the paths equal)."""
+        argv = ["all", "--shapes", "circle", "--lrs", "1e30,0.01", "--epochs", "5", "--outdir", "out"]
+        results = []
+        for parallelism in ("1", "2"):
+            workdir = tmp_path / parallelism
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = run_cli(argv + ["--parallelism", parallelism])
+            index = Path("out/index.json").read_bytes()
+            results.append((code, index, capsys.readouterr().out))
+        assert results[1] == results[0]
+        code, index, _ = results[0]
+        assert code == 1
+        by_lr = {e["learning_rate"]: e for e in json.loads(index)["entries"]}
+        assert by_lr[1e30]["status"] == "failed"
+        assert by_lr[1e30]["error"].startswith("TrainingDivergedError: run aborted at epoch 1")
+        assert by_lr[0.01]["status"] == "ok"
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "plan.json"
         cfg_path.write_text(
@@ -596,7 +619,7 @@ class TestAll:
                 path = tmp_path / f"{epochs}_{capture_every}.nfl"
                 train_run_to_file(cfg, path)
                 with RunAccessor(path) as acc:
-                    frames = [s.epoch for s in acc]
+                    frames = acc.frames()["epoch"].tolist()
                 kept = {1, epochs, *range(capture_every, epochs + 1, capture_every)}
                 assert frames == sorted(kept)
                 settings = {"epochs": epochs, "capture_every": capture_every}
@@ -813,3 +836,29 @@ def test_entry_point_exit_codes_and_stdout(two_runs, tmp_path, capsys):
     assert compared.returncode == 0
     assert run_cli(["compare", *map(str, runs)]) == 0
     assert compared.stdout == capsys.readouterr().out
+
+
+def readme_cli_examples() -> list[str]:
+    """The command lines of the sh block under README's "## CLI" heading, with
+    backslash continuations joined and # comments stripped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line]
+
+
+def test_readme_cli_examples_parse():
+    """Every README example parses with the real parser (nothing runs), so a
+    renamed flag or command cannot leave the README stale."""
+    examples = readme_cli_examples()
+    parser = cli.build_parser()
+    commands = set()
+    for example in examples:
+        program, *argv = shlex.split(example)
+        assert program == "fluctlab", example
+        try:
+            commands.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {example}")
+    assert commands == {"gen", "train", "analyze", "report", "compare", "all"}

@@ -19,6 +19,7 @@ from conftest import (
 )
 from fluctlab import runfile
 from fluctlab.analysis import analyze_run, neuron_delta_series
+from fluctlab.figures import reconstruct
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
@@ -162,12 +163,9 @@ class TestLayout:
         with RunAccessor(path) as acc:
             frames = acc.frames()
             for i, snap in enumerate(snaps):
-                got = acc.snapshot(i)
-                widened = snap.values.astype(np.float32).astype(np.float64)
-                assert got.values.tobytes() == widened.tobytes()
                 for k in range(len(arch.layer_shapes)):
                     for name in STORAGE_CHANNELS:
-                        view = snapshot_channel(got, name)[k].astype(np.float32)
+                        view = snapshot_channel(snap, name)[k].astype(np.float32)
                         assert frames[f"{name}{k}"][i].tobytes() == view.tobytes()
 
     def test_frames_hold_the_trained_layers(self, tmp_path):
@@ -208,14 +206,12 @@ class TestRoundTrip:
         written = write_synthetic_run(path, count=4)
         with RunAccessor(path) as acc:
             assert len(acc) == 4
-            for i, snap in enumerate(written):
-                got = acc.snapshot(i)
-                assert got.epoch == snap.epoch
-                assert got.loss == snap.loss
+            for frame, snap in zip(acc.frames(), written, strict=True):
+                assert frame["epoch"] == snap.epoch
+                assert frame["loss"] == snap.loss
                 for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations"):
-                    pairs = zip(snapshot_channel(got, channel), snapshot_channel(snap, channel))
-                    for a, b in pairs:
-                        assert np.array_equal(a, b)
+                    for k, view in enumerate(snapshot_channel(snap, channel)):
+                        assert np.array_equal(frame[f"{channel}{k}"], view)
 
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "man.nfl"
@@ -230,25 +226,12 @@ class TestRoundTrip:
 
 
 class TestAccess:
-    def test_random_access_equals_sequential(self, tmp_path):
-        path = tmp_path / "ra.nfl"
-        write_synthetic_run(path, count=5)
-        with RunAccessor(path) as acc:
-            sequential = list(acc)
-            for i in (4, 0, 2, 3, 1):
-                got = acc.snapshot(i)
-                assert got.epoch == sequential[i].epoch
-                weights = snapshot_channel(got, "weights")
-                for a, b in zip(weights, snapshot_channel(sequential[i], "weights")):
-                    assert np.array_equal(a, b)
-
     def test_neuron_series_matches_full_load_oracle(self, tmp_path):
         """A neuron's delta series, read from the frames, is np.diff of its
-        values loaded snapshot by snapshot."""
+        values in the snapshots written."""
         path = tmp_path / "ns.nfl"
-        write_synthetic_run(path, count=6, seed=3)
+        full = write_synthetic_run(path, count=6, seed=3)  # f32-exact values
         with RunAccessor(path) as acc:
-            full = list(acc)  # naive oracle: load everything sequentially
             cases = ((0, "weights", 3), (4, "weight_grads", 1), (1, "biases", 2), (3, "activations", 0))
             for layer, channel, idx in cases:
                 naive = np.stack([snapshot_channel(s, channel)[layer][idx] for s in full])
@@ -266,14 +249,7 @@ class TestAccess:
         path = tmp_path / "ls.nfl"
         written = write_synthetic_run(path, count=4)
         with RunAccessor(path) as acc:
-            assert acc.losses().tolist() == [s.loss for s in written]
-
-    def test_losses_returns_a_copy(self, tmp_path):
-        path = tmp_path / "lc.nfl"
-        written = write_synthetic_run(path, count=3)
-        with RunAccessor(path) as acc:
-            acc.losses()[:] = -1.0
-            assert acc.losses().tolist() == [s.loss for s in written]
+            assert acc.frames()["loss"].tolist() == [s.loss for s in written]
 
     def test_frames_fields_equal_snapshot_values(self, tmp_path):
         path = tmp_path / "fr.nfl"
@@ -284,8 +260,7 @@ class TestAccess:
             assert frames.dtype == runfile.frame_layout(TINY_ARCH)
             assert frames["epoch"].tolist() == [s.epoch for s in written]
             assert frames["loss"].tolist() == [s.loss for s in written]
-            for i in range(len(acc)):
-                snap = acc.snapshot(i)
+            for i, snap in enumerate(written):
                 for layer in range(len(TINY_ARCH.layer_shapes)):
                     for name in STORAGE_CHANNELS:
                         field = frames[f"{name}{layer}"][i]
@@ -310,16 +285,15 @@ class TestAccess:
             (counted,) = files
             assert counted.reads == 3
             assert counted.closed
-            acc.losses()
             acc.frames()
-            acc.snapshot(frames - 1)
             analyze_run(acc)
+            reconstruct(acc)
             assert counted.reads == 3
 
     def test_open_allocates_for_the_file_not_the_claimed_architecture(self, tmp_path):
         """A manifest-only file that claims two 3000-wide layers opens in under
         1 MB: the gather index grows with the claimed widths (hundreds of MB
-        here), so only writing or widening a snapshot builds it."""
+        here), so only writing a snapshot builds it."""
         path = tmp_path / "wide.nfl"
         write_run(make_manifest(), [], path)
         wide = {"encoder_dims": [2, 3000, 3000, 1], "decoder_dims": [1, 2]}
@@ -372,7 +346,7 @@ class TestAccess:
                 acc.frames()["loss"][0] = -1.0
             with pytest.raises(ValueError, match="read-only"):
                 acc.frames()["weights0"][...] = 0.0
-            assert acc.losses().tolist() == [s.loss for s in written]
+            assert acc.frames()["loss"].tolist() == [s.loss for s in written]
 
     def test_epoch_values_preserved(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -381,13 +355,6 @@ class TestAccess:
         write_run(make_manifest(epochs=9, capture_every=3), snaps, path)
         with RunAccessor(path) as acc:
             assert acc.frames()["epoch"].tolist() == [1, 3, 6, 9]
-
-    def test_index_out_of_range(self, tmp_path):
-        path = tmp_path / "ior.nfl"
-        write_synthetic_run(path, count=2)
-        with RunAccessor(path) as acc:
-            with pytest.raises(IndexError):
-                acc.snapshot(2)
 
 
 class TestErrors:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import TINY_ARCH, write_synthetic_run
 
 import fluctlab.cli as cli
-from fluctlab.analysis import check_analysis_settings, histogram
+from fluctlab.analysis import analyze_run, check_analysis_settings, histogram
 from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main
 from fluctlab.net import ArchitectureSpec
 from fluctlab.rng import check_integer, check_positive
@@ -282,19 +282,21 @@ def test_the_two_rules_match_their_oracles(value):
     for low in (None, 1):
         expected = integer(low)(plain)
         try:
-            check_integer(value, "n", low)
+            stored = check_integer(value, "n", low)
         except ValueError as exc:
             assert not expected
             assert str(exc) == f"n must be an integer{'' if low is None else ' >= 1'}, got {value!r}"
         else:
             assert expected
+            assert type(stored) is int and stored == plain
     try:
-        check_positive(value, "x")
+        stored = check_positive(value, "x")
     except ValueError as exc:
         assert not positive(plain)
         assert str(exc) == f"x must be positive and finite, got {value!r}"
     else:
         assert positive(plain)
+        assert type(stored) is float and stored == float(plain)
 
 
 @pytest.mark.parametrize("bins", [True, False, 0, -1, 2.5, "3", None])
@@ -315,3 +317,39 @@ def test_numpy_integers_are_accepted_where_python_ints_are():
     config = RunConfig(ShapeKind.CIRCLE, 0.01, n(3), n(1), n(2), n(1))
     assert config == RunConfig(ShapeKind.CIRCLE, 0.01, 3, 1, 2, 1)
     histogram(np.array([0.5, 1.0]), n(3))
+
+
+# A numpy scalar passes its rule, but json.dumps refuses it: each site stores
+# the Python number, so the manifest, the report JSON and index.json can be written.
+
+
+def test_run_config_stores_numpy_settings_as_python_numbers():
+    config = RunConfig(ShapeKind.CIRCLE, np.float32(0.01), np.int64(3), np.uint64(2**64 - 1), 2, np.int32(1))
+    stored = config.to_json_dict()
+    for name, kind in [("learning_rate", float), ("epochs", int), ("data_seed", int), ("capture_every", int)]:
+        assert type(stored[name]) is kind, name
+    assert stored["learning_rate"] == float(np.float32(0.01)) and stored["data_seed"] == 2**64 - 1
+    plain = RunConfig(ShapeKind.CIRCLE, float(np.float32(0.01)), 3, 2**64 - 1, 2, 1)
+    assert canonical_json_bytes(stored) == canonical_json_bytes(plain.to_json_dict())
+
+
+def test_analyze_run_stores_numpy_settings_as_python_numbers(tmp_path):
+    path = tmp_path / "run.nfl"
+    write_synthetic_run(path, count=3)
+    with RunAccessor(path) as acc:
+        report = analyze_run(acc, epsilon=np.float32(1e-5), bins=np.int64(7))
+        plain = analyze_run(acc, epsilon=float(np.float32(1e-5)), bins=7)
+    assert type(report.epsilon) is float and type(report.bins) is int
+    assert canonical_json_bytes(report.to_json_dict()) == canonical_json_bytes(plain.to_json_dict())
+
+
+def test_plan_stores_numpy_settings_as_python_numbers():
+    numpy_settings = {
+        "epochs": np.int64(3), "data_seed": np.uint64(7), "init_seed": np.int32(8),
+        "capture_every": np.int16(2), "epsilon": np.float32(1e-5), "bins": np.int64(9),
+    }
+    plan = ExperimentPlan(**{**BASE_PLAN, **numpy_settings})
+    plain = ExperimentPlan(**{**BASE_PLAN, **{k: v.item() for k, v in numpy_settings.items()}})
+    recorded = plan.to_json_dict()
+    assert all(type(recorded[k]) is type(v.item()) for k, v in numpy_settings.items())
+    assert canonical_json_bytes(recorded) == canonical_json_bytes(plain.to_json_dict())

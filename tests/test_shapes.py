@@ -95,6 +95,12 @@ class TestGenerate:
             with pytest.raises(ValueError, match="count must be an integer >= 1"):
                 generate(ShapeKind.CIRCLE, count, 1)
 
+    def test_numpy_count_draws_the_points_of_a_python_count(self):
+        # count * _GAMMA in numpy arithmetic would overflow a C long
+        expected = generate(ShapeKind.CIRCLE, 5, 0)
+        for count in (np.int64(5), np.uint64(5), np.int32(5)):
+            assert generate(ShapeKind.CIRCLE, count, 0).tobytes() == expected.tobytes()
+
     def test_polygon_membership(self):
         # raw contour samples must sit on an edge of the ideal inscribed n-gon
         for kind, n in POLYGONS:
