@@ -259,21 +259,20 @@ def _std_in_place(data: np.ndarray) -> np.ndarray:
     return np.sqrt(var, out=var)
 
 
+@np.errstate(invalid="ignore")  # a value that is not finite gives a nan spread
 def _channel_spreads(f: np.ndarray, mode: str, work: np.ndarray) -> np.ndarray:
     """Spread of each neuron row of one f32 channel series f, (T, rows) or
     (T, rows, cols), computed in work a few rows at a time.
 
-    A chunk of rows is widened to f64 neuron-major, (rows, T, cols), and in
-    delta mode differenced into a second region of work, (rows, T - 1, cols).
-    So each neuron's pooled values are one contiguous row, and its spread has
-    the bits of spread(neuron_delta_series(...)), or in raw mode of np.std of
-    its widened values, at any chunk size.  One row that outgrows work gets a
-    buffer of its own.
+    A chunk of rows is differenced (delta mode) or copied (raw mode) from f
+    into work, widened exactly to f64 and neuron-major.  So each neuron's
+    pooled values are one contiguous row, and its spread has the bits of
+    spread(neuron_delta_series(...)), or in raw mode of np.std of its widened
+    values, at any chunk size.  One row that outgrows work gets its own buffer.
     """
     length, rows = f.shape[:2]
     steps = length - 1 if mode == "delta" else length
-    cols = math.prod(f.shape[2:])
-    row_items = (length + steps if mode == "delta" else length) * cols
+    row_items = steps * math.prod(f.shape[2:])
     chunk = min(rows, max(1, work.size // row_items))
     if chunk * row_items > work.size:
         work = np.empty(chunk * row_items)
@@ -281,13 +280,13 @@ def _channel_spreads(f: np.ndarray, mode: str, work: np.ndarray) -> np.ndarray:
     for start in range(0, rows, chunk):
         stop = min(start + chunk, rows)
         n = stop - start
-        wide = work[: n * length * cols].reshape((n, length) + f.shape[2:])
-        np.copyto(np.moveaxis(wide, 0, 1), f[:, start:stop])
-        data = wide
+        data = work[: n * row_items].reshape((n, steps) + f.shape[2:])
+        part = np.moveaxis(f[:, start:stop], 1, 0)
         if mode == "delta":
-            data = work[n * length * cols : n * row_items].reshape((n, steps) + f.shape[2:])
-            np.subtract(wide[:, 1:], wide[:, :-1], out=data)
-        spreads[start:stop] = _std_in_place(data.reshape(n, steps * cols))
+            np.subtract(part[:, 1:], part[:, :-1], out=data, dtype=np.float64)
+        else:
+            np.copyto(data, part)
+        spreads[start:stop] = _std_in_place(data.reshape(n, row_items))
     return spreads
 
 
@@ -304,8 +303,8 @@ def _field_spreads(fields: list[np.ndarray], mode: str) -> list[np.ndarray]:
     The calling thread takes a share too, so on one CPU no thread starts.
     Fields are handed out one at a time, largest first, and each is computed
     whole by one thread, so the bits do not depend on the thread count or on
-    scheduling.  numpy releases the GIL in the widening copy, the subtract
-    and the reductions.  An error in any share is raised here once every
+    scheduling.  numpy releases the GIL in the widening subtract or copy
+    and in the reductions.  An error in any share is raised here once every
     thread has stopped, and no thread outlives the call.  Threads run nothing
     but _channel_spreads: a traced function must not run off the calling
     thread.
@@ -355,7 +354,9 @@ def analyze_run(
     """Full fluctuation report for one open, complete run file.
 
     mode "delta" (default) measures spreads of consecutive-epoch deltas;
-    mode "raw" measures spreads of the raw per-epoch values instead.
+    mode "raw" measures spreads of the raw per-epoch values instead.  A run
+    value that is not finite makes its neuron's spread nan, which is refused
+    with a ValueError naming the channel, layer and neuron.
     """
     if mode not in ("delta", "raw"):
         raise ValueError(f"mode must be 'delta' or 'raw', got {mode!r}")
@@ -369,6 +370,13 @@ def analyze_run(
     channels: dict[str, ChannelStats] = {}
     for ch in ANALYSIS_CHANNELS:
         spreads = np.concatenate([field_spreads[f"{ch}{layer}"] for layer in layers])
+        bad = np.flatnonzero(~np.isfinite(spreads))
+        if bad.size:
+            row = _neuron_rows(arch)[bad[0]]
+            raise ValueError(
+                f"{ch} spread of layer {row['layer']} neuron {row['index']} is "
+                f"{spreads[bad[0]]}: the run holds a value that is not finite"
+            )
         inactive = detect_inactive(spreads, epsilon)
         halves: dict[str, HalfStats] = {}
         for half, part in half_slices(arch).items():

@@ -24,7 +24,6 @@ from .analysis import (
     analyze_run,
     calibrate_epsilon,
     check_analysis_settings,
-    check_analyzable,
 )
 from .figures import (
     fluctuation_table,
@@ -171,23 +170,23 @@ def _spreads_of_spread(report: FluctuationReport, channel: str) -> list[float]:
     return [report.channels[channel].halves[h].spread_of_spread for h in HALVES]
 
 
-def _analyzable_runs(paths: list) -> Iterator[RunAccessor]:
-    """Open each run file in turn and yield it once check_analyzable passes;
-    each is closed before the next is opened.  A refusal names the file."""
+def _analyzed_runs(paths: list, epsilon: float, bins: int) -> Iterator[tuple]:
+    """Open and analyse each run file in turn and yield it with its
+    FluctuationReport; each is closed before the next is opened.  A refusal
+    names the file."""
     for path in paths:
         try:
             acc = RunAccessor(path)
-            check_analyzable(acc)
+            report = analyze_run(acc, epsilon=epsilon, bins=bins)
         except (RunFormatError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         with acc:
-            yield acc
+            yield acc, report
 
 
-def measure_run(acc: RunAccessor, epsilon: float, bins: int) -> tuple:
-    """What write_summary needs of one open run: its RunConfig, its
-    FluctuationReport, its ReconstructionResult and its final loss."""
-    report = analyze_run(acc, epsilon=epsilon, bins=bins)
+def measure_run(acc: RunAccessor, report: FluctuationReport) -> tuple:
+    """What write_summary needs of one open run and its FluctuationReport:
+    its RunConfig, the report, its ReconstructionResult and its final loss."""
     return acc.manifest.config, report, reconstruct(acc), float(acc.frames()["loss"][-1])
 
 
@@ -268,7 +267,7 @@ def _execute_run(plan: ExperimentPlan, config: RunConfig) -> dict:
         train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name
         with RunAccessor(run_path) as acc:
-            measured = measure_run(acc, plan.epsilon, plan.bins)
+            measured = measure_run(acc, analyze_run(acc, epsilon=plan.epsilon, bins=plan.bins))
         entry.update(write_summary(measured, out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed cell must not sink the plan
         entry["status"] = "failed"
@@ -368,7 +367,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not run_paths:
         raise ValueError("--runs needs at least one run file")
     check_analysis_settings(args.epsilon, args.bins)
-    measured = [measure_run(acc, args.epsilon, args.bins) for acc in _analyzable_runs(run_paths)]
+    analyzed = _analyzed_runs(run_paths, args.epsilon, args.bins)
+    measured = [measure_run(acc, report) for acc, report in analyzed]
     shared = _duplicates([_run_stem(cfg) for cfg, *_ in measured])
     if shared:
         raise ValueError(f"runs share artifact names: {', '.join(shared)}")
@@ -391,11 +391,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError("compare needs at least 2 run files")
     runs = []  # (report, final loss, inactive counts) per run
     shapes = set()
-    for acc in _analyzable_runs(args.runs):
+    for acc, report in _analyzed_runs(args.runs, args.epsilon, args.bins):
         shapes.add(acc.manifest.config.shape.value)
         if len(shapes) > 1:
             raise ValueError(f"runs mix shapes {sorted(shapes)}")
-        report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins)
         runs.append((report, float(acc.frames()["loss"][-1]), _inactive_counts(report)))
     best_mse = min(runs, key=lambda run: run[1])[0]
     most_engaged = min(runs, key=lambda run: run[2]["activations"])[0]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, check_analyzable, half_slices
 from .blas import one_thread
-from .net import NetworkState, forward, layer_views, mse
+from .net import NetworkState, forward, layer_views
 from .runfile import RunAccessor
 from .shapes import generate
 from .train import TRAIN_SAMPLE_COUNT
@@ -35,7 +35,6 @@ _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 class ReconstructionResult:
     original: np.ndarray  # (n, 2)
     reconstructed: np.ndarray  # (n, 2)
-    final_mse: float
 
     def __post_init__(self):
         self.original = np.asarray(self.original, dtype=np.float64)
@@ -61,7 +60,7 @@ def reconstruct(run: RunAccessor) -> ReconstructionResult:
         weights[...] = last[f"weights{k}"]
         biases[...] = last[f"biases{k}"]
     output = forward(net, points).output
-    return ReconstructionResult(points, output, mse(points, output))
+    return ReconstructionResult(points, output)
 
 
 def scatter_svg(result: ReconstructionResult, title: str) -> bytes:

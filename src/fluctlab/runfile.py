@@ -181,8 +181,13 @@ class RunWriter:
             )
         if snapshot.spec != self._manifest.architecture:
             raise RunFormatError(f"snapshot architecture {snapshot.spec} differs from the run's")
-        # Assigning casts f64 to f32 with the same rounding as astype.
-        self._payload[...] = snapshot.values[self._index]
+        # Assigning casts f64 to f32 with the same rounding as astype; a value
+        # past the f32 range raises instead of being stored as inf.
+        try:
+            with np.errstate(over="raise"):
+                self._payload[...] = snapshot.values[self._index]
+        except FloatingPointError:
+            raise FloatingPointError("a captured value does not fit float32") from None
         self._record["epoch"] = snapshot.epoch
         self._record["loss"] = snapshot.loss
         self._stream.write(self._record.tobytes())

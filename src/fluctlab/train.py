@@ -34,7 +34,8 @@ ADAM_JSON = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "epsilon": ADAM_EPSILON}
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss or gradient; carries the epoch."""
+    """Training produced a non-finite loss or gradient, or a captured value
+    its sink cannot store; carries the epoch."""
 
     def __init__(self, epoch: int, reason: str):
         super().__init__(f"run aborted at epoch {epoch}: {reason}")
@@ -199,5 +200,8 @@ def train(
             for post, means in zip(trace.post, snap.activations):
                 np.matmul(ones, post, out=means)
                 means /= len(pts)
-            capture_sink(snap)
+            try:
+                capture_sink(snap)
+            except FloatingPointError as exc:
+                raise TrainingDivergedError(epoch, str(exc)) from exc
     return net, loss

@@ -7,6 +7,7 @@ import pytest
 from fluctlab.analysis import analyze_run
 from fluctlab.net import ArchitectureSpec, layer_views
 from fluctlab.runfile import (
+    DATA_START,
     MANIFEST_REGION,
     RunAccessor,
     RunManifest,
@@ -93,4 +94,15 @@ def edit_manifest(path, key, value, section=None):
     text = canonical_json_bytes(manifest)
     blob[4:8] = len(text).to_bytes(4, "little")
     blob[8 : 8 + MANIFEST_REGION] = text.ljust(MANIFEST_REGION, b" ")
+    Path(path).write_bytes(bytes(blob))
+
+
+def edit_frame_value(path, frame, name, index, value):
+    """Set the f32 at flat position index of field name (e.g. "weights1") in
+    one frame of a run file, keeping every other byte."""
+    with RunAccessor(path) as acc:
+        layout = acc.frames().dtype
+    start = DATA_START + frame * layout.itemsize + layout.fields[name][1] + 4 * index
+    blob = bytearray(Path(path).read_bytes())
+    blob[start : start + 4] = np.array(value, dtype="<f4").tobytes()
     Path(path).write_bytes(bytes(blob))

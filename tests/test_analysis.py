@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import (
     TINY_ARCH,
     analyze_file,
+    edit_frame_value,
     make_manifest,
     make_snapshot,
     snapshot_channel,
@@ -349,6 +350,15 @@ class TestAnalyzeRun:
         with RunAccessor(path) as acc, pytest.raises(ValueError, match="incomplete"):
             analyze_run(acc)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("mode", ["delta", "raw"])
+    def test_non_finite_value_refused_naming_the_neuron(self, tmp_path, mode, value):
+        path = tmp_path / "bad.nfl"
+        write_synthetic_run(path, count=4)
+        edit_frame_value(path, 2, "weights1", 2 * 4 + 1, value)  # layer 1 is 4 -> 3
+        with pytest.raises(ValueError, match="weights spread of layer 1 neuron 2 is nan"):
+            analyze_file(path, mode=mode)
+
     def test_single_snapshot_insufficient_for_deltas(self, tmp_path):
         path = tmp_path / "one.nfl"
         write_synthetic_run(path, count=1)
@@ -541,13 +551,24 @@ class TestSpreadsInPlace:
         rng = np.random.default_rng(rows * 1000 + cols)
         f = rng.normal(0.0, 3.0, size=(41, rows, cols)).astype(np.float32)
         raw = f.astype(np.float64)
-        # a row of work holds T values per col, and T - 1 deltas more in delta mode
-        for mode, whole, per_col in (("raw", raw, 41), ("delta", np.diff(raw, axis=0), 81)):
+        # a row of work holds T values per col in raw mode, T - 1 deltas in delta mode
+        for mode, whole, per_col in (("raw", raw, 41), ("delta", np.diff(raw, axis=0), 40)):
             expected = np.array([np.std(whole[:, r].ravel()) for r in range(rows)]).tobytes()
             assert analysis._std_in_place(neuron_major(whole)).tobytes() == expected
             # three-row chunks: a five-row field ends in a two-row chunk
             work = np.empty(3 * per_col * cols)
             assert analysis._channel_spreads(f, mode, work).tobytes() == expected
+
+    @pytest.mark.parametrize("length", [2049, 2050])
+    def test_a_row_at_the_default_buffer_size_keeps_np_std_bits(self, length):
+        """A 64-col delta row of 2049 snapshots fills the default buffer
+        exactly; at 2050 it gets a buffer of its own."""
+        rng = np.random.default_rng(length)
+        f = rng.normal(0.0, 3.0, size=(length, 1, 64)).astype(np.float32)
+        work = np.empty(analysis.SPREAD_BUFFER_BYTES // 8)
+        assert ((length - 1) * 64 <= work.size) == (length == 2049)
+        expected = np.std(np.diff(f[:, 0].astype(np.float64), axis=0).ravel())
+        assert analysis._channel_spreads(f, "delta", work).tobytes() == expected.tobytes()
 
 
 class TestSpreadWorkers:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edit_manifest
+from conftest import edit_frame_value, edit_manifest
 
 import fluctlab
 import fluctlab.cli as cli
@@ -123,13 +123,15 @@ class TestTrain:
             assert len(acc) == 2
         assert "final_loss=" in capsys.readouterr().out
 
-    def test_divergent_run_exits_1_and_flags_incomplete(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lr", ["1e30", "1e6"])
+    def test_divergent_run_exits_1_and_flags_incomplete(self, tmp_path, capsys, lr):
         out = tmp_path / "d.nfl"
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_cli(
-                ["train", "--shape", "circle", "--lr", "1e30", "--epochs", "50", "--out", str(out)]
+                ["train", "--shape", "circle", "--lr", lr, "--epochs", "50", "--out", str(out)]
             )
         assert code == 1
+        assert "run aborted at epoch" in capsys.readouterr().err
         with RunAccessor(out) as acc:
             assert acc.manifest.complete is False
 
@@ -811,6 +813,30 @@ def test_flag_beats_config_beats_default(key, tmp_path, monkeypatch):
     assert setting(flag, {key: config_value}) == from_flag
     assert setting([], {key: config_value}) == from_config
     assert setting([]) == default
+
+
+@pytest.mark.parametrize("command", ["analyze", "report", "compare"])
+def test_non_finite_value_in_a_run_is_refused(command, two_runs, tmp_path, capsys):
+    """A value stored as inf (a file damaged, or written before the writer
+    refused values past float32) ends each command with exit 2 and a message
+    naming the file, the channel, the layer and the neuron."""
+    bad = tmp_path / "bad.nfl"
+    bad.write_bytes(two_runs[0.001].read_bytes())
+    edit_frame_value(bad, 5, "weights1", 3 * 64, np.inf)  # layer 1 is 64 -> 32
+    outdir = tmp_path / "rep"
+    argv = {
+        "analyze": ["analyze", "--run", str(bad)],
+        "report": ["report", "--runs", f"{two_runs[0.01]},{bad}", "--outdir", str(outdir)],
+        "compare": ["compare", str(two_runs[0.01]), str(bad)],
+    }[command]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    message = "weights spread of layer 1 neuron 3 is nan: the run holds a value that is not finite"
+    named = "" if command == "analyze" else f"{bad}: "
+    assert captured.err == f"error: {named}{message}\n"
+    assert captured.out == ""
+    assert not outdir.exists()
+    assert not bad.with_suffix(".report.json").exists()
 
 
 def test_entry_point_exit_codes_and_stdout(two_runs, tmp_path, capsys):

@@ -15,7 +15,7 @@ from fluctlab.figures import (
     scatter_svg,
     stack_svgs,
 )
-from fluctlab.net import ArchitectureSpec
+from fluctlab.net import ArchitectureSpec, mse
 from fluctlab.runfile import RunAccessor, write_run
 from fluctlab.shapes import ShapeKind, generate
 from fluctlab.train import RunConfig
@@ -63,7 +63,9 @@ class TestReconstruct:
         assert result.original.tobytes() == pts.tobytes()
         assert np.all(result.reconstructed == 0.0)
         # analytic: mean over components of the squared targets
-        assert result.final_mse == pytest.approx(float(np.mean(pts**2)), abs=1e-15)
+        assert mse(result.original, result.reconstructed) == pytest.approx(
+            float(np.mean(pts**2)), abs=1e-15
+        )
 
     def test_deterministic(self, spiral_run):
         path, _, _ = spiral_run
@@ -71,13 +73,13 @@ class TestReconstruct:
             a = reconstruct(acc)
             b = reconstruct(acc)
         assert np.array_equal(a.reconstructed, b.reconstructed)
-        assert a.final_mse == b.final_mse
+        assert mse(a.original, a.reconstructed) == mse(b.original, b.reconstructed)
 
     def test_final_mse_matches_stored_loss(self, spiral_run):
         path, _, stored_loss = spiral_run
         with RunAccessor(path) as acc:
             result = reconstruct(acc)
-        assert abs(result.final_mse - stored_loss) <= 1e-6
+        assert abs(mse(result.original, result.reconstructed) - stored_loss) <= 1e-6
 
     def test_incomplete_run_refused(self, tmp_path):
         arch = ArchitectureSpec()
@@ -102,7 +104,6 @@ class TestScatterSvg:
         result = ReconstructionResult(
             original=np.array([[0.5, 0.5]]),
             reconstructed=np.array([[0.1, -0.2]]),
-            final_mse=0.1,
         )
         blob = scatter_svg(result, "t")
         assert blob.count(b'class="m-orig"') == 1
@@ -119,7 +120,6 @@ class TestScatterSvg:
         result = ReconstructionResult(
             original=np.array([[1.0, -1.0], [0.0, 0.0]]),
             reconstructed=np.array([[5.0, 5.0], [-3.0, 0.2]]),  # clipped to the frame
-            final_mse=0.1,
         )
         blob = scatter_svg(result, "t").decode()
         assert 'width="800" height="600" viewBox="0 0 800 600"' in blob
@@ -133,7 +133,6 @@ class TestScatterSvg:
         result = ReconstructionResult(
             original=np.array([[0.5, 0.5]]),
             reconstructed=np.array([[0.1, -0.2]]),
-            final_mse=0.1,
         )
         root = ET.fromstring(scatter_svg(result, "a < b"))
         texts = [t.text for t in root.iter() if t.tag.endswith("text")]
@@ -144,7 +143,6 @@ class TestScatterSvg:
         result = ReconstructionResult(
             original=np.array([[np.nan, 0.0]]),
             reconstructed=np.array([[0.0, 0.0]]),
-            final_mse=0.1,
         )
         with pytest.raises(ValueError):
             scatter_svg(result, "t")
@@ -256,7 +254,7 @@ class TestEscapedTitles:
         assert TITLE_TO_ESCAPE in [t.text for t in root.iter() if t.tag.endswith("text")]
 
     def test_scatter_svg(self):
-        result = ReconstructionResult(np.array([[0.5, 0.5]]), np.array([[0.1, -0.2]]), 0.1)
+        result = ReconstructionResult(np.array([[0.5, 0.5]]), np.array([[0.1, -0.2]]))
         self.assert_title_escaped(scatter_svg(result, TITLE_TO_ESCAPE))
 
     def test_hist_svg(self, frozen_run):
