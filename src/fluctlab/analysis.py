@@ -101,15 +101,7 @@ class FluctuationReport:
                         dict(row) for row, flag in zip(rows, stats.inactive.tolist()) if flag
                     ],
                     "inactive_count": int(stats.inactive.sum()),
-                    "halves": {
-                        half: {
-                            "spread_of_spread": hs.spread_of_spread,
-                            "inactive_count": hs.inactive_count,
-                            "hist_edges": hs.hist_edges,
-                            "hist_counts": hs.hist_counts,
-                        }
-                        for half, hs in stats.halves.items()
-                    },
+                    "halves": {half: dict(vars(hs)) for half, hs in stats.halves.items()},
                 }
                 for ch, stats in self.channels.items()
             },

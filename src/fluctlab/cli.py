@@ -51,7 +51,11 @@ def _default_outdir() -> str:
 
 
 def _default_timestamp() -> int:
-    return int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
+    value = os.environ.get("SOURCE_DATE_EPOCH", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"SOURCE_DATE_EPOCH must be an integer, got {value!r}") from None
 
 
 def _format_lr(lr: float) -> str:
@@ -172,8 +176,9 @@ def _spreads_of_spread(report: FluctuationReport, channel: str) -> list[float]:
 
 def _analyzed_runs(paths: list, epsilon: float, bins: int) -> Iterator[tuple]:
     """Open and analyse each run file in turn and yield it with its
-    FluctuationReport; each is closed before the next is opened.  A refusal
-    names the file."""
+    FluctuationReport; each is closed before the next is opened.  Bad settings
+    are refused before any file is opened, a bad run with its file's name."""
+    epsilon, bins = check_analysis_settings(epsilon, bins)
     for path in paths:
         try:
             acc = RunAccessor(path)
@@ -186,14 +191,14 @@ def _analyzed_runs(paths: list, epsilon: float, bins: int) -> Iterator[tuple]:
 
 def measure_run(acc: RunAccessor, report: FluctuationReport) -> tuple:
     """What write_summary needs of one open run and its FluctuationReport:
-    its RunConfig, the report, its ReconstructionResult and its final loss."""
+    its RunConfig, the report, its reconstruction and its final loss."""
     return acc.manifest.config, report, reconstruct(acc), float(acc.frames()["loss"][-1])
 
 
 def write_summary(measured: tuple, out_dir: Path) -> dict:
     """Analysis JSON/CSV, scatter, per-channel histograms, and tables for one
     run measured by measure_run; returns its index entry."""
-    cfg, report, result, final_loss = measured
+    cfg, report, (original, reconstructed), final_loss = measured
     stem = _run_stem(cfg)
     report_json = out_dir / f"{stem}.report.json"
     neurons_csv = out_dir / f"{stem}.neurons.csv"
@@ -203,7 +208,7 @@ def write_summary(measured: tuple, out_dir: Path) -> dict:
     scatter_path = out_dir / f"{stem}_scatter.svg"
     _write_bytes(
         scatter_path,
-        scatter_svg(result, f"{cfg.shape.value}: reconstruction at lr {lr_txt}"),
+        scatter_svg(original, reconstructed, f"{cfg.shape.value}: reconstruction at lr {lr_txt}"),
     )
     hists = {}
     for channel in ANALYSIS_CHANNELS:
@@ -366,7 +371,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_paths = [Path(p) for p in args.runs.split(",") if p]
     if not run_paths:
         raise ValueError("--runs needs at least one run file")
-    check_analysis_settings(args.epsilon, args.bins)
     analyzed = _analyzed_runs(run_paths, args.epsilon, args.bins)
     measured = [measure_run(acc, report) for acc, report in analyzed]
     shared = _duplicates([_run_stem(cfg) for cfg, *_ in measured])

@@ -4,7 +4,6 @@ with byte-deterministic output (no plotting library)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from html import escape
 
 import numpy as np
@@ -31,26 +30,12 @@ STACK_TITLE_HEIGHT = 34
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
-@dataclass
-class ReconstructionResult:
-    original: np.ndarray  # (n, 2)
-    reconstructed: np.ndarray  # (n, 2)
-
-    def __post_init__(self):
-        self.original = np.asarray(self.original, dtype=np.float64)
-        self.reconstructed = np.asarray(self.reconstructed, dtype=np.float64)
-        if self.original.shape != self.reconstructed.shape:
-            raise ValueError(
-                f"original {self.original.shape} and reconstructed "
-                f"{self.reconstructed.shape} must have equal shapes"
-            )
-
-
 @one_thread()
-def reconstruct(run: RunAccessor) -> ReconstructionResult:
+def reconstruct(run: RunAccessor) -> tuple[np.ndarray, np.ndarray]:
     """Load the final network from an open, complete run file and reconstruct
-    the run's training set.  The network's weights and biases are the last
-    frame's weights{k} and biases{k} fields, widened to f64."""
+    the run's training set: returns (points, output).  The network's weights
+    and biases are the last frame's weights{k} and biases{k} fields, widened
+    to f64."""
     check_analyzable(run, "raw")
     cfg, spec = run.manifest.config, run.manifest.architecture
     points = generate(cfg.shape, TRAIN_SAMPLE_COUNT, cfg.data_seed)
@@ -59,19 +44,23 @@ def reconstruct(run: RunAccessor) -> ReconstructionResult:
     for k, (weights, biases) in enumerate(zip(*layer_views(net.theta, spec))):
         weights[...] = last[f"weights{k}"]
         biases[...] = last[f"biases{k}"]
-    output = forward(net, points).output
-    return ReconstructionResult(points, output)
+    return points, forward(net, points).output
 
 
-def scatter_svg(result: ReconstructionResult, title: str) -> bytes:
-    """Original vs reconstructed points on an equal-aspect [-1.2, 1.2]^2 frame.
+def scatter_svg(original: np.ndarray, reconstructed: np.ndarray, title: str) -> bytes:
+    """Original vs reconstructed points, two (n, 2) arrays, on an
+    equal-aspect [-1.2, 1.2]^2 frame.
 
     Points outside the frame are clipped onto its border so every marker
     stays inside the viewBox.
     """
-    if result.original.size == 0:
+    if original.shape != reconstructed.shape:
+        raise ValueError(
+            f"original {original.shape} and reconstructed {reconstructed.shape} must have equal shapes"
+        )
+    if original.size == 0:
         raise ValueError("nothing to plot: empty point sets")
-    if not (np.isfinite(result.original).all() and np.isfinite(result.reconstructed).all()):
+    if not (np.isfinite(original).all() and np.isfinite(reconstructed).all()):
         raise ValueError("figure coordinates must be finite")
 
     w, h = WIDTH, HEIGHT
@@ -124,20 +113,19 @@ def scatter_svg(result: ReconstructionResult, title: str) -> bytes:
         f'font-size="13" font-family="sans-serif" '
         f'transform="rotate(-90 {ox - 40:.2f} {oy + side / 2:.2f})">{escape(SCATTER_Y_LABEL)}</text>'
     )
-    for x, y in result.original:
-        px, py = to_px(float(x), float(y))
-        lines.append(
-            f'<circle class="m-orig" cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
-            f'fill="{ORIGINAL_COLOR}" fill-opacity="0.75"/>'
-        )
-    for x, y in result.reconstructed:
-        px, py = to_px(float(x), float(y))
-        lines.append(
-            f'<circle class="m-reco" cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
-            f'fill="{RECONSTRUCTED_COLOR}" fill-opacity="0.75"/>'
-        )
+    point_sets = (
+        ("original", "m-orig", ORIGINAL_COLOR, original),
+        ("reconstructed", "m-reco", RECONSTRUCTED_COLOR, reconstructed),
+    )
+    for _, marker, color, points in point_sets:
+        for x, y in points:
+            px, py = to_px(float(x), float(y))
+            lines.append(
+                f'<circle class="{marker}" cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
+                f'fill="{color}" fill-opacity="0.75"/>'
+            )
     lx = ox + side - 150
-    for i, (label, color) in enumerate((("original", ORIGINAL_COLOR), ("reconstructed", RECONSTRUCTED_COLOR))):
+    for i, (label, _, color, _) in enumerate(point_sets):
         ly = oy + 16 + 18 * i
         lines.append(
             f'<circle class="legend-swatch" cx="{lx:.2f}" cy="{ly:.2f}" r="4" fill="{color}"/>'

@@ -125,7 +125,7 @@ def adam_step(
     grad: np.ndarray,
     opt: OptimizerState,
     lr: float,
-) -> tuple[NetworkState, OptimizerState]:
+) -> None:
     """One Adam update, in place: m and v track the moments, parameters move by
     -lr * m_hat / (sqrt(v_hat) + eps) with the usual 1/(1-beta^t) bias correction.
 
@@ -149,7 +149,6 @@ def adam_step(
     v *= b2
     v += (1.0 - b2) * grad * grad
     net.theta -= lr * (m / mc) / (np.sqrt(v / vc) + eps)
-    return net, opt
 
 
 @one_thread()
@@ -176,32 +175,27 @@ def train(
     net = init(ArchitectureSpec(), config.init_seed)
     opt = init_optimizer(net)
 
-    try:
-        trace = forward(net, pts)
-    except FloatingPointError as exc:
-        raise TrainingDivergedError(1, str(exc)) from exc
     grad = None
     loss = float("nan")
-    for epoch in range(1, config.epochs + 1):
-        try:
+    epoch = 1
+    try:
+        trace = forward(net, pts)
+        for epoch in range(1, config.epochs + 1):
             grad = backward(net, pts, trace, out=grad)
             adam_step(net, grad, opt, config.learning_rate)
             trace = forward(net, pts, out=trace)
-        except FloatingPointError as exc:
-            raise TrainingDivergedError(epoch, str(exc)) from exc
-        loss = mse(pts, trace.output)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch, f"loss is {loss}")
-        captured = epoch in (1, config.epochs) or epoch % config.capture_every == 0
-        if capture_sink is not None and captured:
-            snap = EpochSnapshot(epoch, loss, net.spec, np.empty(EpochSnapshot.length(net.spec)))
-            snap.theta[...] = net.theta
-            snap.grad[...] = grad
-            for post, means in zip(trace.post, snap.activations):
-                np.matmul(ones, post, out=means)
-                means /= len(pts)
-            try:
+            loss = mse(pts, trace.output)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, f"loss is {loss}")
+            captured = epoch in (1, config.epochs) or epoch % config.capture_every == 0
+            if capture_sink is not None and captured:
+                snap = EpochSnapshot(epoch, loss, net.spec, np.empty(EpochSnapshot.length(net.spec)))
+                snap.theta[...] = net.theta
+                snap.grad[...] = grad
+                for post, means in zip(trace.post, snap.activations):
+                    np.matmul(ones, post, out=means)
+                    means /= len(pts)
                 capture_sink(snap)
-            except FloatingPointError as exc:
-                raise TrainingDivergedError(epoch, str(exc)) from exc
+    except FloatingPointError as exc:
+        raise TrainingDivergedError(epoch, str(exc)) from exc
     return net, loss

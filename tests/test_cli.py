@@ -339,6 +339,18 @@ class TestReport:
         assert "error:" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+            (["--bins", "0"], "bins must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_bad_setting_error_names_no_file(self, two_runs, tmp_path, flags, message, capsys):
+        argv = ["report", "--runs", str(two_runs[0.01]), "--outdir", str(tmp_path / "rep")]
+        assert run_cli(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("defect", UNANALYZABLE)
     def test_unanalyzable_run_is_usage_error_before_creating_outdir(
         self, two_runs, tmp_path, defect, capsys
@@ -432,7 +444,12 @@ class TestCompare:
     def test_nan_epsilon_usage_error(self, two_runs, capsys):
         runs = [str(two_runs[0.01]), str(two_runs[0.001])]
         assert run_cli(["compare", *runs, "--epsilon", "nan"]) == 2
-        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: epsilon must be positive and finite, got nan\n"
+
+    def test_zero_bins_usage_error(self, two_runs, capsys):
+        runs = [str(two_runs[0.01]), str(two_runs[0.001])]
+        assert run_cli(["compare", *runs, "--bins", "0"]) == 2
+        assert capsys.readouterr().err == "error: bins must be an integer >= 1, got 0\n"
 
 
 ALL_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
@@ -837,6 +854,34 @@ def test_non_finite_value_in_a_run_is_refused(command, two_runs, tmp_path, capsy
     assert captured.out == ""
     assert not outdir.exists()
     assert not bad.with_suffix(".report.json").exists()
+
+
+ONE_CIRCLE_CELL = {
+    "train": ["train", "--shape", "circle", "--lr", "0.01", "--epochs", "2"],
+    "all": ["all", "--shapes", "circle", "--lrs", "0.01", "--epochs", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["", "1e9"])
+@pytest.mark.parametrize("command", ["train", "all"])
+def test_malformed_source_date_epoch_exits_2_before_writing(
+    command, value, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    outdir = tmp_path / "out"
+    assert run_cli(ONE_CIRCLE_CELL[command] + ["--outdir", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"error: SOURCE_DATE_EPOCH must be an integer, got {value!r}\n"
+    assert not outdir.exists()  # no run file and no index.json
+
+
+def test_source_date_epoch_is_stamped_in_manifest_and_plan(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    for command in ("train", "all"):
+        assert run_cli(ONE_CIRCLE_CELL[command] + ["--outdir", str(tmp_path / command)]) == 0
+        with RunAccessor(tmp_path / command / "circle_0.01_2.nfl") as acc:
+            assert acc.manifest.created_utc == 1700000000
+    index = json.loads((tmp_path / "all" / "index.json").read_text())
+    assert index["plan"]["created_utc"] == 1700000000
 
 
 def test_entry_point_exit_codes_and_stdout(two_runs, tmp_path, capsys):

@@ -8,7 +8,6 @@ from conftest import analyze_file, make_manifest, make_snapshot
 from fluctlab.analysis import InsufficientDataError
 from fluctlab.cli import train_run_to_file
 from fluctlab.figures import (
-    ReconstructionResult,
     fluctuation_table,
     hist_svg,
     reconstruct,
@@ -58,28 +57,28 @@ class TestReconstruct:
         write_run(make_manifest(arch=arch, shape=ShapeKind.CIRCLE, data_seed=3, epochs=1), snaps, path)
         pts = generate(ShapeKind.CIRCLE, 500, 3)
         with RunAccessor(path) as acc:
-            result = reconstruct(acc)
+            original, reconstructed = reconstruct(acc)
         # the run's own training set, rebuilt from its manifest
-        assert result.original.tobytes() == pts.tobytes()
-        assert np.all(result.reconstructed == 0.0)
+        assert original.tobytes() == pts.tobytes()
+        assert np.all(reconstructed == 0.0)
         # analytic: mean over components of the squared targets
-        assert mse(result.original, result.reconstructed) == pytest.approx(
+        assert mse(original, reconstructed) == pytest.approx(
             float(np.mean(pts**2)), abs=1e-15
         )
 
     def test_deterministic(self, spiral_run):
         path, _, _ = spiral_run
         with RunAccessor(path) as acc:
-            a = reconstruct(acc)
-            b = reconstruct(acc)
-        assert np.array_equal(a.reconstructed, b.reconstructed)
-        assert mse(a.original, a.reconstructed) == mse(b.original, b.reconstructed)
+            a_original, a_reconstructed = reconstruct(acc)
+            b_original, b_reconstructed = reconstruct(acc)
+        assert np.array_equal(a_reconstructed, b_reconstructed)
+        assert mse(a_original, a_reconstructed) == mse(b_original, b_reconstructed)
 
     def test_final_mse_matches_stored_loss(self, spiral_run):
         path, _, stored_loss = spiral_run
         with RunAccessor(path) as acc:
-            result = reconstruct(acc)
-        assert abs(mse(result.original, result.reconstructed) - stored_loss) <= 1e-6
+            original, reconstructed = reconstruct(acc)
+        assert abs(mse(original, reconstructed) - stored_loss) <= 1e-6
 
     def test_incomplete_run_refused(self, tmp_path):
         arch = ArchitectureSpec()
@@ -101,11 +100,7 @@ class TestReconstruct:
 
 class TestScatterSvg:
     def test_marker_count(self):
-        result = ReconstructionResult(
-            original=np.array([[0.5, 0.5]]),
-            reconstructed=np.array([[0.1, -0.2]]),
-        )
-        blob = scatter_svg(result, "t")
+        blob = scatter_svg(np.array([[0.5, 0.5]]), np.array([[0.1, -0.2]]), "t")
         assert blob.count(b'class="m-orig"') == 1
         assert blob.count(b'class="m-reco"') == 1
         assert_well_formed_svg(blob)
@@ -113,15 +108,15 @@ class TestScatterSvg:
     def test_byte_determinism(self, spiral_run):
         path, _, _ = spiral_run
         with RunAccessor(path) as acc:
-            result = reconstruct(acc)
-        assert scatter_svg(result, "spiral") == scatter_svg(result, "spiral")
+            points = reconstruct(acc)
+        assert scatter_svg(*points, "spiral") == scatter_svg(*points, "spiral")
 
     def test_markers_inside_viewbox(self):
-        result = ReconstructionResult(
-            original=np.array([[1.0, -1.0], [0.0, 0.0]]),
-            reconstructed=np.array([[5.0, 5.0], [-3.0, 0.2]]),  # clipped to the frame
-        )
-        blob = scatter_svg(result, "t").decode()
+        blob = scatter_svg(
+            np.array([[1.0, -1.0], [0.0, 0.0]]),
+            np.array([[5.0, 5.0], [-3.0, 0.2]]),  # clipped to the frame
+            "t",
+        ).decode()
         assert 'width="800" height="600" viewBox="0 0 800 600"' in blob
         coords = re.findall(r'class="m-\w+" cx="([0-9.]+)" cy="([0-9.]+)"', blob)
         assert len(coords) == 4
@@ -130,22 +125,23 @@ class TestScatterSvg:
             assert 0.0 <= float(cy) <= 600.0
 
     def test_title_and_axis_labels(self):
-        result = ReconstructionResult(
-            original=np.array([[0.5, 0.5]]),
-            reconstructed=np.array([[0.1, -0.2]]),
-        )
-        root = ET.fromstring(scatter_svg(result, "a < b"))
+        root = ET.fromstring(scatter_svg(np.array([[0.5, 0.5]]), np.array([[0.1, -0.2]]), "a < b"))
         texts = [t.text for t in root.iter() if t.tag.endswith("text")]
         assert texts[0] == "a < b"
         assert texts[-4:-2] == ["x", "y"]
 
     def test_nonfinite_rejected(self):
-        result = ReconstructionResult(
-            original=np.array([[np.nan, 0.0]]),
-            reconstructed=np.array([[0.0, 0.0]]),
-        )
         with pytest.raises(ValueError):
-            scatter_svg(result, "t")
+            scatter_svg(np.array([[np.nan, 0.0]]), np.array([[0.0, 0.0]]), "t")
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError) as info:
+            scatter_svg(np.zeros((3, 2)), np.zeros((2, 2)), "t")
+        assert str(info.value) == "original (3, 2) and reconstructed (2, 2) must have equal shapes"
+
+    def test_empty_point_sets_rejected(self):
+        with pytest.raises(ValueError, match="^nothing to plot: empty point sets$"):
+            scatter_svg(np.zeros((0, 2)), np.zeros((0, 2)), "t")
 
 
 class TestHistSvg:
@@ -254,8 +250,7 @@ class TestEscapedTitles:
         assert TITLE_TO_ESCAPE in [t.text for t in root.iter() if t.tag.endswith("text")]
 
     def test_scatter_svg(self):
-        result = ReconstructionResult(np.array([[0.5, 0.5]]), np.array([[0.1, -0.2]]))
-        self.assert_title_escaped(scatter_svg(result, TITLE_TO_ESCAPE))
+        self.assert_title_escaped(scatter_svg(np.array([[0.5, 0.5]]), np.array([[0.1, -0.2]]), TITLE_TO_ESCAPE))
 
     def test_hist_svg(self, frozen_run):
         self.assert_title_escaped(hist_svg(analyze_file(frozen_run), "weights", TITLE_TO_ESCAPE))

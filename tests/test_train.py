@@ -380,6 +380,33 @@ class TestTrain:
         assert err.value.epoch == 1
         assert "layer 0" in str(err.value)
 
+    def test_sink_floating_point_error_names_its_epoch(self):
+        def sink(snapshot):
+            if snapshot.epoch == 3:
+                raise FloatingPointError("a captured value does not fit float32")
+
+        cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=6)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(cfg, sink)
+        assert err.value.epoch == 3
+        assert str(err.value) == "run aborted at epoch 3: a captured value does not fit float32"
+
+    def test_backward_floating_point_error_names_its_epoch(self, monkeypatch):
+        calls = []
+
+        def failing_backward(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise FloatingPointError("backward failed")
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "backward", failing_backward)
+        cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=6)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(cfg, None)
+        assert err.value.epoch == 4
+        assert str(err.value) == "run aborted at epoch 4: backward failed"
+
     def test_one_forward_per_epoch_plus_one(self, monkeypatch):
         calls = []
 
