@@ -1,4 +1,4 @@
-"""One OpenBLAS thread while training, so the bits never depend on the thread count.
+"""One OpenBLAS thread in training and forward passes, so no bit depends on the thread count.
 
 Under some OpenBLAS kernels (`Haswell`, `Prescott`) a product split across
 threads sums in another order than on one thread, and a run's bytes change

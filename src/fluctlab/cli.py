@@ -340,6 +340,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    epsilon, bins = check_analysis_settings(args.epsilon, args.bins)
     run_path = Path(args.run)
     json_path = Path(args.json) if args.json else run_path.with_suffix(".report.json")
     csv_path = Path(args.csv) if args.csv else run_path.with_suffix(".neurons.csv")
@@ -352,7 +353,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if taken:
         raise ValueError(f"{', '.join(taken)} exists; name the outputs with --json and --csv")
     with RunAccessor(run_path) as acc:
-        report = analyze_run(acc, epsilon=args.epsilon, bins=args.bins, mode=args.mode)
+        report = analyze_run(acc, epsilon=epsilon, bins=bins, mode=args.mode)
     _write_report(report, json_path, csv_path)
     print(json_path)
     print(csv_path)

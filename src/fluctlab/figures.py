@@ -9,7 +9,6 @@ from html import escape
 import numpy as np
 
 from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, check_analyzable, half_slices
-from .blas import one_thread
 from .net import NetworkState, forward, layer_views
 from .runfile import RunAccessor
 from .shapes import generate
@@ -30,7 +29,6 @@ STACK_TITLE_HEIGHT = 34
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
-@one_thread()
 def reconstruct(run: RunAccessor) -> tuple[np.ndarray, np.ndarray]:
     """Load the final network from an open, complete run file and reconstruct
     the run's training set: returns (points, output).  The network's weights

@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blas import one_thread
 from .rng import SplitMix64, is_integer
 
 ENCODER_DIMS = (2, 64, 32, 1)
@@ -174,15 +175,17 @@ def init(spec: ArchitectureSpec, seed: int) -> NetworkState:
     return net
 
 
+@one_thread()
+@np.errstate(over="raise", invalid="raise")
 def forward(net: NetworkState, inputs, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the full encoder/decoder chain; the trace keeps every activation.
 
     `inputs` is (n, in_dim), in_dim the first layer's width: (n, 2) for the
     default geometry.  Raises NumericOverflowError naming the first layer
-    that produces a non-finite value.  A trace `out` of the same geometry and
-    batch size is overwritten and returned; otherwise a new trace is
-    allocated.  Layer k is one product of its input buffer with [W_k | b_k],
-    into the next buffer.
+    whose parameters are not finite (an inf operand raises no flag), else
+    the first whose product overflows; numpy reads only the calling thread's
+    flags, hence one BLAS thread.  A trace `out` of the same geometry and
+    batch size is overwritten and returned; otherwise a new trace is allocated.
     """
     spec, x = net.spec, np.asarray(inputs, dtype=np.float64)
     in_dim = spec.layer_shapes[0][0]
@@ -190,6 +193,8 @@ def forward(net: NetworkState, inputs, out: ForwardTrace | None = None) -> Forwa
         raise ValueError(f"expected inputs of shape (n, {in_dim}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
+    if not np.isfinite(net.theta).all():
+        raise NumericOverflowError(next(k for k, b in enumerate(net.blocks) if not np.isfinite(b).all()))
     n = len(x)
     if out is None or out.spec != spec or len(out.buffers[0]) != n:
         buffers = [np.ones((n, width + 1)) for width in (in_dim, *spec.out_dims)]
@@ -199,10 +204,10 @@ def forward(net: NetworkState, inputs, out: ForwardTrace | None = None) -> Forwa
     buffers = out.buffers
     buffers[0][:, :-1] = x
     for k, (block, relu) in enumerate(zip(net.blocks, spec.relu_flags)):
-        np.matmul(buffers[k], block.T, out=out.post[k])
-        # the ones column is finite and stays 1 under ReLU: both run on the whole buffer
-        if not np.isfinite(buffers[k + 1]).all():
-            raise NumericOverflowError(k)
+        try:
+            np.matmul(buffers[k], block.T, out=out.post[k])
+        except FloatingPointError as exc:
+            raise NumericOverflowError(k) from exc
         if relu:
             np.maximum(buffers[k + 1], 0.0, out=buffers[k + 1])
     return out

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluctlab import blas
 from fluctlab.analysis import analyze_run
 from fluctlab.net import ArchitectureSpec, layer_views
 from fluctlab.runfile import (
@@ -34,6 +35,20 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def tiny_arch():
     return TINY_ARCH
+
+
+needs_openblas = pytest.mark.skipif(blas._openblas() is None, reason="numpy has loaded no OpenBLAS")
+
+
+@pytest.fixture
+def two_threads():
+    """OpenBLAS set to 2 threads, so a restored count differs from the pinned
+    one; the count the test found is set back afterwards."""
+    set_threads, get_threads, _ = blas._openblas()
+    found = get_threads()
+    set_threads(2)
+    yield get_threads()
+    set_threads(found)
 
 
 def make_snapshot(arch, epoch, loss, rng=None, fill=None):

@@ -182,6 +182,14 @@ class TestHistogram:
         assert edges == [0.0, 1.5, 3.0]
         assert counts == [2, 2]
 
+    def test_empty_input_is_refused(self):
+        with pytest.raises(ValueError, match="histogram of an empty sequence is undefined"):
+            histogram(np.array([]), 30)
+
+    def test_range_too_small_to_split_collapses_to_one_bin(self):
+        """30 bins over [0, 5e-324], the smallest subnormal, repeat an edge."""
+        assert histogram(np.array([0.0, 5e-324]), 30) == ([0.0, 5e-324], [2])
+
     def test_last_bin_closed(self):
         _, counts = histogram(np.array([1.0, 2.0, 4.0]), 4)
         assert counts == [0, 1, 1, 1]
@@ -273,6 +281,12 @@ class TestDeltaSeries:
             with pytest.raises(InsufficientDataError):
                 neuron_delta_series(acc, 0, 0, "weights")
 
+    def test_unknown_channel_is_refused(self, tmp_path):
+        path = tmp_path / "ch.nfl"
+        write_synthetic_run(path, count=3)
+        with RunAccessor(path) as acc, pytest.raises(ValueError, match="unknown channel 'weight'"):
+            neuron_delta_series(acc, 0, 0, "weight")
+
     def test_activations_channel_reads_probe_means(self, tmp_path):
         path = tmp_path / "act.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2)]
@@ -358,6 +372,12 @@ class TestAnalyzeRun:
         edit_frame_value(path, 2, "weights1", 2 * 4 + 1, value)  # layer 1 is 4 -> 3
         with pytest.raises(ValueError, match="weights spread of layer 1 neuron 2 is nan"):
             analyze_file(path, mode=mode)
+
+    def test_unknown_mode_is_refused(self, tmp_path):
+        path = tmp_path / "mode.nfl"
+        write_synthetic_run(path, count=3)
+        with pytest.raises(ValueError, match="mode must be 'delta' or 'raw', got 'deltas'"):
+            analyze_file(path, mode="deltas")
 
     def test_single_snapshot_insufficient_for_deltas(self, tmp_path):
         path = tmp_path / "one.nfl"

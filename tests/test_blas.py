@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -5,22 +6,21 @@ from pathlib import Path
 
 import pytest
 
+from conftest import needs_openblas
+
 import fluctlab
 from fluctlab import blas
 
 OPENBLAS = blas._openblas()
-needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy has loaded no OpenBLAS")
 
 
 @pytest.fixture
-def two_threads():
-    """OpenBLAS set to 2 threads, so a restored count differs from the pinned
-    one; the count the test found is set back afterwards."""
-    set_threads, get_threads, _ = OPENBLAS
-    found = get_threads()
-    set_threads(2)
-    yield get_threads()
-    set_threads(found)
+def rescan():
+    """`_openblas`'s cached scan cleared before and after the test, so a
+    patched fallback is seen and later tests scan the real maps again."""
+    blas._openblas.cache_clear()
+    yield
+    blas._openblas.cache_clear()
 
 
 @needs_openblas
@@ -58,3 +58,26 @@ def test_corename_alone_finds_the_loaded_kernel():
     probe = [sys.executable, "-c", "from fluctlab.blas import corename; print(corename())"]
     loaded = subprocess.run(probe, check=True, capture_output=True, text=True, env=env, timeout=60)
     assert loaded.stdout.strip() == str(blas.corename())
+
+
+def test_unreadable_maps_give_no_openblas(monkeypatch, rescan):
+    def unreadable(*args):
+        raise PermissionError("/proc/self/maps")
+
+    monkeypatch.setattr(blas, "open", unreadable, raising=False)
+    assert blas._openblas() is None
+
+
+def test_a_library_that_fails_to_load_is_passed_over(monkeypatch, rescan):
+    def unloadable(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert blas._openblas() is None
+
+
+def test_a_library_without_the_known_symbols_is_passed_over(monkeypatch, rescan):
+    """Each loaded library offers no set/get/corename triple, so the scan
+    ends with None rather than a partial or wrong set of functions."""
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    assert blas._openblas() is None

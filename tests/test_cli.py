@@ -282,6 +282,26 @@ class TestAnalyze:
         assert flags[0][2:] in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--epsilon", "0"], "epsilon must be positive and finite, got 0.0"),
+            (["--bins", "0"], "bins must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_bad_setting_is_refused_before_the_run_is_read(self, tmp_path, flags, message, capsys):
+        argv = ["analyze", "--run", str(tmp_path / "nothere.nfl")]
+        assert run_cli(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "0"], ["--bins", "0"]])
+    def test_bad_setting_opens_no_run(self, two_runs, tmp_path, monkeypatch, flags):
+        opened = []
+        monkeypatch.setattr(cli, "RunAccessor", lambda path: opened.append(path) or RunAccessor(path))
+        argv = ["analyze", "--run", str(two_runs[0.01]), "--json", str(tmp_path / "r.json")]
+        assert run_cli(argv + ["--csv", str(tmp_path / "r.csv")] + flags) == 2
+        assert opened == []
+
 
 class TestReport:
     def test_single_run_artifacts(self, two_runs, tmp_path):

@@ -13,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import needs_openblas
+
 import fluctlab
+from fluctlab import blas
 from fluctlab.blas import corename
 from fluctlab.net import (
     GRADIENT_BLOCK_ROWS,
@@ -23,6 +26,7 @@ from fluctlab.net import (
     backward,
     forward,
     init,
+    layer_blocks,
     layer_views,
     mse,
 )
@@ -206,6 +210,44 @@ class TestForward:
             forward(net, np.array([[0.5, 0.5]]))
         assert err.value.layer == 2
         assert "layer 2" in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_parameter_not_finite_on_entry_names_its_layer(self, value):
+        """No product flags a nan operand, and a -inf bias in a ReLU layer
+        becomes 0 without a flag: only the entry check sees either."""
+        net = init(ArchitectureSpec(), 3)
+        net.blocks[2][0, -1] = value
+        with pytest.raises(NumericOverflowError) as err:
+            forward(net, np.array([[0.5, 0.5]]))
+        assert err.value.layer == 2
+
+    @needs_openblas
+    def test_overflow_in_the_last_rows_names_its_layer_at_two_threads(self, two_threads):
+        """Only the last five rows overflow, in layer 1's product.  At two
+        OpenBLAS threads those rows can fall to the second thread, whose
+        overflow flag numpy never reads, and layer 2 would be named for the
+        nan that the inf rows make there; forward runs on one thread."""
+        net = init(ArchitectureSpec(), 3)
+        net.blocks[1][:, :-1] = 1e306
+        x = np.zeros((500, 2))
+        x[-5:] = 1e3
+        with np.errstate(all="ignore"), pytest.raises(NumericOverflowError) as err:
+            forward(net, x)
+        assert err.value.layer == 1
+
+    @needs_openblas
+    def test_leaves_the_callers_error_state_and_thread_count(self, two_threads):
+        get_threads = blas._openblas()[1]
+        net = init(ArchitectureSpec(), 3)
+        x = np.full((500, 2), 1e3)
+        with np.errstate(over="warn", invalid="ignore", divide="raise", under="ignore"):
+            caller = np.geterr()
+            forward(net, x)
+            assert (np.geterr(), get_threads()) == (caller, two_threads)
+            net.blocks[1][:, :-1] = 1e306
+            with pytest.raises(NumericOverflowError):
+                forward(net, x)
+            assert (np.geterr(), get_threads()) == (caller, two_threads)
 
     def test_matches_per_layer_oracle(self):
         rng = np.random.default_rng(7)
@@ -554,6 +596,10 @@ class TestFlatParameters:
     def test_parameter_count(self):
         assert ArchitectureSpec().parameter_count == 4611
         assert init(ArchitectureSpec(), 1).theta.shape == (4611,)
+
+    def test_blocks_refuse_a_vector_of_another_length(self):
+        with pytest.raises(ValueError, match=r"expected 4611 flat values, got shape \(4610,\)"):
+            layer_blocks(np.zeros(4610), ArchitectureSpec())
 
     def test_blocks_hold_weights_then_bias(self):
         net = init(ArchitectureSpec(), 30)

@@ -1,3 +1,4 @@
+import errno
 import json
 import struct
 import tracemalloc
@@ -586,6 +587,22 @@ class TestErrors:
         )
         with pytest.raises(RunFormatError):
             RunWriter(tmp_path / "huge.nfl", make_manifest(arch=huge))
+
+    def test_failed_header_write_closes_the_file(self, tmp_path, monkeypatch):
+        class FullDisk:
+            closed = False
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                self.closed = True
+
+        stream = FullDisk()
+        monkeypatch.setattr(runfile, "open", lambda path, mode: stream, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            RunWriter(tmp_path / "full.nfl", make_manifest())
+        assert stream.closed
 
     def test_refused_writer_leaves_the_file_alone(self, tmp_path):
         path = tmp_path / "kept.nfl"

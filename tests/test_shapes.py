@@ -62,6 +62,10 @@ class TestParameterizations:
         x, y = spiral_point(4.0 * math.pi)
         assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-12)
 
+    def test_polygon_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="polygon needs at least 3 vertices, got 2"):
+            polygon_vertices(2)
+
     def test_polygon_first_vertex_at_top(self):
         for _, n in POLYGONS:
             v = polygon_vertices(n)

@@ -465,6 +465,11 @@ class TestTrain:
             views = [snap.theta, snap.grad, *snap.activations]
             assert all(a.base is snap.values for a in views)
 
+    def test_snapshot_refuses_values_of_another_length(self):
+        size = EpochSnapshot.length(TINY)
+        with pytest.raises(ValueError, match=rf"expected {size} values, got \({size + 1},\)"):
+            EpochSnapshot(1, 0.5, TINY, np.zeros(size + 1))
+
     def test_snapshot_fields_cannot_be_rebound(self):
         # a rebound array would not be the values the writer gathers from
         snap = EpochSnapshot(1, 0.5, TINY, np.zeros(EpochSnapshot.length(TINY)))
