@@ -174,15 +174,15 @@ def _spreads_of_spread(report: FluctuationReport, channel: str) -> list[float]:
     return [report.channels[channel].halves[h].spread_of_spread for h in HALVES]
 
 
-def _analyzed_runs(paths: list, epsilon: float, bins: int) -> Iterator[tuple]:
-    """Open and analyse each run file in turn and yield it with its
-    FluctuationReport; each is closed before the next is opened.  Bad settings
-    are refused before any file is opened, a bad run with its file's name."""
+def _analyzed_runs(paths: list, epsilon: float, bins: int, mode: str = "delta") -> Iterator[tuple]:
+    """The CLI's one way into run files: open and analyse each in turn and
+    yield it with its FluctuationReport, closed before the next is opened.  Bad
+    settings are refused before any file is opened, a bad run with its file's name."""
     epsilon, bins = check_analysis_settings(epsilon, bins)
     for path in paths:
         try:
             acc = RunAccessor(path)
-            report = analyze_run(acc, epsilon=epsilon, bins=bins)
+            report = analyze_run(acc, epsilon=epsilon, bins=bins, mode=mode)
         except (RunFormatError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         with acc:
@@ -271,9 +271,8 @@ def _execute_run(plan: ExperimentPlan, config: RunConfig) -> dict:
         run_path = out_dir / f"{_run_stem(config)}.nfl"
         train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name
-        with RunAccessor(run_path) as acc:
-            measured = measure_run(acc, analyze_run(acc, epsilon=plan.epsilon, bins=plan.bins))
-        entry.update(write_summary(measured, out_dir))
+        for acc, report in _analyzed_runs([run_path], plan.epsilon, plan.bins):
+            entry.update(write_summary(measure_run(acc, report), out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed cell must not sink the plan
         entry["status"] = "failed"
         entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -340,7 +339,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    epsilon, bins = check_analysis_settings(args.epsilon, args.bins)
     run_path = Path(args.run)
     json_path = Path(args.json) if args.json else run_path.with_suffix(".report.json")
     csv_path = Path(args.csv) if args.csv else run_path.with_suffix(".neurons.csv")
@@ -352,8 +350,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     taken = [str(p) for p in defaults if p.exists()]
     if taken:
         raise ValueError(f"{', '.join(taken)} exists; name the outputs with --json and --csv")
-    with RunAccessor(run_path) as acc:
-        report = analyze_run(acc, epsilon=epsilon, bins=bins, mode=args.mode)
+    [(_, report)] = _analyzed_runs([run_path], args.epsilon, args.bins, args.mode)
     _write_report(report, json_path, csv_path)
     print(json_path)
     print(csv_path)

@@ -23,7 +23,7 @@ from .rng import SplitMix64, is_integer
 ENCODER_DIMS = (2, 64, 32, 1)
 DECODER_DIMS = (1, 32, 64, 2)
 # Batch rows per block of the gradient sums g.T @ a_prev.  The thread guard on
-# every OpenBLAS kernel is the one-thread pin around training
+# every OpenBLAS kernel is the one-thread pin on forward and backward
 # (`blas.one_thread`): unpinned, OpenBLAS splits large products across its
 # threads, and under some kernels that changes the order of the sums and so
 # the bits.  The blocks are a speed choice: at one thread, 125-row blocks
@@ -213,6 +213,7 @@ def forward(net: NetworkState, inputs, out: ForwardTrace | None = None) -> Forwa
     return out
 
 
+@np.errstate(over="ignore")  # an overflow gives inf, which train()'s loss check reports
 def mse(targets, outputs) -> float:
     """Mean of squared differences over every scalar component (2n terms)."""
     t = np.asarray(targets, dtype=np.float64)
@@ -222,6 +223,7 @@ def mse(targets, outputs) -> float:
     return float(np.mean((t - o) ** 2))
 
 
+@one_thread()
 def backward(
     net: NetworkState, targets, trace: ForwardTrace, out: np.ndarray | None = None
 ) -> np.ndarray:

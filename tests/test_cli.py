@@ -48,20 +48,26 @@ def two_runs(tmp_path_factory):
     return paths
 
 
-UNANALYZABLE = ["one_snapshot", "incomplete", "not_a_run_file", "manifest_nested_too_deep"]
+# each defect of unanalyzable_run, with the message every command prints after the run's name
+UNANALYZABLE = {
+    "one_snapshot": "need at least 2 snapshots for mode 'delta', run has 1",
+    "incomplete": "run file is incomplete; refusing to analyze",
+    "not_a_run_file": f"not a run file: expected magic {MAGIC!r}",
+    "manifest_nested_too_deep": "unreadable manifest: maximum recursion depth exceeded "
+    "while decoding a JSON array from a unicode string",
+}
 # JSON nested deeper than the interpreter's recursion limit
 TOO_DEEP = b"[" * 1500
 
 
 def unanalyzable_run(path, defect):
-    """A file that report and compare refuse, with one of the UNANALYZABLE defects."""
+    """A file that analyze, report and compare refuse, with one of the UNANALYZABLE defects."""
     if defect == "one_snapshot":
         train_run_to_file(RunConfig(shape=ShapeKind.SPIRAL, learning_rate=0.1, epochs=1), path)
     elif defect == "incomplete":
         cfg = RunConfig(shape=ShapeKind.SPIRAL, learning_rate=1e30, epochs=50)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError):
-                train_run_to_file(cfg, path)
+        with pytest.raises(TrainingDivergedError):
+            train_run_to_file(cfg, path)
     elif defect == "manifest_nested_too_deep":
         header = MAGIC + len(TOO_DEEP).to_bytes(4, "little")
         path.write_bytes(header + TOO_DEEP.ljust(MANIFEST_REGION, b" "))
@@ -126,12 +132,10 @@ class TestTrain:
     @pytest.mark.parametrize("lr", ["1e30", "1e6"])
     def test_divergent_run_exits_1_and_flags_incomplete(self, tmp_path, capsys, lr):
         out = tmp_path / "d.nfl"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(
-                ["train", "--shape", "circle", "--lr", lr, "--epochs", "50", "--out", str(out)]
-            )
+        code = run_cli(["train", "--shape", "circle", "--lr", lr, "--epochs", "50", "--out", str(out)])
         assert code == 1
-        assert "run aborted at epoch" in capsys.readouterr().err
+        reason = {"1e30": "loss is inf", "1e6": "a captured value does not fit float32"}[lr]
+        assert capsys.readouterr().err == f"error: run aborted at epoch 1: {reason}\n"
         with RunAccessor(out) as acc:
             assert acc.manifest.complete is False
 
@@ -260,7 +264,7 @@ class TestAnalyze:
         outdir = tmp_path / "an"
         argv = ["analyze", "--run", str(run), "--json", str(outdir / "r.json")]
         assert run_cli(argv + ["--csv", str(outdir / "r.csv")]) == 2
-        assert capsys.readouterr().err.startswith("error: unreadable manifest: ")
+        assert capsys.readouterr().err == f"error: {run}: {UNANALYZABLE['manifest_nested_too_deep']}\n"
         assert not outdir.exists()
 
     def test_manifest_with_layers_past_a_c_int_exits_2_before_writing(
@@ -271,8 +275,18 @@ class TestAnalyze:
         run.write_bytes(two_runs[0.01].read_bytes())
         edit_manifest(run, "encoder_dims", [2, 2**40, 2**40, 1], "architecture")
         assert run_cli(["analyze", "--run", str(run)]) == 2
-        assert capsys.readouterr().err.startswith("error: unreadable manifest: ")
+        message = "invalid shape in fixed-type tuple: dimension does not fit into a C int."
+        assert capsys.readouterr().err == f"error: {run}: unreadable manifest: {message}\n"
         assert [p.name for p in run.parent.iterdir()] == ["x.nfl"]
+
+    @pytest.mark.parametrize("defect", UNANALYZABLE)
+    def test_unanalyzable_run_is_named_before_writing(self, tmp_path, defect, capsys):
+        bad = unanalyzable_run(tmp_path / f"{defect}.nfl", defect)
+        assert run_cli(["analyze", "--run", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: {UNANALYZABLE[defect]}\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [bad.name]
 
     @pytest.mark.parametrize("flags", [["--epsilon", "nan"], ["--epsilon", "0"], ["--bins", "0"]])
     def test_bad_analysis_setting_exits_2_before_writing(self, two_runs, tmp_path, flags, capsys):
@@ -379,7 +393,7 @@ class TestReport:
         outdir = tmp_path / "rep"
         runs = f"{two_runs[0.01]},{bad}"
         assert run_cli(["report", "--runs", runs, "--outdir", str(outdir)]) == 2
-        assert f"error: {bad}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {bad}: {UNANALYZABLE[defect]}\n"
         assert not outdir.exists()
 
     def test_report_rewrites_the_bytes_of_all(self, tmp_path):
@@ -441,7 +455,7 @@ class TestCompare:
         bad = unanalyzable_run(tmp_path / f"{defect}.nfl", defect)
         assert run_cli(["compare", str(two_runs[0.01]), str(bad)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.err == f"error: {bad}: {UNANALYZABLE[defect]}\n"
         assert captured.out == ""
 
     def test_identical_runs_identical_columns(self, two_runs, capsys):
@@ -551,25 +565,24 @@ class TestAll:
 
     def test_failed_cell_recorded_and_others_continue(self, tmp_path):
         outdir = tmp_path / "fail"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(
-                [
-                    "all",
-                    "--shapes",
-                    "circle",
-                    "--lrs",
-                    "1e30,0.01",
-                    "--epochs",
-                    "50",
-                    "--outdir",
-                    str(outdir),
-                ]
-            )
+        code = run_cli(
+            [
+                "all",
+                "--shapes",
+                "circle",
+                "--lrs",
+                "1e30,0.01",
+                "--epochs",
+                "50",
+                "--outdir",
+                str(outdir),
+            ]
+        )
         assert code == 1
         index = json.loads((outdir / "index.json").read_text())
         by_lr = {e["learning_rate"]: e for e in index["entries"]}
         assert by_lr[1e30]["status"] == "failed"
-        assert "error" in by_lr[1e30]
+        assert by_lr[1e30]["error"] == "TrainingDivergedError: run aborted at epoch 1: loss is inf"
         assert by_lr[0.01]["status"] == "ok"
 
     def test_failed_cell_under_the_pool_matches_in_process(self, tmp_path, monkeypatch, capsys):
@@ -582,8 +595,7 @@ class TestAll:
             workdir = tmp_path / parallelism
             workdir.mkdir()
             monkeypatch.chdir(workdir)
-            with np.errstate(over="ignore", invalid="ignore"):
-                code = run_cli(argv + ["--parallelism", parallelism])
+            code = run_cli(argv + ["--parallelism", parallelism])
             index = Path("out/index.json").read_bytes()
             results.append((code, index, capsys.readouterr().out))
         assert results[1] == results[0]
@@ -593,6 +605,35 @@ class TestAll:
         assert by_lr[1e30]["status"] == "failed"
         assert by_lr[1e30]["error"].startswith("TrainingDivergedError: run aborted at epoch 1")
         assert by_lr[0.01]["status"] == "ok"
+
+    def test_each_cell_is_read_once_through_the_loop(self, tmp_path, monkeypatch):
+        """all analyses each run it trained through _analyzed_runs, which opens
+        it once, as report and compare do."""
+        looped, opened = [], []
+        real_loop = cli._analyzed_runs
+
+        def loop(paths, *settings):
+            looped.extend(paths)
+            return real_loop(paths, *settings)
+
+        monkeypatch.setattr(cli, "_analyzed_runs", loop)
+        monkeypatch.setattr(cli, "RunAccessor", lambda path: opened.append(path) or RunAccessor(path))
+        outdir = tmp_path / "exp"
+        argv = ["all", "--shapes", "circle", "--lrs", "0.01,0.001", "--epochs", "2"]
+        assert run_cli(argv + ["--outdir", str(outdir)]) == 0
+        assert looped == opened == [outdir / "circle_0.01_2.nfl", outdir / "circle_0.001_2.nfl"]
+
+    def test_failed_analysis_is_recorded_with_its_run_file(self, tmp_path, monkeypatch):
+        def refuse(acc, **settings):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli, "analyze_run", refuse)
+        outdir = tmp_path / "exp"
+        argv = ["all", "--shapes", "circle", "--lrs", "0.01", "--epochs", "2", "--outdir", str(outdir)]
+        assert run_cli(argv) == 1
+        (entry,) = json.loads((outdir / "index.json").read_text())["entries"]
+        assert entry["status"] == "failed"
+        assert entry["error"] == f"ValueError: {outdir / 'circle_0.01_2.nfl'}: refused"
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "plan.json"
@@ -869,8 +910,7 @@ def test_non_finite_value_in_a_run_is_refused(command, two_runs, tmp_path, capsy
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     message = "weights spread of layer 1 neuron 3 is nan: the run holds a value that is not finite"
-    named = "" if command == "analyze" else f"{bad}: "
-    assert captured.err == f"error: {named}{message}\n"
+    assert captured.err == f"error: {bad}: {message}\n"
     assert captured.out == ""
     assert not outdir.exists()
     assert not bad.with_suffix(".report.json").exists()
@@ -920,7 +960,7 @@ def test_entry_point_exit_codes_and_stdout(two_runs, tmp_path, capsys):
     argv = ["--shape", "circle", "--lr", "1e30", "--epochs", "50", "--out", tmp_path / "d.nfl"]
     diverged = fluctlab_cli("train", *argv)
     assert diverged.returncode == 1
-    assert "error: run aborted at epoch" in diverged.stderr
+    assert diverged.stderr == "error: run aborted at epoch 1: loss is inf\n"
 
     runs = [two_runs[0.01], two_runs[0.001]]
     compared = fluctlab_cli("compare", *runs)

@@ -81,6 +81,21 @@ def blas_thread_digests(tmp_path, thread_counts, coretype=None):
     return digests
 
 
+# prints the loaded OpenBLAS kernel and the sha256 of one backward on a spiral
+# network whose parameters are perturbed off their seeded start
+BACKWARD_DIGEST = """
+import hashlib
+import numpy as np
+from fluctlab.blas import corename
+from fluctlab.net import ArchitectureSpec, backward, forward, init
+from fluctlab.shapes import ShapeKind, generate
+points = generate(ShapeKind.SPIRAL, 500, 1)
+net = init(ArchitectureSpec(), 101)
+net.theta += np.random.default_rng(5).uniform(-0.1, 0.1, net.theta.shape)
+print(corename(), hashlib.sha256(backward(net, points, forward(net, points)).tobytes()).hexdigest())
+"""
+
+
 def zero_net(arch):
     return NetworkState(arch)
 
@@ -426,6 +441,20 @@ class TestBackward:
         assert loaded.stdout.strip() in FORCED_KERNELS[kernel]
         digests = blas_thread_digests(tmp_path, ("1", "2"), coretype=kernel)
         assert len(set(digests.values())) == 1, digests
+
+    @pytest.mark.parametrize("kernel", FORCED_KERNELS)
+    def test_backward_bytes_do_not_depend_on_blas_threads_under_forced_kernel(self, kernel):
+        """backward called directly, outside train(), gives the same gradient
+        bytes at 1 and 2 BLAS threads under kernels that thread its products."""
+        printed = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": subprocess_pythonpath(), "OPENBLAS_CORETYPE": kernel}
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            cmd = [sys.executable, "-c", BACKWARD_DIGEST]
+            done = subprocess.run(cmd, check=True, capture_output=True, text=True, env=env, timeout=60)
+            loaded, printed[threads] = done.stdout.split()
+            assert loaded in FORCED_KERNELS[kernel]
+        assert printed["1"] == printed["2"], printed
 
     def test_trace_mismatch_rejected(self):
         net = init(GRADCHECK_ARCH, 1)

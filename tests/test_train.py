@@ -350,9 +350,8 @@ class TestTrain:
 
     def test_divergence_aborts_with_epoch(self):
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=1e30, epochs=50, data_seed=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
-                train(cfg, None)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(cfg, None)
         assert err.value.epoch == 1
         assert "loss is inf" in str(err.value)
 
@@ -360,9 +359,8 @@ class TestTrain:
         """At lr 1e60 the first step's weights overflow the post-step forward
         pass, before any loss is computed."""
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=1e60, epochs=50, data_seed=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
-                train(cfg, None)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(cfg, None)
         assert err.value.epoch == 1
         assert isinstance(err.value.__cause__, NumericOverflowError)
         assert str(err.value) == f"run aborted at epoch 1: {err.value.__cause__}"
@@ -375,7 +373,7 @@ class TestTrain:
 
         monkeypatch.setattr(train_module, "init", overflowing_init)
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=5)
-        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError) as err:
+        with pytest.raises(TrainingDivergedError) as err:
             train(cfg, None)
         assert err.value.epoch == 1
         assert "layer 0" in str(err.value)
