@@ -165,8 +165,8 @@ def check_analysis_settings(epsilon: float, bins: int = DEFAULT_BINS) -> tuple[f
 
 
 def check_analyzable(run: RunAccessor, mode: str = "delta") -> None:
-    """Reject a run that is incomplete, or that holds too few snapshots for
-    mode: deltas need two, raw values one."""
+    """Reject a run that is incomplete, that holds too few snapshots for
+    mode (deltas need two, raw values one) or a loss that is not finite."""
     if not run.manifest.complete:
         raise ValueError("run file is incomplete; refusing to analyze")
     needed = 2 if mode == "delta" else 1
@@ -174,6 +174,11 @@ def check_analyzable(run: RunAccessor, mode: str = "delta") -> None:
         raise InsufficientDataError(
             f"need at least {needed} snapshots for mode {mode!r}, run has {len(run)}"
         )
+    bad = np.flatnonzero(~np.isfinite(run.frames()["loss"]))
+    if bad.size:
+        frame = run.frames()[bad[0]]
+        message = f"loss of frame {bad[0]} (epoch {frame['epoch']}) is {frame['loss']}"
+        raise ValueError(f"{message}: the run holds a value that is not finite")
 
 
 def detect_inactive(spreads: np.ndarray, epsilon: float) -> np.ndarray:
@@ -343,7 +348,7 @@ def analyze_run(
     bins: int = DEFAULT_BINS,
     mode: str = "delta",
 ) -> FluctuationReport:
-    """Full fluctuation report for one open, complete run file.
+    """Full fluctuation report for one complete run file.
 
     mode "delta" (default) measures spreads of consecutive-epoch deltas;
     mode "raw" measures spreads of the raw per-epoch values instead.  A run

@@ -16,14 +16,14 @@ import functools
 
 import numpy  # noqa: F401 - loads the OpenBLAS that _openblas looks for
 
-# (set threads, get threads, kernel name) of the scipy-openblas wheels numpy
-# ships with (64- and 32-bit integers), then of a system OpenBLAS
-_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
-     "scipy_openblas_get_corename64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads", "scipy_openblas_get_corename"),
-    ("openblas_set_num_threads", "openblas_get_num_threads", "openblas_get_corename"),
-)
+# (set threads, get threads, kernel name) of the scipy-openblas that numpy 2
+# wheels bundle, then of numpy 1.2x wheels' and a system OpenBLAS; each with
+# 64-bit integers (the "64_" suffix), then with 32-bit ones
+_SYMBOLS = [
+    tuple(f"{prefix}_{name}{suffix}" for name in ("set_num_threads", "get_num_threads", "get_corename"))
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
 
 
 @functools.cache

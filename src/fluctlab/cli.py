@@ -13,7 +13,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
 
 from .analysis import (
     ANALYSIS_CHANNELS,
@@ -174,31 +173,32 @@ def _spreads_of_spread(report: FluctuationReport, channel: str) -> list[float]:
     return [report.channels[channel].halves[h].spread_of_spread for h in HALVES]
 
 
-def _analyzed_runs(paths: list, epsilon: float, bins: int, mode: str = "delta") -> Iterator[tuple]:
-    """The CLI's one way into run files: open and analyse each in turn and
-    yield it with its FluctuationReport, closed before the next is opened.  Bad
-    settings are refused before any file is opened, a bad run with its file's name."""
+def _analyzed_run(path, epsilon: float, bins: int, mode: str) -> tuple:
+    """(manifest, FluctuationReport, last frame) of one run; the run's frames
+    are freed when this returns.  A bad run is refused with its file's name."""
+    try:
+        run = RunAccessor(path)
+        report = analyze_run(run, epsilon=epsilon, bins=bins, mode=mode)
+    except (RunFormatError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    # a copy: a view of the last frame would keep every frame of the run alive
+    return run.manifest, report, run.frames()[-1].copy()
+
+
+def _analyzed_runs(paths: list, epsilon: float, bins: int, mode: str = "delta") -> list[tuple]:
+    """The CLI's one way into run files: _analyzed_run of each path in turn,
+    so one run's frames are held at a time.  Bad settings are refused before
+    any file is opened."""
     epsilon, bins = check_analysis_settings(epsilon, bins)
-    for path in paths:
-        try:
-            acc = RunAccessor(path)
-            report = analyze_run(acc, epsilon=epsilon, bins=bins, mode=mode)
-        except (RunFormatError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        with acc:
-            yield acc, report
+    return [_analyzed_run(path, epsilon, bins, mode) for path in paths]
 
 
-def measure_run(acc: RunAccessor, report: FluctuationReport) -> tuple:
-    """What write_summary needs of one open run and its FluctuationReport:
-    its RunConfig, the report, its reconstruction and its final loss."""
-    return acc.manifest.config, report, reconstruct(acc), float(acc.frames()["loss"][-1])
-
-
-def write_summary(measured: tuple, out_dir: Path) -> dict:
+def write_summary(manifest: RunManifest, report: FluctuationReport, last, out_dir: Path) -> dict:
     """Analysis JSON/CSV, scatter, per-channel histograms, and tables for one
-    run measured by measure_run; returns its index entry."""
-    cfg, report, (original, reconstructed), final_loss = measured
+    run, from its manifest, FluctuationReport and last frame; returns its
+    index entry."""
+    cfg = manifest.config
+    original, reconstructed = reconstruct(manifest, last)
     stem = _run_stem(cfg)
     report_json = out_dir / f"{stem}.report.json"
     neurons_csv = out_dir / f"{stem}.neurons.csv"
@@ -234,7 +234,7 @@ def write_summary(measured: tuple, out_dir: Path) -> dict:
 
     return {
         "shape": cfg.shape.value,
-        "final_loss": final_loss,
+        "final_loss": float(last["loss"]),
         "inactive_counts": inactive,
         "weights_inactive_default": inactive["weights"],
         "weights_epsilon_calibrated": calibrated,
@@ -271,8 +271,8 @@ def _execute_run(plan: ExperimentPlan, config: RunConfig) -> dict:
         run_path = out_dir / f"{_run_stem(config)}.nfl"
         train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name
-        for acc, report in _analyzed_runs([run_path], plan.epsilon, plan.bins):
-            entry.update(write_summary(measure_run(acc, report), out_dir))
+        [run] = _analyzed_runs([run_path], plan.epsilon, plan.bins)
+        entry.update(write_summary(*run, out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed cell must not sink the plan
         entry["status"] = "failed"
         entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -350,7 +350,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     taken = [str(p) for p in defaults if p.exists()]
     if taken:
         raise ValueError(f"{', '.join(taken)} exists; name the outputs with --json and --csv")
-    [(_, report)] = _analyzed_runs([run_path], args.epsilon, args.bins, args.mode)
+    [(_, report, _)] = _analyzed_runs([run_path], args.epsilon, args.bins, args.mode)
     _write_report(report, json_path, csv_path)
     print(json_path)
     print(csv_path)
@@ -369,15 +369,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_paths = [Path(p) for p in args.runs.split(",") if p]
     if not run_paths:
         raise ValueError("--runs needs at least one run file")
-    analyzed = _analyzed_runs(run_paths, args.epsilon, args.bins)
-    measured = [measure_run(acc, report) for acc, report in analyzed]
-    shared = _duplicates([_run_stem(cfg) for cfg, *_ in measured])
+    runs = _analyzed_runs(run_paths, args.epsilon, args.bins)
+    shared = _duplicates([_run_stem(manifest.config) for manifest, *_ in runs])
     if shared:
         raise ValueError(f"runs share artifact names: {', '.join(shared)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for run in measured:
-        entry = write_summary(run, out_dir)
+    for run in runs:
+        entry = write_summary(*run, out_dir)
         entries.append(entry)
         for name in entry["figures"] + [entry["table_md"], entry["table_csv"]]:
             print(out_dir / name)
@@ -391,13 +390,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.runs) < 2:
         raise ValueError("compare needs at least 2 run files")
-    runs = []  # (report, final loss, inactive counts) per run
-    shapes = set()
-    for acc, report in _analyzed_runs(args.runs, args.epsilon, args.bins):
-        shapes.add(acc.manifest.config.shape.value)
-        if len(shapes) > 1:
-            raise ValueError(f"runs mix shapes {sorted(shapes)}")
-        runs.append((report, float(acc.frames()["loss"][-1]), _inactive_counts(report)))
+    runs = [  # (report, final loss, inactive counts) per run
+        (report, float(last["loss"]), _inactive_counts(report))
+        for _, report, last in _analyzed_runs(args.runs, args.epsilon, args.bins)
+    ]
+    shapes = {report.shape for report, _, _ in runs}
+    if len(shapes) > 1:
+        raise ValueError(f"runs mix shapes {sorted(shapes)}")
     best_mse = min(runs, key=lambda run: run[1])[0]
     most_engaged = min(runs, key=lambda run: run[2]["activations"])[0]
     print(f"shape: {shapes.pop()}")

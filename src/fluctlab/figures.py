@@ -8,9 +8,9 @@ from html import escape
 
 import numpy as np
 
-from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, check_analyzable, half_slices
+from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, half_slices
 from .net import NetworkState, forward, layer_views
-from .runfile import RunAccessor
+from .runfile import RunManifest
 from .shapes import generate
 from .train import TRAIN_SAMPLE_COUNT
 
@@ -29,19 +29,16 @@ STACK_TITLE_HEIGHT = 34
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 
-def reconstruct(run: RunAccessor) -> tuple[np.ndarray, np.ndarray]:
-    """Load the final network from an open, complete run file and reconstruct
-    the run's training set: returns (points, output).  The network's weights
-    and biases are the last frame's weights{k} and biases{k} fields, widened
-    to f64."""
-    check_analyzable(run, "raw")
-    cfg, spec = run.manifest.config, run.manifest.architecture
+def reconstruct(manifest: RunManifest, frame: np.void) -> tuple[np.ndarray, np.ndarray]:
+    """Load the network of any one frame of a run and reconstruct the run's
+    training set: returns (points, output).  The network's weights and
+    biases are the frame's weights{k} and biases{k} fields, widened to f64."""
+    cfg, spec = manifest.config, manifest.architecture
     points = generate(cfg.shape, TRAIN_SAMPLE_COUNT, cfg.data_seed)
     net = NetworkState(spec)
-    last = run.frames()[-1]
     for k, (weights, biases) in enumerate(zip(*layer_views(net.theta, spec))):
-        weights[...] = last[f"weights{k}"]
-        biases[...] = last[f"biases{k}"]
+        weights[...] = frame[f"weights{k}"]
+        biases[...] = frame[f"biases{k}"]
     return points, forward(net, points).output
 
 

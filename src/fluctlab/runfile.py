@@ -286,16 +286,6 @@ class RunAccessor:
         frames()[f"{channel}{k}"] is a channel's f32 series, time-major."""
         return self._frames
 
-    def close(self) -> None:
-        # a new array: a slice of the frames would keep all of them alive
-        self._frames = np.empty(0, dtype=self._frame)
-
-    def __enter__(self) -> "RunAccessor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
 
 def _read_manifest(stream) -> tuple[RunManifest, np.dtype]:
     """The manifest and its frame_layout; a fault in either is a RunFormatError."""

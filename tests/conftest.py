@@ -96,8 +96,7 @@ def write_synthetic_run(path, arch=TINY_ARCH, snapshots=None, seed=0, count=3, *
 
 def analyze_file(path, **kwargs):
     """analyze_run over a run file opened for the one call."""
-    with RunAccessor(path) as acc:
-        return analyze_run(acc, **kwargs)
+    return analyze_run(RunAccessor(path), **kwargs)
 
 
 def edit_manifest(path, key, value, section=None):
@@ -113,11 +112,12 @@ def edit_manifest(path, key, value, section=None):
 
 
 def edit_frame_value(path, frame, name, index, value):
-    """Set the f32 at flat position index of field name (e.g. "weights1") in
-    one frame of a run file, keeping every other byte."""
-    with RunAccessor(path) as acc:
-        layout = acc.frames().dtype
-    start = DATA_START + frame * layout.itemsize + layout.fields[name][1] + 4 * index
+    """Set the value at flat position index of field name (e.g. "weights1",
+    or "loss" at index 0) in one frame of a run file, keeping every other byte."""
+    layout = RunAccessor(path).frames().dtype
+    field, offset = layout.fields[name][:2]
+    item = np.array(value, dtype=field.base).tobytes()
+    start = DATA_START + frame * layout.itemsize + offset + len(item) * index
     blob = bytearray(Path(path).read_bytes())
-    blob[start : start + 4] = np.array(value, dtype="<f4").tobytes()
+    blob[start : start + len(item)] = item
     Path(path).write_bytes(bytes(blob))

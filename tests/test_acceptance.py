@@ -63,32 +63,32 @@ def _study_cell(base, pair, lr):
     )
     path = base / f"{data_seed}_{lr}.nfl"
     cell = {"loss": train_run_to_file(cfg, path)}
-    with RunAccessor(path) as acc:
-        report = analyze_run(acc)
-        cell["act_inactive"] = int(report.channels["activations"].inactive.sum())
-        cell["spreads_of_spread"] = {
-            (ch, half): report.channels[ch].halves[half].spread_of_spread
-            for ch in ANALYSIS_CHANNELS
-            for half in HALVES
+    acc = RunAccessor(path)
+    report = analyze_run(acc)
+    cell["act_inactive"] = int(report.channels["activations"].inactive.sum())
+    cell["spreads_of_spread"] = {
+        (ch, half): report.channels[ch].halves[half].spread_of_spread
+        for ch in ANALYSIS_CHANNELS
+        for half in HALVES
+    }
+    if pair == SEED_PAIRS[0] and lr == 0.01:
+        cell["snapshots"] = len(acc)
+        weights = report.channels["weights"]
+        cell["weights_spreads"] = weights.spreads
+        cell["weights_inactive_default"] = int(weights.inactive.sum())
+        cell["hist_sums"] = {
+            half: sum(report.channels["weights"].halves[half].hist_counts)
+            for half in ("encoder", "decoder")
         }
-        if pair == SEED_PAIRS[0] and lr == 0.01:
-            cell["snapshots"] = len(acc)
-            weights = report.channels["weights"]
-            cell["weights_spreads"] = weights.spreads
-            cell["weights_inactive_default"] = int(weights.inactive.sum())
-            cell["hist_sums"] = {
-                half: sum(report.channels["weights"].halves[half].hist_counts)
-                for half in ("encoder", "decoder")
-            }
-            cell["grad_vs_weight_medians"] = (
-                float(np.median(report.channels["weight_grads"].spreads)),
-                float(np.median(report.channels["weights"].spreads)),
-            )
-            raw = analyze_run(acc, mode="raw")
-            cell["grad_vs_weight_medians_raw"] = (
-                float(np.median(raw.channels["weight_grads"].spreads)),
-                float(np.median(raw.channels["weights"].spreads)),
-            )
+        cell["grad_vs_weight_medians"] = (
+            float(np.median(report.channels["weight_grads"].spreads)),
+            float(np.median(report.channels["weights"].spreads)),
+        )
+        raw = analyze_run(acc, mode="raw")
+        cell["grad_vs_weight_medians_raw"] = (
+            float(np.median(raw.channels["weight_grads"].spreads)),
+            float(np.median(raw.channels["weights"].spreads)),
+        )
     path.unlink()
     return cell
 
@@ -280,14 +280,14 @@ def test_criterion_8_format_round_trips(tmp_path):
     snaps = [make_snapshot(TINY_ARCH, e, 0.25 * e, rng=rng) for e in (1, 2, 3)]
     path = tmp_path / "rt.nfl"
     write_run(make_manifest(epochs=3), snaps, path)
-    with RunAccessor(path) as acc:
-        frames = acc.frames()
-        run_ok = len(frames) == 3 and all(
-            np.array_equal(frames[f"{ch}{k}"][i], snapshot_channel(snaps[i], ch)[k])
-            for i in range(3)
-            for ch in ("weights", "biases", "weight_grads", "bias_grads", "activations")
-            for k in range(6)
-        )
+    acc = RunAccessor(path)
+    frames = acc.frames()
+    run_ok = len(frames) == 3 and all(
+        np.array_equal(frames[f"{ch}{k}"][i], snapshot_channel(snaps[i], ch)[k])
+        for i in range(3)
+        for ch in ("weights", "biases", "weight_grads", "bias_grads", "activations")
+        for k in range(6)
+    )
 
     # dataset CSV round trip to 1e-8
     pts = generate(ShapeKind.SPIRAL, 500, 21)

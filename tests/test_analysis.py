@@ -248,9 +248,9 @@ class TestDeltaSeries:
         path = tmp_path / "f.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.25) for e in (1, 2, 3)]
         write_run(make_manifest(epochs=3), snaps, path)
-        with RunAccessor(path) as acc:
-            deltas = neuron_delta_series(acc, 1, 0, "weights")
-            assert np.all(deltas == 0.0)
+        acc = RunAccessor(path)
+        deltas = neuron_delta_series(acc, 1, 0, "weights")
+        assert np.all(deltas == 0.0)
 
     def test_single_weight_neuron_consecutive_differences(self, tmp_path):
         # decoder layer 3 is 1 -> 3: one incoming weight per neuron
@@ -259,9 +259,9 @@ class TestDeltaSeries:
         for snap, value in zip(snaps, (0.0, 1.0, 3.0)):
             snapshot_channel(snap, "weights")[3][0, 0] = value
         write_run(make_manifest(epochs=3), snaps, path)
-        with RunAccessor(path) as acc:
-            deltas = neuron_delta_series(acc, 3, 0, "weights")
-            assert deltas.tolist() == [1.0, 2.0]
+        acc = RunAccessor(path)
+        deltas = neuron_delta_series(acc, 3, 0, "weights")
+        assert deltas.tolist() == [1.0, 2.0]
 
     def test_two_weight_neuron_pools_four_deltas(self, tmp_path):
         path = tmp_path / "tw.nfl"
@@ -269,22 +269,23 @@ class TestDeltaSeries:
         for snap, row in zip(snaps, ([0.0, 0.0], [1.0, 2.0], [3.0, 5.0])):
             snapshot_channel(snap, "weights")[0][1, :] = row
         write_run(make_manifest(epochs=3), snaps, path)
-        with RunAccessor(path) as acc:
-            deltas = neuron_delta_series(acc, 0, 1, "weights")
-            assert sorted(deltas.tolist()) == [1.0, 2.0, 2.0, 3.0]
-            assert deltas.size == 4
+        acc = RunAccessor(path)
+        deltas = neuron_delta_series(acc, 0, 1, "weights")
+        assert sorted(deltas.tolist()) == [1.0, 2.0, 2.0, 3.0]
+        assert deltas.size == 4
 
     def test_too_few_snapshots(self, tmp_path):
         path = tmp_path / "short.nfl"
         write_synthetic_run(path, count=1)
-        with RunAccessor(path) as acc:
-            with pytest.raises(InsufficientDataError):
-                neuron_delta_series(acc, 0, 0, "weights")
+        acc = RunAccessor(path)
+        with pytest.raises(InsufficientDataError):
+            neuron_delta_series(acc, 0, 0, "weights")
 
     def test_unknown_channel_is_refused(self, tmp_path):
         path = tmp_path / "ch.nfl"
         write_synthetic_run(path, count=3)
-        with RunAccessor(path) as acc, pytest.raises(ValueError, match="unknown channel 'weight'"):
+        acc = RunAccessor(path)
+        with pytest.raises(ValueError, match="unknown channel 'weight'"):
             neuron_delta_series(acc, 0, 0, "weight")
 
     def test_activations_channel_reads_probe_means(self, tmp_path):
@@ -292,9 +293,9 @@ class TestDeltaSeries:
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2)]
         snaps[1].activations[2][0] = 4.0
         write_run(make_manifest(epochs=2), snaps, path)
-        with RunAccessor(path) as acc:
-            deltas = neuron_delta_series(acc, 2, 0, "activations")
-            assert deltas.tolist() == [4.0]
+        acc = RunAccessor(path)
+        deltas = neuron_delta_series(acc, 2, 0, "activations")
+        assert deltas.tolist() == [4.0]
 
 
 class TestAnalyzeRun:
@@ -325,15 +326,15 @@ class TestAnalyzeRun:
         path = tmp_path / "match.nfl"
         write_synthetic_run(path, count=5, seed=11)
         # epsilon between the smallest and largest spreads flags some neurons
-        with RunAccessor(path) as acc:
-            report = analyze_run(acc, epsilon=0.5)
-            for ch in ANALYSIS_CHANNELS:
-                stats = report.channels[ch]
-                assert stats.spreads.shape == (TINY_ARCH.total_neurons,)
-                for (layer, index), s in zip(neuron_keys(TINY_ARCH), stats.spreads):
-                    deltas = neuron_delta_series(acc, layer, index, ch)
-                    assert s == spread(deltas)
-                assert np.array_equal(stats.inactive, stats.spreads < report.epsilon)
+        acc = RunAccessor(path)
+        report = analyze_run(acc, epsilon=0.5)
+        for ch in ANALYSIS_CHANNELS:
+            stats = report.channels[ch]
+            assert stats.spreads.shape == (TINY_ARCH.total_neurons,)
+            for (layer, index), s in zip(neuron_keys(TINY_ARCH), stats.spreads):
+                deltas = neuron_delta_series(acc, layer, index, ch)
+                assert s == spread(deltas)
+            assert np.array_equal(stats.inactive, stats.spreads < report.epsilon)
         flagged = sum(int(report.channels[ch].inactive.sum()) for ch in ANALYSIS_CHANNELS)
         assert 0 < flagged < len(ANALYSIS_CHANNELS) * TINY_ARCH.total_neurons
 
@@ -361,7 +362,8 @@ class TestAnalyzeRun:
         with RunWriter(path, make_manifest()) as writer:
             writer.append(make_snapshot(TINY_ARCH, 1, 0.5, rng=rng))
             writer.append(make_snapshot(TINY_ARCH, 2, 0.5, rng=rng))
-        with RunAccessor(path) as acc, pytest.raises(ValueError, match="incomplete"):
+        acc = RunAccessor(path)
+        with pytest.raises(ValueError, match="incomplete"):
             analyze_run(acc)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -382,10 +384,10 @@ class TestAnalyzeRun:
     def test_single_snapshot_insufficient_for_deltas(self, tmp_path):
         path = tmp_path / "one.nfl"
         write_synthetic_run(path, count=1)
-        with RunAccessor(path) as acc:
-            with pytest.raises(InsufficientDataError):
-                analyze_run(acc)
-            analyze_run(acc, mode="raw")  # raw mode accepts a single snapshot
+        acc = RunAccessor(path)
+        with pytest.raises(InsufficientDataError):
+            analyze_run(acc)
+        analyze_run(acc, mode="raw")  # raw mode accepts a single snapshot
 
     def test_csv_has_one_row_per_neuron_channel(self, tmp_path):
         path = tmp_path / "csv.nfl"
@@ -477,17 +479,17 @@ class TestAnalyzeOracle:
     ):
         path = tmp_path / "run.nfl"
         make_run(path)
-        with RunAccessor(path) as acc:
-            reference = per_field_spreads(acc, mode)
-            # the median spread flags some neurons and leaves others
-            epsilon = float(np.median(np.concatenate(list(reference.values()))))
-            reports = []
-            # one-row chunks and the default buffer, on one thread and on three
-            for budget, workers in itertools.product([8, analysis.SPREAD_BUFFER_BYTES], [1, 3]):
-                monkeypatch.setattr(analysis, "SPREAD_BUFFER_BYTES", budget)
-                monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
-                reports.append(analyze_run(acc, epsilon=epsilon, mode=mode))
-            arch = acc.manifest.architecture
+        acc = RunAccessor(path)
+        reference = per_field_spreads(acc, mode)
+        # the median spread flags some neurons and leaves others
+        epsilon = float(np.median(np.concatenate(list(reference.values()))))
+        reports = []
+        # one-row chunks and the default buffer, on one thread and on three
+        for budget, workers in itertools.product([8, analysis.SPREAD_BUFFER_BYTES], [1, 3]):
+            monkeypatch.setattr(analysis, "SPREAD_BUFFER_BYTES", budget)
+            monkeypatch.setattr(analysis, "_worker_count", lambda: workers)
+            reports.append(analyze_run(acc, epsilon=epsilon, mode=mode))
+        arch = acc.manifest.architecture
         for report in reports[1:]:
             for ch, expected in reference.items():
                 assert f64_bytes(report.channels[ch].spreads) == f64_bytes(expected)

@@ -1,9 +1,12 @@
 import ctypes
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import needs_openblas
@@ -81,3 +84,25 @@ def test_a_library_without_the_known_symbols_is_passed_over(monkeypatch, rescan)
     ends with None rather than a partial or wrong set of functions."""
     monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
     assert blas._openblas() is None
+
+
+def test_an_openblas_with_64_bit_integers_is_found(monkeypatch, rescan):
+    """An OpenBLAS that exports only the "64_"-suffixed openblas_* names, as
+    the one numpy 1.2x wheels bundle does, is found and pinned."""
+    names = ("openblas_set_num_threads64_", "openblas_get_num_threads64_", "openblas_get_corename64_")
+    lib = SimpleNamespace(**{name: SimpleNamespace() for name in names})
+    maps = "7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /wheel/libopenblas64_p-r0.so\n"
+    monkeypatch.setattr(blas, "open", lambda *args: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+    assert blas._openblas() == tuple(getattr(lib, name) for name in names)
+
+
+def _numpy_blas() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas(), reason="numpy names no OpenBLAS as its BLAS")
+def test_the_openblas_numpy_names_is_found():
+    """Where numpy's build names an OpenBLAS as its BLAS, the scan finds it,
+    so the pin is not silently skipped."""
+    assert blas._openblas() is not None

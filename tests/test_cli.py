@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,7 @@ UNANALYZABLE = {
     "not_a_run_file": f"not a run file: expected magic {MAGIC!r}",
     "manifest_nested_too_deep": "unreadable manifest: maximum recursion depth exceeded "
     "while decoding a JSON array from a unicode string",
+    "loss_not_finite": "loss of frame 4 (epoch 5) is nan: the run holds a value that is not finite",
 }
 # JSON nested deeper than the interpreter's recursion limit
 TOO_DEEP = b"[" * 1500
@@ -68,6 +70,9 @@ def unanalyzable_run(path, defect):
         cfg = RunConfig(shape=ShapeKind.SPIRAL, learning_rate=1e30, epochs=50)
         with pytest.raises(TrainingDivergedError):
             train_run_to_file(cfg, path)
+    elif defect == "loss_not_finite":
+        train_run_to_file(RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=5), path)
+        edit_frame_value(path, 4, "loss", 0, np.nan)
     elif defect == "manifest_nested_too_deep":
         header = MAGIC + len(TOO_DEEP).to_bytes(4, "little")
         path.write_bytes(header + TOO_DEEP.ljust(MANIFEST_REGION, b" "))
@@ -124,9 +129,9 @@ class TestTrain:
             ["train", "--shape", "circle", "--lr", "0.01", "--epochs", "2", "--out", str(out)]
         )
         assert code == 0
-        with RunAccessor(out) as acc:
-            assert acc.manifest.complete is True
-            assert len(acc) == 2
+        acc = RunAccessor(out)
+        assert acc.manifest.complete is True
+        assert len(acc) == 2
         assert "final_loss=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("lr", ["1e30", "1e6"])
@@ -136,8 +141,8 @@ class TestTrain:
         assert code == 1
         reason = {"1e30": "loss is inf", "1e6": "a captured value does not fit float32"}[lr]
         assert capsys.readouterr().err == f"error: run aborted at epoch 1: {reason}\n"
-        with RunAccessor(out) as acc:
-            assert acc.manifest.complete is False
+        acc = RunAccessor(out)
+        assert acc.manifest.complete is False
 
     def test_last_epoch_is_stored_when_capture_every_does_not_divide_epochs(
         self, tmp_path, capsys
@@ -148,9 +153,9 @@ class TestTrain:
         run = tmp_path / "c.nfl"
         assert run_cli(["train", "--shape", "circle", "--lr", "0.01", *cell, "--out", str(run)]) == 0
         printed = float(capsys.readouterr().out.split("final_loss=")[1])
-        with RunAccessor(run) as acc:
-            assert acc.frames()["epoch"].tolist() == [1, 3, 6, 9, 10]
-            stored = float(acc.frames()["loss"][-1])
+        acc = RunAccessor(run)
+        assert acc.frames()["epoch"].tolist() == [1, 3, 6, 9, 10]
+        stored = float(acc.frames()["loss"][-1])
         outdir = tmp_path / "all"
         argv = ["all", "--shapes", "circle", "--lrs", "0.01", *cell, "--outdir", str(outdir)]
         assert run_cli(argv) == 0
@@ -406,6 +411,23 @@ class TestReport:
         assert len(written) == 2 * 10 + 5
         assert written == {name: h for name, h in tree_hashes(exp).items() if name in written}
 
+    def test_one_runs_frames_are_held_at_a_time(self, two_runs, tmp_path, monkeypatch):
+        """report frees each run's frames before it opens the next, and holds
+        none once it returns: it keeps a copy of the last frame, not a view."""
+        held = []  # a weak reference to each opened run's frames
+
+        def run_accessor(path):
+            assert all(frames() is None for frames in held), "an earlier run's frames are alive"
+            run = RunAccessor(path)
+            held.append(weakref.ref(run.frames()))
+            return run
+
+        monkeypatch.setattr(cli, "RunAccessor", run_accessor)
+        runs = f"{two_runs[0.01]},{two_runs[0.001]}"
+        assert run_cli(["report", "--runs", runs, "--outdir", str(tmp_path / "rep")]) == 0
+        assert len(held) == 2
+        assert all(frames() is None for frames in held)
+
 
 class TestCompare:
     def test_table_and_flags(self, two_runs, capsys):
@@ -416,8 +438,8 @@ class TestCompare:
         # oracle: read the final losses straight from the run files
         losses = {}
         for lr, path in two_runs.items():
-            with RunAccessor(path) as acc:
-                losses[lr] = float(acc.frames()["loss"][-1])
+            acc = RunAccessor(path)
+            losses[lr] = float(acc.frames()["loss"][-1])
         best = min(losses, key=losses.get)
         assert f"lowest final MSE: lr {best:g}" in out
         assert "fewest inactive activation neurons: lr" in out
@@ -436,8 +458,8 @@ class TestCompare:
             argv = ["analyze", "--run", str(two_runs[lr]), "--json", str(jpath)]
             assert run_cli(argv + ["--csv", str(cpath)]) == 0
             channels = json.loads(jpath.read_text())["channels"]
-            with RunAccessor(two_runs[lr]) as acc:
-                final_mse = acc.frames()["loss"][-1]
+            acc = RunAccessor(two_runs[lr])
+            final_mse = acc.frames()["loss"][-1]
             assert row[:2] == [f"{lr:g}", format(final_mse, ".9g")]
             assert row[2:] == [str(channels[ch]["inactive_count"]) for ch in ALL_CHANNELS]
             halves = [channels[ch]["halves"] for ch in ALL_CHANNELS]
@@ -645,8 +667,8 @@ class TestAll:
             ["all", "--config", str(cfg_path), "--epochs", "3", "--outdir", str(outdir)]
         )
         assert code == 0
-        with RunAccessor(outdir / "circle_0.01_3.nfl") as acc:
-            assert acc.manifest.config.epochs == 3
+        acc = RunAccessor(outdir / "circle_0.01_3.nfl")
+        assert acc.manifest.config.epochs == 3
 
     @pytest.mark.parametrize(
         "cells", [["--shapes", "circle,circle"], ["--lrs", "0.01,0.010"]]
@@ -698,8 +720,8 @@ class TestAll:
                 )
                 path = tmp_path / f"{epochs}_{capture_every}.nfl"
                 train_run_to_file(cfg, path)
-                with RunAccessor(path) as acc:
-                    frames = acc.frames()["epoch"].tolist()
+                acc = RunAccessor(path)
+                frames = acc.frames()["epoch"].tolist()
                 kept = {1, epochs, *range(capture_every, epochs + 1, capture_every)}
                 assert frames == sorted(kept)
                 settings = {"epochs": epochs, "capture_every": capture_every}
@@ -938,8 +960,8 @@ def test_source_date_epoch_is_stamped_in_manifest_and_plan(tmp_path, monkeypatch
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     for command in ("train", "all"):
         assert run_cli(ONE_CIRCLE_CELL[command] + ["--outdir", str(tmp_path / command)]) == 0
-        with RunAccessor(tmp_path / command / "circle_0.01_2.nfl") as acc:
-            assert acc.manifest.created_utc == 1700000000
+        acc = RunAccessor(tmp_path / command / "circle_0.01_2.nfl")
+        assert acc.manifest.created_utc == 1700000000
     index = json.loads((tmp_path / "all" / "index.json").read_text())
     assert index["plan"]["created_utc"] == 1700000000
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import analyze_file, make_manifest, make_snapshot
-from fluctlab.analysis import InsufficientDataError
 from fluctlab.cli import train_run_to_file
 from fluctlab.figures import (
     fluctuation_table,
@@ -14,7 +13,7 @@ from fluctlab.figures import (
     scatter_svg,
     stack_svgs,
 )
-from fluctlab.net import ArchitectureSpec, mse
+from fluctlab.net import ArchitectureSpec, NetworkState, forward, mse
 from fluctlab.runfile import RunAccessor, write_run
 from fluctlab.shapes import ShapeKind, generate
 from fluctlab.train import RunConfig
@@ -56,8 +55,8 @@ class TestReconstruct:
         snaps = [make_snapshot(arch, 1, 0.5, fill=0.0)]
         write_run(make_manifest(arch=arch, shape=ShapeKind.CIRCLE, data_seed=3, epochs=1), snaps, path)
         pts = generate(ShapeKind.CIRCLE, 500, 3)
-        with RunAccessor(path) as acc:
-            original, reconstructed = reconstruct(acc)
+        acc = RunAccessor(path)
+        original, reconstructed = reconstruct(acc.manifest, acc.frames()[-1])
         # the run's own training set, rebuilt from its manifest
         assert original.tobytes() == pts.tobytes()
         assert np.all(reconstructed == 0.0)
@@ -68,34 +67,35 @@ class TestReconstruct:
 
     def test_deterministic(self, spiral_run):
         path, _, _ = spiral_run
-        with RunAccessor(path) as acc:
-            a_original, a_reconstructed = reconstruct(acc)
-            b_original, b_reconstructed = reconstruct(acc)
+        acc = RunAccessor(path)
+        a_original, a_reconstructed = reconstruct(acc.manifest, acc.frames()[-1])
+        b_original, b_reconstructed = reconstruct(acc.manifest, acc.frames()[-1])
         assert np.array_equal(a_reconstructed, b_reconstructed)
         assert mse(a_original, a_reconstructed) == mse(b_original, b_reconstructed)
 
     def test_final_mse_matches_stored_loss(self, spiral_run):
         path, _, stored_loss = spiral_run
-        with RunAccessor(path) as acc:
-            original, reconstructed = reconstruct(acc)
+        acc = RunAccessor(path)
+        original, reconstructed = reconstruct(acc.manifest, acc.frames()[-1])
         assert abs(mse(original, reconstructed) - stored_loss) <= 1e-6
 
-    def test_incomplete_run_refused(self, tmp_path):
+    @pytest.mark.parametrize("complete, index", [(True, 0), (False, -1)], ids=["first", "incomplete"])
+    def test_any_frame_is_forward_on_its_weights(self, tmp_path, complete, index):
+        """reconstruct builds the network of the frame it is given, also the
+        first frame, or one of a run left incomplete: its output is forward on
+        that frame's f32 parameters widened to f64."""
         arch = ArchitectureSpec()
-        path = tmp_path / "cut.nfl"
-        snaps = [make_snapshot(arch, 1, 0.5, fill=0.0)]
-        write_run(make_manifest(arch=arch, epochs=1), snaps, path, complete=False)
-        with RunAccessor(path) as acc:
-            with pytest.raises(ValueError, match="incomplete"):
-                reconstruct(acc)
-
-    def test_run_without_snapshots_refused(self, tmp_path):
-        path = tmp_path / "empty.nfl"
-        write_run(make_manifest(arch=ArchitectureSpec(), epochs=1), [], path)
-        with RunAccessor(path) as acc:
-            assert acc.manifest.complete and len(acc) == 0
-            with pytest.raises(InsufficientDataError, match="run has 0"):
-                reconstruct(acc)
+        rng = np.random.default_rng(5)
+        snaps = [make_snapshot(arch, epoch, 0.5, rng=rng) for epoch in (1, 2)]
+        path = tmp_path / "run.nfl"
+        write_run(make_manifest(arch=arch, data_seed=4, epochs=2), snaps, path, complete=complete)
+        acc = RunAccessor(path)
+        points, output = reconstruct(acc.manifest, acc.frames()[index])
+        # make_snapshot's values are f32-exact, so they are the widened f32 parameters
+        net = NetworkState(arch)
+        net.theta[...] = snaps[index].theta
+        assert points.tobytes() == generate(ShapeKind.CIRCLE, 500, 4).tobytes()
+        assert output.tobytes() == forward(net, points).output.tobytes()
 
 
 class TestScatterSvg:
@@ -107,8 +107,8 @@ class TestScatterSvg:
 
     def test_byte_determinism(self, spiral_run):
         path, _, _ = spiral_run
-        with RunAccessor(path) as acc:
-            points = reconstruct(acc)
+        acc = RunAccessor(path)
+        points = reconstruct(acc.manifest, acc.frames()[-1])
         assert scatter_svg(*points, "spiral") == scatter_svg(*points, "spiral")
 
     def test_markers_inside_viewbox(self):

@@ -2,7 +2,6 @@ import errno
 import json
 import struct
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -116,9 +115,9 @@ class TestLayout:
         size = write_run(make_manifest(), [], path, complete=False)
         assert size == 8 + MANIFEST_REGION
         assert path.stat().st_size == 8 + MANIFEST_REGION
-        with RunAccessor(path) as acc:
-            assert acc.manifest.snapshot_count == 0
-            assert len(acc) == 0
+        acc = RunAccessor(path)
+        assert acc.manifest.snapshot_count == 0
+        assert len(acc) == 0
 
     def test_single_snapshot_frame_bytes(self, tmp_path):
         arch = ArchitectureSpec()
@@ -161,13 +160,13 @@ class TestLayout:
         path = tmp_path_factory.mktemp("gather") / "run.nfl"
         write_run(make_manifest(arch=arch, epochs=len(snaps)), snaps, path)
         assert path.read_bytes()[DATA_START:] == frame_bytes_oracle(snaps)
-        with RunAccessor(path) as acc:
-            frames = acc.frames()
-            for i, snap in enumerate(snaps):
-                for k in range(len(arch.layer_shapes)):
-                    for name in STORAGE_CHANNELS:
-                        view = snapshot_channel(snap, name)[k].astype(np.float32)
-                        assert frames[f"{name}{k}"][i].tobytes() == view.tobytes()
+        acc = RunAccessor(path)
+        frames = acc.frames()
+        for i, snap in enumerate(snaps):
+            for k in range(len(arch.layer_shapes)):
+                for name in STORAGE_CHANNELS:
+                    view = snapshot_channel(snap, name)[k].astype(np.float32)
+                    assert frames[f"{name}{k}"][i].tobytes() == view.tobytes()
 
     def test_frames_hold_the_trained_layers(self, tmp_path):
         """The frame layout does not follow theta's: the weights{k} and
@@ -184,8 +183,8 @@ class TestLayout:
         with RunWriter(path, manifest) as writer:
             net, _ = train(manifest.config, writer.append)
             writer.finalize(complete=True)
-        with RunAccessor(path) as acc:
-            last = acc.frames()[-1]
+        acc = RunAccessor(path)
+        last = acc.frames()[-1]
         for k, block in enumerate(net.blocks):
             assert last[f"weights{k}"].tobytes() == block[:, :-1].astype(np.float32).tobytes()
             assert last[f"biases{k}"].tobytes() == block[:, -1].astype(np.float32).tobytes()
@@ -205,20 +204,20 @@ class TestRoundTrip:
     def test_snapshots_identical(self, tmp_path):
         path = tmp_path / "rt.nfl"
         written = write_synthetic_run(path, count=4)
-        with RunAccessor(path) as acc:
-            assert len(acc) == 4
-            for frame, snap in zip(acc.frames(), written, strict=True):
-                assert frame["epoch"] == snap.epoch
-                assert frame["loss"] == snap.loss
-                for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations"):
-                    for k, view in enumerate(snapshot_channel(snap, channel)):
-                        assert np.array_equal(frame[f"{channel}{k}"], view)
+        acc = RunAccessor(path)
+        assert len(acc) == 4
+        for frame, snap in zip(acc.frames(), written, strict=True):
+            assert frame["epoch"] == snap.epoch
+            assert frame["loss"] == snap.loss
+            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations"):
+                for k, view in enumerate(snapshot_channel(snap, channel)):
+                    assert np.array_equal(frame[f"{channel}{k}"], view)
 
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "man.nfl"
         write_synthetic_run(path, count=2, lr=0.0001, data_seed=9, init_seed=8)
-        with RunAccessor(path) as acc:
-            manifest = acc.manifest
+        acc = RunAccessor(path)
+        manifest = acc.manifest
         assert manifest.complete is True
         assert manifest.snapshot_count == 2
         assert manifest.config.learning_rate == 0.0001
@@ -232,42 +231,42 @@ class TestAccess:
         values in the snapshots written."""
         path = tmp_path / "ns.nfl"
         full = write_synthetic_run(path, count=6, seed=3)  # f32-exact values
-        with RunAccessor(path) as acc:
-            cases = ((0, "weights", 3), (4, "weight_grads", 1), (1, "biases", 2), (3, "activations", 0))
-            for layer, channel, idx in cases:
-                naive = np.stack([snapshot_channel(s, channel)[layer][idx] for s in full])
-                deltas = neuron_delta_series(acc, layer, idx, channel)
-                assert deltas.dtype == np.float64
-                assert deltas.tobytes() == np.diff(naive, axis=0).ravel().tobytes()
-            for idx in (-1, 4):  # layer 0 has 4 neurons
-                with pytest.raises(ValueError, match="neuron index"):
-                    neuron_delta_series(acc, 0, idx, "weights")
-            for layer in (-1, len(TINY_ARCH.layer_shapes)):
-                with pytest.raises(ValueError, match="layer"):
-                    neuron_delta_series(acc, layer, 0, "weights")
+        acc = RunAccessor(path)
+        cases = ((0, "weights", 3), (4, "weight_grads", 1), (1, "biases", 2), (3, "activations", 0))
+        for layer, channel, idx in cases:
+            naive = np.stack([snapshot_channel(s, channel)[layer][idx] for s in full])
+            deltas = neuron_delta_series(acc, layer, idx, channel)
+            assert deltas.dtype == np.float64
+            assert deltas.tobytes() == np.diff(naive, axis=0).ravel().tobytes()
+        for idx in (-1, 4):  # layer 0 has 4 neurons
+            with pytest.raises(ValueError, match="neuron index"):
+                neuron_delta_series(acc, 0, idx, "weights")
+        for layer in (-1, len(TINY_ARCH.layer_shapes)):
+            with pytest.raises(ValueError, match="layer"):
+                neuron_delta_series(acc, layer, 0, "weights")
 
     def test_losses(self, tmp_path):
         path = tmp_path / "ls.nfl"
         written = write_synthetic_run(path, count=4)
-        with RunAccessor(path) as acc:
-            assert acc.frames()["loss"].tolist() == [s.loss for s in written]
+        acc = RunAccessor(path)
+        assert acc.frames()["loss"].tolist() == [s.loss for s in written]
 
     def test_frames_fields_equal_snapshot_values(self, tmp_path):
         path = tmp_path / "fr.nfl"
         written = write_synthetic_run(path, count=4, seed=7)
-        with RunAccessor(path) as acc:
-            frames = acc.frames()
-            assert frames.shape == (4,)
-            assert frames.dtype == runfile.frame_layout(TINY_ARCH)
-            assert frames["epoch"].tolist() == [s.epoch for s in written]
-            assert frames["loss"].tolist() == [s.loss for s in written]
-            for i, snap in enumerate(written):
-                for layer in range(len(TINY_ARCH.layer_shapes)):
-                    for name in STORAGE_CHANNELS:
-                        field = frames[f"{name}{layer}"][i]
-                        expected = snapshot_channel(snap, name)[layer].astype(np.float32)
-                        assert field.dtype == np.float32
-                        assert field.tobytes() == expected.tobytes()
+        acc = RunAccessor(path)
+        frames = acc.frames()
+        assert frames.shape == (4,)
+        assert frames.dtype == runfile.frame_layout(TINY_ARCH)
+        assert frames["epoch"].tolist() == [s.epoch for s in written]
+        assert frames["loss"].tolist() == [s.loss for s in written]
+        for i, snap in enumerate(written):
+            for layer in range(len(TINY_ARCH.layer_shapes)):
+                for name in STORAGE_CHANNELS:
+                    field = frames[f"{name}{layer}"][i]
+                    expected = snapshot_channel(snap, name)[layer].astype(np.float32)
+                    assert field.dtype == np.float32
+                    assert field.tobytes() == expected.tobytes()
 
     def test_reads_per_frame(self, tmp_path, monkeypatch):
         """Opening makes three reads: the magic and manifest length, the
@@ -282,14 +281,14 @@ class TestAccess:
             return files[-1]
 
         monkeypatch.setattr(runfile, "open", counting_open, raising=False)
-        with RunAccessor(path) as acc:
-            (counted,) = files
-            assert counted.reads == 3
-            assert counted.closed
-            acc.frames()
-            analyze_run(acc)
-            reconstruct(acc)
-            assert counted.reads == 3
+        acc = RunAccessor(path)
+        (counted,) = files
+        assert counted.reads == 3
+        assert counted.closed
+        acc.frames()
+        analyze_run(acc)
+        reconstruct(acc.manifest, acc.frames()[-1])
+        assert counted.reads == 3
 
     def test_open_allocates_for_the_file_not_the_claimed_architecture(self, tmp_path):
         """A manifest-only file that claims two 3000-wide layers opens in under
@@ -302,8 +301,8 @@ class TestAccess:
         assert path.stat().st_size == DATA_START
         tracemalloc.start()
         try:
-            with RunAccessor(path) as acc:
-                assert len(acc) == 0 and acc.manifest.complete
+            acc = RunAccessor(path)
+            assert len(acc) == 0 and acc.manifest.complete
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -329,33 +328,23 @@ class TestAccess:
         assert err.value.last_valid_index == -1
         assert peak < 1 << 20, peak
 
-    def test_close_releases_the_frames(self, tmp_path):
-        path = tmp_path / "rel.nfl"
-        write_synthetic_run(path, count=3)
-        with RunAccessor(path) as acc:
-            assert acc.frames().nbytes > 0
-            read = weakref.ref(acc.frames())
-        assert acc.frames().nbytes == 0
-        # a view of the read array, even an empty one, would keep it alive
-        assert read() is None
-
     def test_frames_are_read_only(self, tmp_path):
         path = tmp_path / "ro.nfl"
         written = write_synthetic_run(path, count=3)
-        with RunAccessor(path) as acc:
-            with pytest.raises(ValueError, match="read-only"):
-                acc.frames()["loss"][0] = -1.0
-            with pytest.raises(ValueError, match="read-only"):
-                acc.frames()["weights0"][...] = 0.0
-            assert acc.frames()["loss"].tolist() == [s.loss for s in written]
+        acc = RunAccessor(path)
+        with pytest.raises(ValueError, match="read-only"):
+            acc.frames()["loss"][0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            acc.frames()["weights0"][...] = 0.0
+        assert acc.frames()["loss"].tolist() == [s.loss for s in written]
 
     def test_epoch_values_preserved(self, tmp_path):
         rng = np.random.default_rng(0)
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, rng=rng) for e in (1, 3, 6, 9)]
         path = tmp_path / "ep.nfl"
         write_run(make_manifest(epochs=9, capture_every=3), snaps, path)
-        with RunAccessor(path) as acc:
-            assert acc.frames()["epoch"].tolist() == [1, 3, 6, 9]
+        acc = RunAccessor(path)
+        assert acc.frames()["epoch"].tolist() == [1, 3, 6, 9]
 
 
 class TestErrors:
@@ -549,8 +538,8 @@ class TestErrors:
         path = tmp_path / "typed.nfl"
         write_synthetic_run(path, count=3)
         edit_manifest(path, "created_utc", 7)  # the helper alone keeps a readable file
-        with RunAccessor(path) as acc:
-            assert acc.manifest.created_utc == 7 and len(acc) == 3
+        acc = RunAccessor(path)
+        assert acc.manifest.created_utc == 7 and len(acc) == 3
         edit_manifest(path, key, value, section)
         with pytest.raises(RunFormatError, match=key):
             RunAccessor(path)
@@ -639,9 +628,9 @@ class TestErrors:
         rng = np.random.default_rng(0)
         with RunWriter(path, make_manifest()) as writer:
             writer.append(make_snapshot(TINY_ARCH, 1, 0.5, rng=rng))
-        with RunAccessor(path) as acc:
-            assert acc.manifest.complete is False
-            assert acc.manifest.snapshot_count == 1
+        acc = RunAccessor(path)
+        assert acc.manifest.complete is False
+        assert acc.manifest.snapshot_count == 1
 
 
 class TestStandardize:

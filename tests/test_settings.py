@@ -258,7 +258,7 @@ def opens(path, fd: int, manifest: dict) -> bool:
     header = MAGIC + len(text).to_bytes(4, "little") + text.ljust(MANIFEST_REGION, b" ")
     assert os.pwrite(fd, header, 0) == DATA_START
     try:
-        RunAccessor(path).close()
+        RunAccessor(path)
     except RunFormatError:
         return False
     return True
@@ -336,9 +336,9 @@ def test_run_config_stores_numpy_settings_as_python_numbers():
 def test_analyze_run_stores_numpy_settings_as_python_numbers(tmp_path):
     path = tmp_path / "run.nfl"
     write_synthetic_run(path, count=3)
-    with RunAccessor(path) as acc:
-        report = analyze_run(acc, epsilon=np.float32(1e-5), bins=np.int64(7))
-        plain = analyze_run(acc, epsilon=float(np.float32(1e-5)), bins=7)
+    acc = RunAccessor(path)
+    report = analyze_run(acc, epsilon=np.float32(1e-5), bins=np.int64(7))
+    plain = analyze_run(acc, epsilon=float(np.float32(1e-5)), bins=7)
     assert type(report.epsilon) is float and type(report.bins) is int
     assert canonical_json_bytes(report.to_json_dict()) == canonical_json_bytes(plain.to_json_dict())
 
