@@ -28,6 +28,7 @@ import numpy as np
 from .net import ArchitectureSpec
 from .rng import check_integer, check_positive
 from .runfile import RunAccessor
+from .train import channel_views
 
 ANALYSIS_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
 
@@ -42,7 +43,7 @@ REPORT_SCHEMA_VERSION = 1
 # raised peak RSS by 14%.
 SPREAD_BUFFER_BYTES = 1 << 20
 # At most this many threads, the calling one included, share a run's spread
-# computations.  The four largest fields (weights and weight_grads of layers
+# computations.  The four largest views (weights and weight_grads of layers
 # 1 and 4) take about a fifth of the analysis each, and the rest is small.
 MAX_SPREAD_WORKERS = 4
 
@@ -217,7 +218,7 @@ def neuron_delta_series(run: RunAccessor, layer: int, index: int, channel: str) 
     layers = len(run.manifest.architecture.layer_shapes)
     if not 0 <= layer < layers:
         raise ValueError(f"layer {layer} out of range [0, {layers})")
-    series = run.frames()[f"{channel}{layer}"]
+    series = channel_views(run.frames()["values"], run.manifest.architecture)[f"{channel}{layer}"]
     rows = series.shape[1]
     if not 0 <= index < rows:
         raise ValueError(f"neuron index {index} out of range [0, {rows})")
@@ -360,10 +361,10 @@ def analyze_run(
     epsilon, bins = check_analysis_settings(epsilon, bins)
     check_analyzable(run, mode)
     arch = run.manifest.architecture
-    frames = run.frames()
+    views = channel_views(run.frames()["values"], arch)
     layers = range(len(arch.layer_shapes))
     names = [f"{ch}{layer}" for ch in ANALYSIS_CHANNELS for layer in layers]
-    field_spreads = dict(zip(names, _field_spreads([frames[name] for name in names], mode)))
+    field_spreads = dict(zip(names, _field_spreads([views[name] for name in names], mode)))
     channels: dict[str, ChannelStats] = {}
     for ch in ANALYSIS_CHANNELS:
         spreads = np.concatenate([field_spreads[f"{ch}{layer}"] for layer in layers])

@@ -9,7 +9,7 @@ from html import escape
 import numpy as np
 
 from .analysis import ANALYSIS_CHANNELS, HALVES, FluctuationReport, half_slices
-from .net import NetworkState, forward, layer_views
+from .net import NetworkState, forward
 from .runfile import RunManifest
 from .shapes import generate
 from .train import TRAIN_SAMPLE_COUNT
@@ -31,14 +31,12 @@ _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 def reconstruct(manifest: RunManifest, frame: np.void) -> tuple[np.ndarray, np.ndarray]:
     """Load the network of any one frame of a run and reconstruct the run's
-    training set: returns (points, output).  The network's weights and
-    biases are the frame's weights{k} and biases{k} fields, widened to f64."""
+    training set: returns (points, output).  The network's parameters are
+    the theta part of the frame's values, widened to f64."""
     cfg, spec = manifest.config, manifest.architecture
     points = generate(cfg.shape, TRAIN_SAMPLE_COUNT, cfg.data_seed)
     net = NetworkState(spec)
-    for k, (weights, biases) in enumerate(zip(*layer_views(net.theta, spec))):
-        weights[...] = frame[f"weights{k}"]
-        biases[...] = frame[f"biases{k}"]
+    net.theta[...] = frame["values"][: spec.parameter_count]
     return points, forward(net, points).output
 
 

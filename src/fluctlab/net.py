@@ -113,22 +113,23 @@ class ArchitectureSpec:
 
 def layer_blocks(flat: np.ndarray, spec: ArchitectureSpec) -> list[np.ndarray]:
     """The layout of a flat parameter vector: per layer, in layer order, one
-    row-major (out_dim, in_dim + 1) block [W_k | b_k], returned as views."""
-    if flat.shape != (spec.parameter_count,):
+    row-major (out_dim, in_dim + 1) block [W_k | b_k], returned as views.
+    Leading axes of flat, as in a stack of vectors, lead every block."""
+    if flat.shape[-1:] != (spec.parameter_count,):
         raise ValueError(f"expected {spec.parameter_count} flat values, got shape {flat.shape}")
     blocks, start = [], 0
     for in_dim, out_dim in spec.layer_shapes:
         stop = start + out_dim * (in_dim + 1)
-        blocks.append(flat[start:stop].reshape(out_dim, in_dim + 1))
+        blocks.append(flat[..., start:stop].reshape(flat.shape[:-1] + (out_dim, in_dim + 1)))
         start = stop
     return blocks
 
 
 def layer_views(flat: np.ndarray, spec: ArchitectureSpec) -> tuple[list, list]:
     """Per-layer weight (out_dim, in_dim) and bias (out_dim,) views into a flat
-    vector: W_k = block[:, :-1] and b_k = block[:, -1] of `layer_blocks`."""
+    vector: W_k = block[..., :-1] and b_k = block[..., -1] of `layer_blocks`."""
     blocks = layer_blocks(flat, spec)
-    return [b[:, :-1] for b in blocks], [b[:, -1] for b in blocks]
+    return [b[..., :-1] for b in blocks], [b[..., -1] for b in blocks]
 
 
 class NetworkState:

@@ -10,15 +10,14 @@ Layout (all integers little-endian, no padding between fields):
     offset 4104  snapshot frames, back to back
 
     frame      one packed record of frame_layout(architecture): u32 payload
-               length, u32 epoch, f64 loss, then per layer the raw f32
-               weights, biases, weight_grads, bias_grads and activations
-               (the mean activations), matrices row-major
+               length, u32 epoch, f64 loss, then `values`, the snapshot's
+               flat vector as f32: theta's [W_k | b_k] blocks, grad's, then
+               the mean activations
 
 All frames of a run have that record's size, so frame i starts at
 DATA_START + i * itemsize.  The reader reads every frame of a run at open,
-in one read of the frame region, into one record array whose fields are the
-channels' series.  Writing a snapshot maps its flat values to a frame's f32
-payload by one gather index.
+in one read of the frame region, into one record array; `channel_views` of
+its `values` field are the channels' series.
 
 The manifest region is rewritten on finalize to set the actual snapshot
 count and the complete flag, so a crashed run is detectable.  Values are
@@ -35,20 +34,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .net import ArchitectureSpec, layer_views
+from .net import ArchitectureSpec
 from .rng import check_integer
 from .train import EpochSnapshot, RunConfig
 
 MAGIC = b"NFL1"
 MANIFEST_REGION = 4096
 DATA_START = 8 + MANIFEST_REGION
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # The fields that open every frame.  A frame cut short still declares its
 # length when it holds the two u32 fields (HEADER_BYTES).
 FRAME_HEAD = np.dtype([("length", "<u4"), ("epoch", "<u4"), ("loss", "<f8")])
 HEADER_BYTES = FRAME_HEAD.fields["loss"][1]
-
-STORAGE_CHANNELS = ("weights", "biases", "weight_grads", "bias_grads", "activations")
 
 
 class RunFormatError(Exception):
@@ -84,10 +81,11 @@ class RunManifest:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunManifest":
         version = d["format_version"]
-        check_integer(version, "format_version")  # 1.0 and true equal 1, but are no version
+        check_integer(version, "format_version")  # 2.0 equals 2, but is no version
         if version != FORMAT_VERSION:
-            raise ValueError(
-                f"format version {version!r}; this reader reads version {FORMAT_VERSION}"
+            raise RunFormatError(
+                f"format version {version}; this reader reads version {FORMAT_VERSION} only: "
+                "re-run `fluctlab train` to write the run again"
             )
         for section in ("config", "architecture"):
             if not isinstance(d[section], dict):
@@ -111,30 +109,9 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def frame_layout(arch: ArchitectureSpec) -> np.dtype:
-    """One frame as a packed record: FRAME_HEAD, then per layer k the f32 fields
-    {channel}{k} in STORAGE_CHANNELS order, shaped like layer k's views of the
-    snapshot: `layer_views` of theta and of grad, then its activations.  Its
-    itemsize is the frame size."""
-    fields = FRAME_HEAD.descr
-    for k, (in_dim, out_dim) in enumerate(arch.layer_shapes):
-        shapes = ((out_dim, in_dim), (out_dim,), (out_dim, in_dim), (out_dim,), (out_dim,))
-        fields += [(f"{name}{k}", "<f4", shape) for name, shape in zip(STORAGE_CHANNELS, shapes)]
-    return np.dtype(fields)
-
-
-def gather_index(arch: ArchitectureSpec) -> np.ndarray:
-    """The positions in snapshot.values of a frame's f32 payload, in
-    frame_layout's field order: the payload holds snapshot.values[index]."""
-    positions = EpochSnapshot(0, 0.0, arch, np.arange(EpochSnapshot.length(arch)))
-    # per channel in STORAGE_CHANNELS order, one view per layer
-    channels = [
-        *layer_views(positions.theta, arch),
-        *layer_views(positions.grad, arch),
-        positions.activations,
-    ]
-    return np.concatenate(
-        [views[k].ravel() for k in range(len(arch.layer_shapes)) for views in channels]
-    )
+    """One frame as a packed record: FRAME_HEAD, then `values`, the f32 cast of
+    a snapshot's flat vector.  Its itemsize is the frame size."""
+    return np.dtype(FRAME_HEAD.descr + [("values", "<f4", (EpochSnapshot.length(arch),))])
 
 
 class RunWriter:
@@ -144,10 +121,8 @@ class RunWriter:
 
     def __init__(self, destination: str | Path, manifest: RunManifest):
         self._manifest = manifest
-        self._index = gather_index(manifest.architecture)
-        # One record, refilled by every append; its f32 payload follows the head.
+        # One record, refilled by every append.
         self._record = np.zeros(1, dtype=frame_layout(manifest.architecture))
-        self._payload = self._record.view(np.uint8)[FRAME_HEAD.itemsize :].view("<f4")
         self._record["length"] = self._record.itemsize - 4
         self._count = 0
         self._last_epoch = 0
@@ -185,7 +160,7 @@ class RunWriter:
         # past the f32 range raises instead of being stored as inf.
         try:
             with np.errstate(over="raise"):
-                self._payload[...] = snapshot.values[self._index]
+                self._record["values"] = snapshot.values
         except FloatingPointError:
             raise FloatingPointError("a captured value does not fit float32") from None
         self._record["epoch"] = snapshot.epoch
@@ -231,8 +206,8 @@ class RunAccessor:
     Opening reads the whole file in three reads (the magic and manifest
     length, the manifest region, every frame) and checks the frames as one
     record array.  The accessor then holds its manifest and that array,
-    read-only, and no file: every epoch, loss and channel series of the run
-    is a field of frames().
+    read-only, and no file: every epoch and loss of the run is a field of
+    frames(), and every channel series a view of its values.
     """
 
     def __init__(self, source: str | Path):
@@ -283,7 +258,8 @@ class RunAccessor:
 
     def frames(self) -> np.ndarray:
         """Every frame as one read-only (T,) array of frame_layout's record;
-        frames()[f"{channel}{k}"] is a channel's f32 series, time-major."""
+        channel_views(frames()["values"], arch)[f"{channel}{k}"] is a
+        channel's f32 series, time-major."""
         return self._frames
 
 
@@ -300,7 +276,7 @@ def _read_manifest(stream) -> tuple[RunManifest, np.dtype]:
         raise RunFormatError("truncated manifest region")
     try:
         manifest = RunManifest.from_json_dict(json.loads(region[:length]))
-        # numpy refuses a layer size or a frame past a C int with a ValueError
+        # numpy refuses a frame past a C int or its index range with a ValueError
         return manifest, frame_layout(manifest.architecture)
     # TypeError: not a JSON object; RecursionError: nested too deep to parse
     except (ValueError, KeyError, TypeError, RecursionError) as exc:

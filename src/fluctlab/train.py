@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .blas import one_thread
-from .net import ArchitectureSpec, NetworkState, backward, forward, init, layer_blocks, mse
+from .net import ArchitectureSpec, NetworkState, backward, forward, init, layer_blocks, layer_views, mse
 from .rng import check_integer, check_positive, check_seed
 from .shapes import ShapeKind, generate
 
@@ -76,8 +76,8 @@ class EpochSnapshot:
     post-step parameters `theta`, then the full-batch gradients `grad` that
     produced the step, then the post-step per-neuron mean activations in
     layer order.  `theta`, `grad` and `activations` are views into it,
-    and per-layer views come from `layer_views` of `theta` or `grad`.
-    `loss` is the post-step loss."""
+    and `channel_views` names every per-layer view.  `loss` is the
+    post-step loss."""
 
     epoch: int
     loss: float
@@ -105,6 +105,23 @@ class EpochSnapshot:
         start = 2 * self.spec.parameter_count
         bounds = list(itertools.accumulate(self.spec.out_dims, initial=start))
         return [self.values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def channel_views(values: np.ndarray, spec: ArchitectureSpec) -> dict[str, np.ndarray]:
+    """The channels of one snapshot vector, or of a (T, length) stack of them,
+    as views named {channel}{k}: per layer k, weights{k} and biases{k} are
+    `layer_views` of theta, weight_grads{k} and bias_grads{k} of grad, and
+    activations{k} its mean activations; a stack's views are time-major."""
+    p = spec.parameter_count
+    theta, grad = layer_views(values[..., :p], spec), layer_views(values[..., p : 2 * p], spec)
+    channels = {
+        "weights": theta[0],
+        "biases": theta[1],
+        "weight_grads": grad[0],
+        "bias_grads": grad[1],
+        "activations": np.split(values[..., 2 * p :], np.cumsum(spec.out_dims[:-1]), axis=-1),
+    }
+    return {f"{ch}{k}": view for ch, views in channels.items() for k, view in enumerate(views)}
 
 
 @dataclass

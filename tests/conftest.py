@@ -6,7 +6,7 @@ import pytest
 
 from fluctlab import blas
 from fluctlab.analysis import analyze_run
-from fluctlab.net import ArchitectureSpec, layer_views
+from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
     MANIFEST_REGION,
@@ -16,7 +16,7 @@ from fluctlab.runfile import (
     write_run,
 )
 from fluctlab.shapes import ShapeKind
-from fluctlab.train import EpochSnapshot, RunConfig
+from fluctlab.train import EpochSnapshot, RunConfig, channel_views
 
 
 TINY_ARCH = ArchitectureSpec(encoder_dims=(2, 4, 3, 1), decoder_dims=(1, 3, 4, 2))
@@ -61,16 +61,6 @@ def make_snapshot(arch, epoch, loss, rng=None, fill=None):
     return EpochSnapshot(epoch, loss, arch, values)
 
 
-def snapshot_channel(snap, name):
-    """Per-layer views of a snapshot for one of the run file's channel names,
-    derived from its flat vectors: `layer_views` of theta or of grad, or the
-    activation means."""
-    if name == "activations":
-        return snap.activations
-    weights, biases = layer_views(snap.grad if name.endswith("_grads") else snap.theta, snap.spec)
-    return weights if name.startswith("weight") else biases
-
-
 def make_manifest(arch=TINY_ARCH, shape=ShapeKind.CIRCLE, lr=0.01, epochs=3,
                   data_seed=1, init_seed=2, capture_every=1):
     config = RunConfig(
@@ -112,9 +102,14 @@ def edit_manifest(path, key, value, section=None):
 
 
 def edit_frame_value(path, frame, name, index, value):
-    """Set the value at flat position index of field name (e.g. "weights1",
-    or "loss" at index 0) in one frame of a run file, keeping every other byte."""
-    layout = RunAccessor(path).frames().dtype
+    """Set the value at flat position index of channel view name (e.g.
+    "weights1"), or of "loss" at index 0, in one frame of a run file, keeping
+    every other byte."""
+    run = RunAccessor(path)
+    layout, arch = run.frames().dtype, run.manifest.architecture
+    if name != "loss":
+        positions = np.arange(EpochSnapshot.length(arch))
+        index, name = int(channel_views(positions, arch)[name].ravel()[index]), "values"
     field, offset = layout.fields[name][:2]
     item = np.array(value, dtype=field.base).tobytes()
     start = DATA_START + frame * layout.itemsize + offset + len(item) * index

@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_VERDICTS, TINY_ARCH, make_manifest, make_snapshot, snapshot_channel
+from conftest import ACCEPTANCE_VERDICTS, TINY_ARCH, make_manifest, make_snapshot
 from fluctlab.analysis import (
     ANALYSIS_CHANNELS,
     HALVES,
@@ -34,7 +34,7 @@ from fluctlab.cli import main, train_run_to_file
 from fluctlab.net import ArchitectureSpec, backward, forward, init, layer_views, mse
 from fluctlab.runfile import RunAccessor, standardize_channel, write_run
 from fluctlab.shapes import ShapeKind, export_csv, generate
-from fluctlab.train import ADAM_EPSILON, RunConfig, adam_step, init_optimizer
+from fluctlab.train import ADAM_EPSILON, RunConfig, adam_step, channel_views, init_optimizer
 from test_net import finite_difference_grads, gradcheck_case, GRADCHECK_ARCH
 
 SEED_PAIRS = ((1, 101), (2, 102), (3, 103), (4, 104), (5, 105))
@@ -282,11 +282,11 @@ def test_criterion_8_format_round_trips(tmp_path):
     write_run(make_manifest(epochs=3), snaps, path)
     acc = RunAccessor(path)
     frames = acc.frames()
+    views = channel_views(frames["values"], TINY_ARCH)
     run_ok = len(frames) == 3 and all(
-        np.array_equal(frames[f"{ch}{k}"][i], snapshot_channel(snaps[i], ch)[k])
+        np.array_equal(views[name][i], view)
         for i in range(3)
-        for ch in ("weights", "biases", "weight_grads", "bias_grads", "activations")
-        for k in range(6)
+        for name, view in channel_views(snaps[i].values, TINY_ARCH).items()
     )
 
     # dataset CSV round trip to 1e-8

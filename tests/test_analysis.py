@@ -15,7 +15,6 @@ from conftest import (
     edit_frame_value,
     make_manifest,
     make_snapshot,
-    snapshot_channel,
     write_synthetic_run,
 )
 from fluctlab import analysis
@@ -33,7 +32,6 @@ from fluctlab.analysis import (
 )
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
-    STORAGE_CHANNELS,
     RunAccessor,
     RunManifest,
     RunWriter,
@@ -41,7 +39,7 @@ from fluctlab.runfile import (
     write_run,
 )
 from fluctlab.shapes import ShapeKind
-from fluctlab.train import RunConfig, train
+from fluctlab.train import RunConfig, channel_views, train
 
 
 def two_pass_std_oracle(values):
@@ -257,7 +255,7 @@ class TestDeltaSeries:
         path = tmp_path / "sw.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2, 3)]
         for snap, value in zip(snaps, (0.0, 1.0, 3.0)):
-            snapshot_channel(snap, "weights")[3][0, 0] = value
+            channel_views(snap.values, snap.spec)["weights3"][0, 0] = value
         write_run(make_manifest(epochs=3), snaps, path)
         acc = RunAccessor(path)
         deltas = neuron_delta_series(acc, 3, 0, "weights")
@@ -267,7 +265,7 @@ class TestDeltaSeries:
         path = tmp_path / "tw.nfl"
         snaps = [make_snapshot(TINY_ARCH, e, 0.5, fill=0.0) for e in (1, 2, 3)]
         for snap, row in zip(snaps, ([0.0, 0.0], [1.0, 2.0], [3.0, 5.0])):
-            snapshot_channel(snap, "weights")[0][1, :] = row
+            channel_views(snap.values, snap.spec)["weights0"][1, :] = row
         write_run(make_manifest(epochs=3), snaps, path)
         acc = RunAccessor(path)
         deltas = neuron_delta_series(acc, 0, 1, "weights")
@@ -427,9 +425,8 @@ def inexact_run(path, count=6):
     snaps = []
     for epoch in range(1, count + 1):
         snap = make_snapshot(TINY_ARCH, epoch, 0.5, fill=0.0)
-        for channel in STORAGE_CHANNELS:
-            for view in snapshot_channel(snap, channel):
-                view[...] = rng.normal(0, 2, size=view.shape)
+        for view in channel_views(snap.values, TINY_ARCH).values():
+            view[...] = rng.normal(0, 2, size=view.shape)
         snaps.append(snap)
     write_run(make_manifest(epochs=count), snaps, path)
 
@@ -455,12 +452,12 @@ def per_neuron_std(series, mode):
 
 def per_field_spreads(acc, mode):
     """Spreads by the per-neuron definition: per_neuron_std of each layer's
-    series, the frames' {channel}{layer} field."""
-    frames = acc.frames()
+    series, the {channel}{layer} view of the frames' values."""
+    views = channel_views(acc.frames()["values"], acc.manifest.architecture)
     spreads = {}
     for ch in ANALYSIS_CHANNELS:
         per_layer = [
-            per_neuron_std(frames[f"{ch}{layer}"], mode)
+            per_neuron_std(views[f"{ch}{layer}"], mode)
             for layer in range(len(acc.manifest.architecture.layer_shapes))
         ]
         spreads[ch] = np.concatenate(per_layer)

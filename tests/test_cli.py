@@ -18,7 +18,7 @@ from conftest import edit_frame_value, edit_manifest
 import fluctlab
 import fluctlab.cli as cli
 from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main, train_run_to_file
-from fluctlab.runfile import MAGIC, MANIFEST_REGION, RunAccessor
+from fluctlab.runfile import FORMAT_VERSION, MAGIC, MANIFEST_REGION, RunAccessor
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import RunConfig, TrainingDivergedError
 
@@ -57,6 +57,8 @@ UNANALYZABLE = {
     "manifest_nested_too_deep": "unreadable manifest: maximum recursion depth exceeded "
     "while decoding a JSON array from a unicode string",
     "loss_not_finite": "loss of frame 4 (epoch 5) is nan: the run holds a value that is not finite",
+    "version_1": f"format version 1; this reader reads version {FORMAT_VERSION} only: "
+    "re-run `fluctlab train` to write the run again",
 }
 # JSON nested deeper than the interpreter's recursion limit
 TOO_DEEP = b"[" * 1500
@@ -73,6 +75,9 @@ def unanalyzable_run(path, defect):
     elif defect == "loss_not_finite":
         train_run_to_file(RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=5), path)
         edit_frame_value(path, 4, "loss", 0, np.nan)
+    elif defect == "version_1":  # any run made before frames held the snapshot vector
+        train_run_to_file(RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=5), path)
+        edit_manifest(path, "format_version", 1)
     elif defect == "manifest_nested_too_deep":
         header = MAGIC + len(TOO_DEEP).to_bytes(4, "little")
         path.write_bytes(header + TOO_DEEP.ljust(MANIFEST_REGION, b" "))
@@ -241,7 +246,8 @@ class TestAnalyze:
 
     def test_unknown_format_version_exits_2_before_writing(self, two_runs, tmp_path, capsys):
         run = tmp_path / "v9.nfl"
-        run.write_bytes(two_runs[0.01].read_bytes().replace(b'"format_version":1', b'"format_version":9'))
+        version = f'"format_version":{FORMAT_VERSION}'.encode()
+        run.write_bytes(two_runs[0.01].read_bytes().replace(version, b'"format_version":9'))
         jpath = tmp_path / "an" / "r.json"
         assert run_cli(["analyze", "--run", str(run), "--json", str(jpath)]) == 2
         assert "format version 9" in capsys.readouterr().err
@@ -280,7 +286,7 @@ class TestAnalyze:
         run.write_bytes(two_runs[0.01].read_bytes())
         edit_manifest(run, "encoder_dims", [2, 2**40, 2**40, 1], "architecture")
         assert run_cli(["analyze", "--run", str(run)]) == 2
-        message = "invalid shape in fixed-type tuple: dimension does not fit into a C int."
+        message = "invalid shape in fixed-type tuple."  # the frame's length is past numpy's index range
         assert capsys.readouterr().err == f"error: {run}: unreadable manifest: {message}\n"
         assert [p.name for p in run.parent.iterdir()] == ["x.nfl"]
 

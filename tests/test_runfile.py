@@ -14,7 +14,6 @@ from conftest import (
     edit_manifest,
     make_manifest,
     make_snapshot,
-    snapshot_channel,
     write_synthetic_run,
 )
 from fluctlab import runfile
@@ -23,9 +22,9 @@ from fluctlab.figures import reconstruct
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
+    FORMAT_VERSION,
     HEADER_BYTES,
     MANIFEST_REGION,
-    STORAGE_CHANNELS,
     RunCorruptionError,
     RunAccessor,
     RunFormatError,
@@ -33,7 +32,7 @@ from fluctlab.runfile import (
     standardize_channel,
     write_run,
 )
-from fluctlab.train import EpochSnapshot, train
+from fluctlab.train import EpochSnapshot, channel_views, train
 
 
 class ReadCountingFile:
@@ -63,15 +62,11 @@ class ReadCountingFile:
 
 def frame_bytes_oracle(snaps):
     """Frames rebuilt by hand: u32 payload length, u32 epoch, f64 loss, then
-    every channel of every layer as little-endian f32 in storage order."""
+    the snapshot's flat vector as little-endian f32."""
     expected = b""
     for snap in snaps:
-        channels = b"".join(
-            snapshot_channel(snap, channel)[k].astype("<f4").tobytes()
-            for k in range(len(snap.spec.layer_shapes))
-            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations")
-        )
-        expected += struct.pack("<IId", 12 + len(channels), snap.epoch, snap.loss) + channels
+        payload = snap.values.astype("<f4").tobytes()
+        expected += struct.pack("<IId", 12 + len(payload), snap.epoch, snap.loss) + payload
     return expected
 
 
@@ -136,18 +131,22 @@ class TestLayout:
         assert blob[:4] == b"NFL1"
         length = int.from_bytes(blob[4:8], "little")
         manifest = json.loads(blob[8 : 8 + length])
-        assert manifest["format_version"] == 1
+        assert manifest["format_version"] == FORMAT_VERSION
         assert blob[8 + length : DATA_START] == b" " * (MANIFEST_REGION - length)
 
     def test_frame_bytes_match_struct_oracle(self, tmp_path):
-        """The values are full float64, so the f32 rounding is pinned."""
+        """The on-disk frame spec, byte for byte: the <IId head, then
+        snapshot.values as <f4, in a frame whose size follows from the layer
+        sizes alone.  The values are full float64, so the f32 rounding is
+        pinned."""
+        itemsize = runfile.frame_layout(TINY_ARCH).itemsize
+        assert itemsize == 16 + 4 * (2 * TINY_ARCH.parameter_count + TINY_ARCH.total_neurons)
+        assert itemsize == 16 + 4 * sum(2 * i * o + 3 * o for i, o in TINY_ARCH.layer_shapes)
         rng = np.random.default_rng(11)
         snaps = []
         for epoch, loss in ((2, 0.123456789012345), (7, 3.0e-5)):
             snap = make_snapshot(TINY_ARCH, epoch, loss, rng=rng)
-            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations"):
-                for view in snapshot_channel(snap, channel):
-                    view[...] = rng.normal(0, 2, size=view.shape)
+            snap.values[...] = rng.normal(0, 2, size=snap.values.shape)
             snaps.append(snap)
         path = tmp_path / "oracle.nfl"
         write_run(make_manifest(epochs=7), snaps, path)
@@ -155,36 +154,31 @@ class TestLayout:
 
     @given(run=small_runs())
     @settings(max_examples=60, deadline=None)
-    def test_gather_matches_oracle_on_small_architectures(self, run, tmp_path_factory):
+    def test_frames_match_oracle_on_small_architectures(self, run, tmp_path_factory):
         arch, snaps = run
-        path = tmp_path_factory.mktemp("gather") / "run.nfl"
+        path = tmp_path_factory.mktemp("frames") / "run.nfl"
         write_run(make_manifest(arch=arch, epochs=len(snaps)), snaps, path)
         assert path.read_bytes()[DATA_START:] == frame_bytes_oracle(snaps)
         acc = RunAccessor(path)
-        frames = acc.frames()
+        views = channel_views(acc.frames()["values"], arch)
         for i, snap in enumerate(snaps):
-            for k in range(len(arch.layer_shapes)):
-                for name in STORAGE_CHANNELS:
-                    view = snapshot_channel(snap, name)[k].astype(np.float32)
-                    assert frames[f"{name}{k}"][i].tobytes() == view.tobytes()
+            for name, view in channel_views(snap.values, arch).items():
+                assert views[name][i].tobytes() == view.astype(np.float32).tobytes()
 
     def test_frames_hold_the_trained_layers(self, tmp_path):
-        """The frame layout does not follow theta's: the weights{k} and
-        biases{k} fields are the trained network's arrays rounded to f32, and
-        the paper's frame keeps its size and field order, so older files read
-        as the same weights and biases."""
+        """A frame's values follow theta's layout: the weights{k} and
+        biases{k} views are the trained network's arrays rounded to f32, and
+        the paper's frame keeps the size it had in version 1."""
         frame = runfile.frame_layout(ArchitectureSpec())
         assert frame.itemsize == 37_684
-        channels = ("weights", "biases", "weight_grads", "bias_grads", "activations")
-        fields = [f"{c}{k}" for k in range(6) for c in channels]
-        assert frame.names == ("length", "epoch", "loss", *fields)
+        assert frame.names == ("length", "epoch", "loss", "values")
         manifest = make_manifest(arch=ArchitectureSpec(), epochs=3)
         path = tmp_path / "trained.nfl"
         with RunWriter(path, manifest) as writer:
             net, _ = train(manifest.config, writer.append)
             writer.finalize(complete=True)
         acc = RunAccessor(path)
-        last = acc.frames()[-1]
+        last = channel_views(acc.frames()[-1]["values"], net.spec)
         for k, block in enumerate(net.blocks):
             assert last[f"weights{k}"].tobytes() == block[:, :-1].astype(np.float32).tobytes()
             assert last[f"biases{k}"].tobytes() == block[:, -1].astype(np.float32).tobytes()
@@ -209,9 +203,9 @@ class TestRoundTrip:
         for frame, snap in zip(acc.frames(), written, strict=True):
             assert frame["epoch"] == snap.epoch
             assert frame["loss"] == snap.loss
-            for channel in ("weights", "biases", "weight_grads", "bias_grads", "activations"):
-                for k, view in enumerate(snapshot_channel(snap, channel)):
-                    assert np.array_equal(frame[f"{channel}{k}"], view)
+            views = channel_views(frame["values"], snap.spec)
+            for name, view in channel_views(snap.values, snap.spec).items():
+                assert np.array_equal(views[name], view)
 
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "man.nfl"
@@ -234,7 +228,7 @@ class TestAccess:
         acc = RunAccessor(path)
         cases = ((0, "weights", 3), (4, "weight_grads", 1), (1, "biases", 2), (3, "activations", 0))
         for layer, channel, idx in cases:
-            naive = np.stack([snapshot_channel(s, channel)[layer][idx] for s in full])
+            naive = np.stack([channel_views(s.values, s.spec)[f"{channel}{layer}"][idx] for s in full])
             deltas = neuron_delta_series(acc, layer, idx, channel)
             assert deltas.dtype == np.float64
             assert deltas.tobytes() == np.diff(naive, axis=0).ravel().tobytes()
@@ -260,13 +254,13 @@ class TestAccess:
         assert frames.dtype == runfile.frame_layout(TINY_ARCH)
         assert frames["epoch"].tolist() == [s.epoch for s in written]
         assert frames["loss"].tolist() == [s.loss for s in written]
+        views = channel_views(frames["values"], TINY_ARCH)
         for i, snap in enumerate(written):
-            for layer in range(len(TINY_ARCH.layer_shapes)):
-                for name in STORAGE_CHANNELS:
-                    field = frames[f"{name}{layer}"][i]
-                    expected = snapshot_channel(snap, name)[layer].astype(np.float32)
-                    assert field.dtype == np.float32
-                    assert field.tobytes() == expected.tobytes()
+            assert frames["values"][i].tobytes() == snap.values.astype(np.float32).tobytes()
+            for name, expected in channel_views(snap.values, TINY_ARCH).items():
+                view = views[name][i]
+                assert view.dtype == np.float32
+                assert view.tobytes() == expected.astype(np.float32).tobytes()
 
     def test_reads_per_frame(self, tmp_path, monkeypatch):
         """Opening makes three reads: the magic and manifest length, the
@@ -292,8 +286,8 @@ class TestAccess:
 
     def test_open_allocates_for_the_file_not_the_claimed_architecture(self, tmp_path):
         """A manifest-only file that claims two 3000-wide layers opens in under
-        1 MB: the gather index grows with the claimed widths (hundreds of MB
-        here), so only writing a snapshot builds it."""
+        1 MB: a frame of the claimed widths (about 72 MB here) is allocated
+        only by writing a snapshot."""
         path = tmp_path / "wide.nfl"
         write_run(make_manifest(), [], path)
         wide = {"encoder_dims": [2, 3000, 3000, 1], "decoder_dims": [1, 2]}
@@ -335,7 +329,7 @@ class TestAccess:
         with pytest.raises(ValueError, match="read-only"):
             acc.frames()["loss"][0] = -1.0
         with pytest.raises(ValueError, match="read-only"):
-            acc.frames()["weights0"][...] = 0.0
+            channel_views(acc.frames()["values"], TINY_ARCH)["weights0"][...] = 0.0
         assert acc.frames()["loss"].tolist() == [s.loss for s in written]
 
     def test_epoch_values_preserved(self, tmp_path):
@@ -493,7 +487,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            (b'"format_version":1', b'"format_version":9', "format version 9"),
+            (f'"format_version":{FORMAT_VERSION}'.encode(), b'"format_version":9', "format version 9"),
             (b'"beta1":0.9', b'"beta1":0.8', "adam settings"),
         ],
     )
@@ -527,9 +521,9 @@ class TestErrors:
             # a section that is not a JSON object
             (None, "config", 5),
             (None, "architecture", []),
-            # each equals 1 in Python, the one version read
+            # a bool, and a float that equals the one version read
             (None, "format_version", True),
-            (None, "format_version", 1.0),
+            (None, "format_version", float(FORMAT_VERSION)),
             # an int past the float range is not finite
             pytest.param("config", "learning_rate", 10**400, id="lr-past-the-float-range"),
         ],
@@ -545,11 +539,12 @@ class TestErrors:
             RunAccessor(path)
 
     def test_layer_sizes_past_a_c_int(self, tmp_path):
-        # numpy cannot build the frame record; opening says so as a format error
+        # numpy cannot build the frame record, whose length is past its index
+        # range here; opening says so as a format error
         path = tmp_path / "wide.nfl"
         write_synthetic_run(path, count=3)
         edit_manifest(path, "encoder_dims", [2, 2**40, 2**40, 1], "architecture")
-        with pytest.raises(RunFormatError, match="unreadable manifest: .*C int"):
+        with pytest.raises(RunFormatError, match="unreadable manifest: invalid shape"):
             RunAccessor(path)
 
     def test_manifest_that_is_not_a_json_object(self, tmp_path):

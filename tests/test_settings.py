@@ -26,6 +26,7 @@ from fluctlab.net import ArchitectureSpec
 from fluctlab.rng import check_integer, check_positive
 from fluctlab.runfile import (
     DATA_START,
+    FORMAT_VERSION,
     MAGIC,
     MANIFEST_REGION,
     RunAccessor,
@@ -205,7 +206,7 @@ def manifest_rules(original: dict) -> dict:
     opens."""
     adam = original["config"]["adam"]
     rules = {
-        ("format_version",): integer(1, 1),
+        ("format_version",): integer(FORMAT_VERSION, FORMAT_VERSION),
         ("snapshot_count",): integer(1, 1),  # one frame, and the run is complete
         ("complete",): lambda v: type(v) is bool,
         ("created_utc",): integer(),
@@ -267,6 +268,7 @@ def opens(path, fd: int, manifest: dict) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(value=JSON_VALUES)
 @edge_examples
+@example(value=float(FORMAT_VERSION))  # equals the version, but is no integer
 def test_any_json_value_in_a_manifest_opens_or_is_a_run_format_error(value, one_frame_run):
     path, original, fd = one_frame_run
     for edited, expected in manifest_cases(original, value):

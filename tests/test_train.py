@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluctlab.train as train_module
 from fluctlab.blas import one_thread
@@ -26,6 +28,7 @@ from fluctlab.train import (
     RunConfig,
     TrainingDivergedError,
     adam_step,
+    channel_views,
     init_optimizer,
     train,
 )
@@ -469,7 +472,7 @@ class TestTrain:
             EpochSnapshot(1, 0.5, TINY, np.zeros(size + 1))
 
     def test_snapshot_fields_cannot_be_rebound(self):
-        # a rebound array would not be the values the writer gathers from
+        # a rebound array would not be the values the writer stores
         snap = EpochSnapshot(1, 0.5, TINY, np.zeros(EpochSnapshot.length(TINY)))
         for name, value in (("values", np.ones(snap.values.size)), ("theta", [])):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -482,3 +485,54 @@ class TestTrain:
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=3)
         with pytest.raises(OSError):
             train(cfg, sink)
+
+
+class TestChannelViews:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_views_partition_a_snapshot_vector_and_a_stack(self, data):
+        """On an architecture of 1-3 layers per half and widths 1-5: each
+        position of a snapshot vector lies in exactly one view, at the place
+        the [W_k | b_k] blocks and the mean activations put it; the views of a
+        (T, length) stack are the stacked views of its rows; and the
+        snapshot's theta, grad and activations are the same positions."""
+        widths = st.integers(1, 5)
+        encoder = data.draw(st.lists(widths, min_size=2, max_size=4), label="encoder")
+        decoder = encoder[-1:] + data.draw(st.lists(widths, min_size=1, max_size=3), label="decoder")
+        arch = ArchitectureSpec(tuple(encoder), tuple(decoder))
+        length, p = EpochSnapshot.length(arch), arch.parameter_count
+        snap = EpochSnapshot(1, 0.5, arch, np.arange(length, dtype=np.float64))
+        views = channel_views(snap.values, arch)
+
+        # row r of layer k's block [W_k | b_k] starts at block + r * (in_dim + 1)
+        expected, block, neuron = {}, 0, 2 * p
+        for k, (in_dim, out_dim) in enumerate(arch.layer_shapes):
+            rows = block + (in_dim + 1) * np.arange(out_dim)
+            weights, biases = rows[:, None] + np.arange(in_dim), rows + in_dim
+            expected[f"weights{k}"], expected[f"biases{k}"] = weights, biases
+            expected[f"weight_grads{k}"], expected[f"bias_grads{k}"] = weights + p, biases + p
+            expected[f"activations{k}"] = neuron + np.arange(out_dim)
+            block, neuron = block + out_dim * (in_dim + 1), neuron + out_dim
+        assert views.keys() == expected.keys()
+        for name, view in views.items():
+            assert np.array_equal(view, expected[name]), name
+            assert np.shares_memory(view, snap.values)
+        positions = np.sort(np.concatenate([view.ravel() for view in views.values()]))
+        assert np.array_equal(positions, snap.values)
+
+        def positions_of(*channels):
+            layers = range(len(arch.layer_shapes))
+            return np.sort(np.concatenate([views[f"{c}{k}"].ravel() for c in channels for k in layers]))
+
+        assert np.array_equal(positions_of("weights", "biases"), snap.theta)
+        assert np.array_equal(positions_of("weight_grads", "bias_grads"), snap.grad)
+        for k, means in enumerate(snap.activations):
+            assert np.array_equal(views[f"activations{k}"], means)
+
+        # rows a frame's length apart, as in a run file's record array
+        steps = data.draw(st.integers(1, 4), label="steps")
+        frames = np.random.default_rng(steps).standard_normal((steps, length + 4)).astype(np.float32)
+        stack = frames[:, 4:]
+        for name, view in channel_views(stack, arch).items():
+            assert np.shares_memory(view, frames)
+            assert np.array_equal(view, np.stack([channel_views(row, arch)[name] for row in stack]))
