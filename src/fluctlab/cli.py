@@ -159,11 +159,6 @@ def _write_bytes(path: Path, blob: bytes) -> None:
     path.write_bytes(blob)
 
 
-def _write_report(report: FluctuationReport, json_path: Path, csv_path: Path) -> None:
-    _write_bytes(json_path, canonical_json_bytes(report.to_json_dict()) + b"\n")
-    _write_bytes(csv_path, report.neuron_csv().encode("utf-8"))
-
-
 def _inactive_counts(report: FluctuationReport) -> dict[str, int]:
     return {ch: int(report.channels[ch].inactive.sum()) for ch in ANALYSIS_CHANNELS}
 
@@ -198,31 +193,27 @@ def write_summary(manifest: RunManifest, report: FluctuationReport, last, out_di
     run, from its manifest, FluctuationReport and last frame; returns its
     index entry."""
     cfg = manifest.config
-    original, reconstructed = reconstruct(manifest, last)
+    shape = cfg.shape.value
     stem = _run_stem(cfg)
-    report_json = out_dir / f"{stem}.report.json"
-    neurons_csv = out_dir / f"{stem}.neurons.csv"
-    _write_report(report, report_json, neurons_csv)
-
     lr_txt = _format_lr(cfg.learning_rate)
-    scatter_path = out_dir / f"{stem}_scatter.svg"
-    _write_bytes(
-        scatter_path,
-        scatter_svg(original, reconstructed, f"{cfg.shape.value}: reconstruction at lr {lr_txt}"),
-    )
-    hists = {}
-    for channel in ANALYSIS_CHANNELS:
-        hist_path = out_dir / f"{stem}_hist_{channel}.svg"
-        _write_bytes(
-            hist_path,
-            hist_svg(report, channel, f"{cfg.shape.value}: {channel} spread at lr {lr_txt}"),
-        )
-        hists[channel] = hist_path.name
+
+    def emit(suffix: str, blob: bytes) -> str:
+        """Write blob as the run's artifact of this suffix; returns its file name."""
+        name = f"{stem}{suffix}"
+        _write_bytes(out_dir / name, blob)
+        return name
+
+    points = reconstruct(manifest, last)
+    report_json = emit(".report.json", canonical_json_bytes(report.to_json_dict()) + b"\n")
+    neurons_csv = emit(".neurons.csv", report.neuron_csv().encode("utf-8"))
+    scatter = emit("_scatter.svg", scatter_svg(*points, f"{shape}: reconstruction at lr {lr_txt}"))
+    hists = {
+        ch: emit(f"_hist_{ch}.svg", hist_svg(report, ch, f"{shape}: {ch} spread at lr {lr_txt}"))
+        for ch in ANALYSIS_CHANNELS
+    }
     md_blob, csv_blob = fluctuation_table(report)
-    table_md = out_dir / f"{stem}_table.md"
-    table_csv = out_dir / f"{stem}_table.csv"
-    _write_bytes(table_md, md_blob)
-    _write_bytes(table_csv, csv_blob)
+    table_md = emit("_table.md", md_blob)
+    table_csv = emit("_table.csv", csv_blob)
 
     inactive = _inactive_counts(report)
     calibrated = calibrate_epsilon(
@@ -233,17 +224,17 @@ def write_summary(manifest: RunManifest, report: FluctuationReport, last, out_di
         flags.append("weights-inactive-count-unreproduced")
 
     return {
-        "shape": cfg.shape.value,
+        "shape": shape,
         "final_loss": float(last["loss"]),
         "inactive_counts": inactive,
         "weights_inactive_default": inactive["weights"],
         "weights_epsilon_calibrated": calibrated,
         "flags": flags,
-        "report_json": report_json.name,
-        "neurons_csv": neurons_csv.name,
-        "table_md": table_md.name,
-        "table_csv": table_csv.name,
-        "figures": [scatter_path.name, *hists.values()],
+        "report_json": report_json,
+        "neurons_csv": neurons_csv,
+        "table_md": table_md,
+        "table_csv": table_csv,
+        "figures": [scatter, *hists.values()],
         "hist_figures": hists,
     }
 
@@ -351,7 +342,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if taken:
         raise ValueError(f"{', '.join(taken)} exists; name the outputs with --json and --csv")
     [(_, report, _)] = _analyzed_runs([run_path], args.epsilon, args.bins, args.mode)
-    _write_report(report, json_path, csv_path)
+    _write_bytes(json_path, canonical_json_bytes(report.to_json_dict()) + b"\n")
+    _write_bytes(csv_path, report.neuron_csv().encode("utf-8"))
     print(json_path)
     print(csv_path)
     inactive = _inactive_counts(report)

@@ -27,6 +27,31 @@ HIST_X_LABEL = "per-neuron spread"
 STACK_TITLE_HEIGHT = 34
 
 _XML_DECL = '<?xml version="1.0" encoding="UTF-8"?>\n'
+_AXIS = 'stroke="#444444" stroke-width="1"'
+
+
+def _text(x: str, y: str, size: int, body: str, anchor: str | None = "middle", tail: str = "") -> str:
+    """One sans-serif text element of body, escaped; the caller formats x and y."""
+    at = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{at} font-size="{size}" font-family="sans-serif"{tail}>'
+        f"{escape(body)}</text>"
+    )
+
+
+def _document(width: int, height: int, title: str, title_y: int, title_size: int) -> list[str]:
+    """The opening lines of a figure: the root element, a white ground and the title."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
+        _text(f"{width / 2:.1f}", str(title_y), title_size, title),
+    ]
+
+
+def _finish(lines: list[str]) -> bytes:
+    """The document of lines, closed, as the bytes of an SVG file."""
+    return (_XML_DECL + "\n".join([*lines, "</svg>"]) + "\n").encode("utf-8")
 
 
 def reconstruct(manifest: RunManifest, frame: np.void) -> tuple[np.ndarray, np.ndarray]:
@@ -69,43 +94,23 @@ def scatter_svg(original: np.ndarray, reconstructed: np.ndarray, title: str) -> 
         py = oy + (DATA_FRAME - y) / (2 * DATA_FRAME) * side
         return px, py
 
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{w / 2:.1f}" y="28" text-anchor="middle" font-size="18" '
-        f'font-family="sans-serif">{escape(title)}</text>',
-        f'<rect x="{ox:.2f}" y="{oy:.2f}" width="{side:.2f}" height="{side:.2f}" '
-        'fill="none" stroke="#444444" stroke-width="1"/>',
-    ]
+    lines = _document(w, h, title, 28, 18)
+    lines.append(
+        f'<rect x="{ox:.2f}" y="{oy:.2f}" width="{side:.2f}" height="{side:.2f}" fill="none" {_AXIS}/>'
+    )
     for tick in (-1.0, 0.0, 1.0):
         tx, _ = to_px(tick, 0.0)
         _, ty = to_px(0.0, tick)
-        lines.append(
-            f'<line x1="{tx:.2f}" y1="{oy + side:.2f}" x2="{tx:.2f}" '
-            f'y2="{oy + side + 5:.2f}" stroke="#444444" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{tx:.2f}" y="{oy + side + 18:.2f}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{tick:g}</text>'
-        )
-        lines.append(
-            f'<line x1="{ox - 5:.2f}" y1="{ty:.2f}" x2="{ox:.2f}" y2="{ty:.2f}" '
-            'stroke="#444444" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{ox - 8:.2f}" y="{ty + 4:.2f}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{tick:g}</text>'
-        )
-    lines.append(
-        f'<text x="{ox + side / 2:.2f}" y="{oy + side + 36:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{escape(SCATTER_X_LABEL)}</text>'
-    )
-    lines.append(
-        f'<text x="{ox - 40:.2f}" y="{oy + side / 2:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif" '
-        f'transform="rotate(-90 {ox - 40:.2f} {oy + side / 2:.2f})">{escape(SCATTER_Y_LABEL)}</text>'
-    )
+        lines += [
+            f'<line x1="{tx:.2f}" y1="{oy + side:.2f}" x2="{tx:.2f}" y2="{oy + side + 5:.2f}" {_AXIS}/>',
+            _text(f"{tx:.2f}", f"{oy + side + 18:.2f}", 11, f"{tick:g}"),
+            f'<line x1="{ox - 5:.2f}" y1="{ty:.2f}" x2="{ox:.2f}" y2="{ty:.2f}" {_AXIS}/>',
+            _text(f"{ox - 8:.2f}", f"{ty + 4:.2f}", 11, f"{tick:g}", anchor="end"),
+        ]
+    lines.append(_text(f"{ox + side / 2:.2f}", f"{oy + side + 36:.2f}", 13, SCATTER_X_LABEL))
+    label_x, label_y = f"{ox - 40:.2f}", f"{oy + side / 2:.2f}"
+    turn = f' transform="rotate(-90 {label_x} {label_y})"'
+    lines.append(_text(label_x, label_y, 13, SCATTER_Y_LABEL, tail=turn))
     point_sets = (
         ("original", "m-orig", ORIGINAL_COLOR, original),
         ("reconstructed", "m-reco", RECONSTRUCTED_COLOR, reconstructed),
@@ -120,15 +125,11 @@ def scatter_svg(original: np.ndarray, reconstructed: np.ndarray, title: str) -> 
     lx = ox + side - 150
     for i, (label, _, color, _) in enumerate(point_sets):
         ly = oy + 16 + 18 * i
-        lines.append(
-            f'<circle class="legend-swatch" cx="{lx:.2f}" cy="{ly:.2f}" r="4" fill="{color}"/>'
-        )
-        lines.append(
-            f'<text x="{lx + 10:.2f}" y="{ly + 4:.2f}" font-size="12" '
-            f'font-family="sans-serif">{label}</text>'
-        )
-    lines.append("</svg>")
-    return (_XML_DECL + "\n".join(lines) + "\n").encode("utf-8")
+        lines += [
+            f'<circle class="legend-swatch" cx="{lx:.2f}" cy="{ly:.2f}" r="4" fill="{color}"/>',
+            _text(f"{lx + 10:.2f}", f"{ly + 4:.2f}", 12, label, anchor=None),
+        ]
+    return _finish(lines)
 
 
 def _hist_panel(
@@ -143,14 +144,10 @@ def _hist_panel(
     caption: str,
 ) -> None:
     max_count = max(counts)
-    lines.append(
-        f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{pw:.2f}" height="{ph:.2f}" '
-        'fill="none" stroke="#444444" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<text x="{x0 + pw / 2:.2f}" y="{y0 - 6:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{escape(caption)}</text>'
-    )
+    lines += [
+        f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{pw:.2f}" height="{ph:.2f}" fill="none" {_AXIS}/>',
+        _text(f"{x0 + pw / 2:.2f}", f"{y0 - 6:.2f}", 13, caption),
+    ]
     degenerate = edges[0] == edges[-1]
     span = (edges[-1] - edges[0]) or 1.0
     for i, count in enumerate(counts):
@@ -173,14 +170,10 @@ def _hist_panel(
     n_ticks = min(5, len(edges))
     for j in np.linspace(0, len(edges) - 1, n_ticks).round().astype(int):
         tx = x0 if degenerate else x0 + (edges[j] - edges[0]) / span * pw
-        lines.append(
-            f'<line x1="{tx:.2f}" y1="{y0 + ph:.2f}" x2="{tx:.2f}" y2="{y0 + ph + 4:.2f}" '
-            'stroke="#444444" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{tx:.2f}" y="{y0 + ph + 15:.2f}" text-anchor="middle" '
-            f'font-size="9" font-family="sans-serif">{edges[j]:.3g}</text>'
-        )
+        lines += [
+            f'<line x1="{tx:.2f}" y1="{y0 + ph:.2f}" x2="{tx:.2f}" y2="{y0 + ph + 4:.2f}" {_AXIS}/>',
+            _text(f"{tx:.2f}", f"{y0 + ph + 15:.2f}", 9, f"{edges[j]:.3g}"),
+        ]
 
 
 def hist_svg(report: FluctuationReport, channel: str, title: str) -> bytes:
@@ -192,21 +185,13 @@ def hist_svg(report: FluctuationReport, channel: str, title: str) -> bytes:
     m_left, m_gap, m_right, m_top, m_bottom = 45, 50, 20, 70, 50
     pw = (w - m_left - m_gap - m_right) / 2.0
     ph = h - m_top - m_bottom
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{w / 2:.1f}" y="26" text-anchor="middle" font-size="17" '
-        f'font-family="sans-serif">{escape(title)}</text>',
-        f'<text x="{w / 2:.1f}" y="{h - 14:.1f}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif">{escape(HIST_X_LABEL)}</text>',
-    ]
+    lines = _document(w, h, title, 26, 17)
+    lines.append(_text(f"{w / 2:.1f}", f"{h - 14:.1f}", 12, HIST_X_LABEL))
     for i, (half, color) in enumerate(zip(HALVES, (ENCODER_COLOR, DECODER_COLOR))):
         hs = stats.halves[half]
         x0 = m_left + i * (pw + m_gap)
         _hist_panel(lines, hs.hist_edges, hs.hist_counts, x0, m_top, pw, ph, color, half)
-    lines.append("</svg>")
-    return (_XML_DECL + "\n".join(lines) + "\n").encode("utf-8")
+    return _finish(lines)
 
 
 def fluctuation_table(report: FluctuationReport) -> tuple[bytes, bytes]:
@@ -267,15 +252,12 @@ def stack_svgs(children: list[bytes], title: str) -> bytes:
         raise ValueError("nothing to stack")
     height = STACK_TITLE_HEIGHT + len(children) * HEIGHT
     parts = [
-        _XML_DECL
-        + f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
         f'viewBox="0 0 {WIDTH} {height}">',
-        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="19" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        _text(f"{WIDTH / 2:.1f}", "24", 19, title),
     ]
     for i, child in enumerate(children):
         body = child.decode("utf-8").removeprefix(_XML_DECL)
         y = STACK_TITLE_HEIGHT + i * HEIGHT
         parts.append(body.replace("<svg ", f'<svg x="0" y="{y}" ', 1))
-    parts.append("</svg>\n")
-    return "\n".join(parts).encode("utf-8")
+    return _finish(parts)

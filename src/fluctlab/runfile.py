@@ -276,11 +276,17 @@ def _read_manifest(stream) -> tuple[RunManifest, np.dtype]:
         raise RunFormatError("truncated manifest region")
     try:
         manifest = RunManifest.from_json_dict(json.loads(region[:length]))
-        # numpy refuses a frame past a C int or its index range with a ValueError
-        return manifest, frame_layout(manifest.architecture)
     # TypeError: not a JSON object; RecursionError: nested too deep to parse
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise RunFormatError(f"unreadable manifest: {exc}") from exc
+    try:
+        return manifest, frame_layout(manifest.architecture)
+    except ValueError:  # numpy builds no record of 2 GiB or more
+        values = EpochSnapshot.length(manifest.architecture)
+        raise RunFormatError(
+            f"unreadable manifest: its layer sizes need {values} values per frame, "
+            "more than a frame record holds"
+        ) from None
 
 
 def standardize_channel(values) -> np.ndarray:

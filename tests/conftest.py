@@ -84,6 +84,18 @@ def write_synthetic_run(path, arch=TINY_ARCH, snapshots=None, seed=0, count=3, *
     return snapshots
 
 
+@pytest.fixture(scope="module")
+def frozen_run(tmp_path_factory):
+    """Full-architecture run whose snapshots never change."""
+    path = tmp_path_factory.mktemp("frozen") / "frozen.nfl"
+    arch = ArchitectureSpec()
+    snaps = [
+        make_snapshot(arch, e, 0.5, rng=np.random.default_rng(7)) for e in (1, 2, 3)
+    ]
+    write_run(make_manifest(arch=arch, epochs=3), snaps, path)
+    return path
+
+
 def analyze_file(path, **kwargs):
     """analyze_run over a run file opened for the one call."""
     return analyze_run(RunAccessor(path), **kwargs)

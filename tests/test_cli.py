@@ -13,11 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edit_frame_value, edit_manifest
+from conftest import edit_frame_value, edit_manifest, write_synthetic_run
 
 import fluctlab
 import fluctlab.cli as cli
+from fluctlab.analysis import analyze_run
 from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main, train_run_to_file
+from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import FORMAT_VERSION, MAGIC, MANIFEST_REGION, RunAccessor
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import RunConfig, TrainingDivergedError
@@ -286,8 +288,11 @@ class TestAnalyze:
         run.write_bytes(two_runs[0.01].read_bytes())
         edit_manifest(run, "encoder_dims", [2, 2**40, 2**40, 1], "architecture")
         assert run_cli(["analyze", "--run", str(run)]) == 2
-        message = "invalid shape in fixed-type tuple."  # the frame's length is past numpy's index range
-        assert capsys.readouterr().err == f"error: {run}: unreadable manifest: {message}\n"
+        # EpochSnapshot.length of the edited architecture
+        message = "its layer sizes need 2417851639242452488950377 values per frame"
+        assert capsys.readouterr().err == (
+            f"error: {run}: unreadable manifest: {message}, more than a frame record holds\n"
+        )
         assert [p.name for p in run.parent.iterdir()] == ["x.nfl"]
 
     @pytest.mark.parametrize("defect", UNANALYZABLE)
@@ -514,6 +519,31 @@ class TestCompare:
         assert capsys.readouterr().err == "error: bins must be an integer >= 1, got 0\n"
 
 
+class TestWriteSummary:
+    """The calibration fields of an index entry."""
+
+    @staticmethod
+    def summary(path, out_dir):
+        run = RunAccessor(path)
+        return cli.write_summary(run.manifest, analyze_run(run), run.frames()[-1], out_dir)
+
+    def test_large_deltas_flag_the_weights_count_unreproduced(self, tmp_path):
+        path = tmp_path / "random.nfl"
+        write_synthetic_run(path, arch=ArchitectureSpec(), count=4)  # deltas of order 1
+        entry = self.summary(path, tmp_path / "out")
+        assert entry["weights_inactive_default"] == entry["inactive_counts"]["weights"] == 0
+        assert entry["weights_epsilon_calibrated"] is None
+        assert entry["flags"] == ["weights-inactive-count-unreproduced"]
+
+    def test_frozen_run_is_all_inactive_without_a_flag(self, frozen_run, tmp_path):
+        # every spread is 0: all 195 neurons count as inactive at any epsilon,
+        # past the target range, so there is no epsilon to calibrate
+        entry = self.summary(frozen_run, tmp_path / "out")
+        assert entry["weights_inactive_default"] == entry["inactive_counts"]["weights"] == 195
+        assert entry["weights_epsilon_calibrated"] is None
+        assert entry["flags"] == []
+
+
 ALL_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
 
 
@@ -547,6 +577,15 @@ class TestAll:
             assert set(entry["inactive_counts"]) == set(ALL_CHANNELS)
         for ch in ALL_CHANNELS:
             assert (outdir / f"circle_hist_{ch}_all.svg").exists()
+        # the index lists every file written, and nothing else is written
+        listed = {"index.json", *index["comparison_figures"]}
+        for entry in index["entries"]:
+            files = ("run_file", "report_json", "neurons_csv", "table_md", "table_csv")
+            listed |= {entry[key] for key in files}
+            listed |= set(entry["figures"])
+            # index.json sorts hist_figures by channel name; figures are in channel order
+            assert [entry["hist_figures"][ch] for ch in ALL_CHANNELS] == entry["figures"][1:]
+        assert {p.name for p in outdir.iterdir()} == listed
 
     def test_rerun_reproduces_bytes(self, tmp_path):
         args = ["all", "--shapes", "spiral", "--lrs", "0.01", "--epochs", "3"]

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import analyze_file, make_manifest, make_snapshot
+from fluctlab.analysis import ANALYSIS_CHANNELS
 from fluctlab.cli import train_run_to_file
 from fluctlab.figures import (
     fluctuation_table,
@@ -28,18 +30,6 @@ def spiral_run(tmp_path_factory):
     )
     loss = train_run_to_file(cfg, path)
     return path, cfg, loss
-
-
-@pytest.fixture(scope="module")
-def frozen_run(tmp_path_factory):
-    """Full-architecture run whose snapshots never change."""
-    path = tmp_path_factory.mktemp("figs") / "frozen.nfl"
-    arch = ArchitectureSpec()
-    snaps = [
-        make_snapshot(arch, e, 0.5, rng=np.random.default_rng(7)) for e in (1, 2, 3)
-    ]
-    write_run(make_manifest(arch=arch, epochs=3), snaps, path)
-    return path
 
 
 def assert_well_formed_svg(blob: bytes):
@@ -105,12 +95,6 @@ class TestScatterSvg:
         assert blob.count(b'class="m-reco"') == 1
         assert_well_formed_svg(blob)
 
-    def test_byte_determinism(self, spiral_run):
-        path, _, _ = spiral_run
-        acc = RunAccessor(path)
-        points = reconstruct(acc.manifest, acc.frames()[-1])
-        assert scatter_svg(*points, "spiral") == scatter_svg(*points, "spiral")
-
     def test_markers_inside_viewbox(self):
         blob = scatter_svg(
             np.array([[1.0, -1.0], [0.0, 0.0]]),
@@ -165,10 +149,6 @@ class TestHistSvg:
         report = analyze_file(frozen_run)
         with pytest.raises(ValueError):
             hist_svg(report, "momenta", "x")
-
-    def test_byte_determinism(self, frozen_run):
-        report = analyze_file(frozen_run)
-        assert hist_svg(report, "weights", "b") == hist_svg(report, "weights", "b")
 
     def test_title_and_axis_label(self, frozen_run):
         report = analyze_file(frozen_run)
@@ -258,3 +238,56 @@ class TestEscapedTitles:
     def test_stack_svgs(self, frozen_run):
         child = hist_svg(analyze_file(frozen_run), "weights", "w")
         self.assert_title_escaped(stack_svgs([child, child], TITLE_TO_ESCAPE))
+
+
+# hand-made points: some off the [-1.2, 1.2]^2 frame, so they are clipped
+PINNED_POINTS = (
+    np.array([[0.5, 0.5], [-1.0, 1.0], [0.0, 0.0], [1.25, -0.3], [0.31, -0.77]]),
+    np.array([[5.0, 5.0], [-3.0, 0.2], [0.1, -1.5], [-0.7, 0.75], [0.29, -0.8]]),
+)
+
+# sha256 of each figure and table below; a change to any template, number
+# format or layout constant changes one of them
+PINNED_SHA256 = {
+    "scatter": "f834a726aa758cde0d4c69ed17fc73e612b53a02f60955daea7026b2e49e6d36",
+    "hist_weights": "30c220d77daf33f84e3959cbc19de79c6b272350a96a038cf240b80884d859de",
+    "hist_biases": "f5bcc346eefb4f434c1d2f8e9d9dcf856e4aff454dd46a998bee267b31455741",
+    "hist_activations": "064783485722508bf1a778cac4ca8ff7ce6eec269ad5bdbcc240a99478d7e12a",
+    "hist_weight_grads": "a2fb4e9eb5177f930d0215acaae3b508b63d5883903b6c10662025e33e07684e",
+    "hist_bias_grads": "7fa2b91e1db4c56477333844d3c2b6f24ec17b6699d6ffdae1fc0fe1693876ee",
+    "table_md": "d2b5d54ed8a5cb20b56db53d1aa2c8f382520263e404e6d5d354373c4e866f33",
+    "table_csv": "6b3e1abb1babc28d17d56e1e01d2cbe8fbcbd989e86616950cd9974036ce72b4",
+    "hist_frozen": "30971bca7ae2352149f58fea69269d3576840dcdf40238004a6d2236414330e3",
+    "stack": "bb0adbc0b14f038c7bedf32ed91ec396c8789ff341aa0f1608f514d8a91a6cda",
+    "escaped_title": "db9ab38e5a3f169e6b43419e00bab8c9429a87b26accc300b5e42374bca08597",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_blobs(frozen_run, tmp_path_factory):
+    """Figure and table bytes made without training or forward, so they do
+    not depend on the BLAS kernel."""
+    path = tmp_path_factory.mktemp("figs") / "synthetic.nfl"
+    arch = ArchitectureSpec()
+    rng = np.random.default_rng(11)
+    snaps = [make_snapshot(arch, epoch, 1.0 / epoch, rng=rng) for epoch in (1, 2, 3, 4)]
+    write_run(make_manifest(arch=arch, epochs=4), snaps, path)
+    report, frozen = analyze_file(path), analyze_file(frozen_run)
+    blobs = {"scatter": scatter_svg(*PINNED_POINTS, "circle: reconstruction at lr 0.01")}
+    for ch in ANALYSIS_CHANNELS:
+        blobs[f"hist_{ch}"] = hist_svg(report, ch, f"circle: {ch} spread at lr 0.01")
+    blobs["table_md"], blobs["table_csv"] = fluctuation_table(report)
+    blobs["hist_frozen"] = hist_svg(frozen, "weights", "circle: weights spread at lr 0.01")
+    pair = [blobs["hist_weights"], blobs["hist_frozen"]]
+    blobs["stack"] = stack_svgs(pair, "circle: weights spread across learning rates")
+    blobs["escaped_title"] = scatter_svg(*PINNED_POINTS, TITLE_TO_ESCAPE)
+    return blobs
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", list(PINNED_SHA256))
+    def test_bytes_match_pinned_sha256(self, pinned_blobs, name):
+        assert hashlib.sha256(pinned_blobs[name]).hexdigest() == PINNED_SHA256[name]
+
+    def test_every_blob_is_pinned(self, pinned_blobs):
+        assert sorted(pinned_blobs) == sorted(PINNED_SHA256)

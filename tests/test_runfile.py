@@ -540,12 +540,17 @@ class TestErrors:
 
     def test_layer_sizes_past_a_c_int(self, tmp_path):
         # numpy cannot build the frame record, whose length is past its index
-        # range here; opening says so as a format error
+        # range here; opening says so as a format error naming the frame size
         path = tmp_path / "wide.nfl"
         write_synthetic_run(path, count=3)
         edit_manifest(path, "encoder_dims", [2, 2**40, 2**40, 1], "architecture")
-        with pytest.raises(RunFormatError, match="unreadable manifest: invalid shape"):
+        values = EpochSnapshot.length(ArchitectureSpec((2, 2**40, 2**40, 1), TINY_ARCH.decoder_dims))
+        with pytest.raises(RunFormatError) as info:
             RunAccessor(path)
+        assert str(info.value) == (
+            f"unreadable manifest: its layer sizes need {values} values per frame, "
+            "more than a frame record holds"
+        )
 
     def test_manifest_that_is_not_a_json_object(self, tmp_path):
         path = tmp_path / "listed.nfl"
