@@ -122,14 +122,6 @@ class FluctuationReport:
         return "\n".join(lines) + "\n"
 
 
-def spread(deltas) -> float:
-    """Population standard deviation of a delta multiset."""
-    arr = np.asarray(deltas, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("spread of an empty sequence is undefined")
-    return float(np.std(arr))
-
-
 def _neuron_rows(arch: ArchitectureSpec) -> list[dict]:
     """{layer, index, half} of every neuron, in (layer, index) order."""
     split = arch.encoder_layer_count
@@ -206,25 +198,6 @@ def histogram(spreads: np.ndarray, bins: int) -> tuple[list[float], list[int]]:
     return [float(e) for e in edges], [int(c) for c in counts]
 
 
-def neuron_delta_series(run: RunAccessor, layer: int, index: int, channel: str) -> np.ndarray:
-    """Consecutive-epoch deltas for one neuron and channel, pooled flat.
-
-    Weight channels pool the neuron's incoming row, so with k incoming
-    weights and T snapshots the result has k*(T-1) entries.
-    """
-    if channel not in ANALYSIS_CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}; expected one of {ANALYSIS_CHANNELS}")
-    check_analyzable(run)
-    layers = len(run.manifest.architecture.layer_shapes)
-    if not 0 <= layer < layers:
-        raise ValueError(f"layer {layer} out of range [0, {layers})")
-    series = channel_views(run.frames()["values"], run.manifest.architecture)[f"{channel}{layer}"]
-    rows = series.shape[1]
-    if not 0 <= index < rows:
-        raise ValueError(f"neuron index {index} out of range [0, {rows})")
-    return np.diff(series[:, index].astype(np.float64), axis=0).ravel()
-
-
 def calibrate_epsilon(
     spread_values: np.ndarray,
     count_range: tuple[int, int],
@@ -264,9 +237,10 @@ def _channel_spreads(f: np.ndarray, mode: str, work: np.ndarray) -> np.ndarray:
 
     A chunk of rows is differenced (delta mode) or copied (raw mode) from f
     into work, widened exactly to f64 and neuron-major.  So each neuron's
-    pooled values are one contiguous row, and its spread has the bits of
-    spread(neuron_delta_series(...)), or in raw mode of np.std of its widened
-    values, at any chunk size.  One row that outgrows work gets its own buffer.
+    pooled values are one contiguous row, and its spread has the bits of the
+    definition, np.std of the neuron's pooled deltas (the oracle in
+    tests/conftest.py), or in raw mode of np.std of its widened values, at any
+    chunk size.  One row that outgrows work gets its own buffer.
     """
     length, rows = f.shape[:2]
     steps = length - 1 if mode == "delta" else length

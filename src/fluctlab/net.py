@@ -99,10 +99,6 @@ class ArchitectureSpec:
     def encoder_neurons(self) -> int:
         return sum(self.out_dims[: self.encoder_layer_count])
 
-    @cached_property
-    def decoder_neurons(self) -> int:
-        return sum(self.out_dims[self.encoder_layer_count :])
-
     def to_json_dict(self) -> dict:
         return {"encoder_dims": list(self.encoder_dims), "decoder_dims": list(self.decoder_dims)}
 

@@ -30,7 +30,6 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -186,18 +185,6 @@ class RunWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if not self._finalized:
             self.finalize(complete=False)
-
-
-def write_run(
-    manifest: RunManifest,
-    snapshots: Iterable[EpochSnapshot],
-    destination: str | Path,
-    complete: bool = True,
-) -> int:
-    with RunWriter(destination, manifest) as writer:
-        for snap in snapshots:
-            writer.append(snap)
-        return writer.finalize(complete=complete)
 
 
 class RunAccessor:

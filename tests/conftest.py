@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from fluctlab import blas
-from fluctlab.analysis import analyze_run
+from fluctlab.analysis import ANALYSIS_CHANNELS, analyze_run, check_analyzable
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
     DATA_START,
     MANIFEST_REGION,
     RunAccessor,
     RunManifest,
+    RunWriter,
     canonical_json_bytes,
-    write_run,
 )
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import EpochSnapshot, RunConfig, channel_views
@@ -30,11 +30,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture
-def tiny_arch():
-    return TINY_ARCH
 
 
 needs_openblas = pytest.mark.skipif(blas._openblas() is None, reason="numpy has loaded no OpenBLAS")
@@ -74,6 +69,14 @@ def make_manifest(arch=TINY_ARCH, shape=ShapeKind.CIRCLE, lr=0.01, epochs=3,
     return RunManifest(config=config, architecture=arch)
 
 
+def write_run(manifest, snapshots, destination, complete=True) -> int:
+    """Write snapshots as one run file; returns the file's size."""
+    with RunWriter(destination, manifest) as writer:
+        for snap in snapshots:
+            writer.append(snap)
+        return writer.finalize(complete=complete)
+
+
 def write_synthetic_run(path, arch=TINY_ARCH, snapshots=None, seed=0, count=3, **manifest_kw):
     """Small hand-built run file; returns the snapshots written."""
     if snapshots is None:
@@ -82,6 +85,34 @@ def write_synthetic_run(path, arch=TINY_ARCH, snapshots=None, seed=0, count=3, *
     manifest = make_manifest(arch=arch, epochs=len(snapshots), **manifest_kw)
     write_run(manifest, snapshots, path)
     return snapshots
+
+
+def spread(deltas) -> float:
+    """Population standard deviation of a delta multiset: a neuron's
+    fluctuation, the naive definition analyze_run is checked against."""
+    arr = np.asarray(deltas, dtype=np.float64).ravel()
+    if arr.size == 0:
+        raise ValueError("spread of an empty sequence is undefined")
+    return float(np.std(arr))
+
+
+def neuron_delta_series(run, layer: int, index: int, channel: str) -> np.ndarray:
+    """Consecutive-epoch deltas for one neuron and channel, pooled flat.
+
+    Weight channels pool the neuron's incoming row, so with k incoming
+    weights and T snapshots the result has k*(T-1) entries.
+    """
+    if channel not in ANALYSIS_CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}; expected one of {ANALYSIS_CHANNELS}")
+    check_analyzable(run)
+    layers = len(run.manifest.architecture.layer_shapes)
+    if not 0 <= layer < layers:
+        raise ValueError(f"layer {layer} out of range [0, {layers})")
+    series = channel_views(run.frames()["values"], run.manifest.architecture)[f"{channel}{layer}"]
+    rows = series.shape[1]
+    if not 0 <= index < rows:
+        raise ValueError(f"neuron index {index} out of range [0, {rows})")
+    return np.diff(series[:, index].astype(np.float64), axis=0).ravel()
 
 
 @pytest.fixture(scope="module")

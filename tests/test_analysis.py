@@ -15,6 +15,9 @@ from conftest import (
     edit_frame_value,
     make_manifest,
     make_snapshot,
+    neuron_delta_series,
+    spread,
+    write_run,
     write_synthetic_run,
 )
 from fluctlab import analysis
@@ -26,8 +29,6 @@ from fluctlab.analysis import (
     detect_inactive,
     half_slices,
     histogram,
-    neuron_delta_series,
-    spread,
     spread_of_spread,
 )
 from fluctlab.net import ArchitectureSpec
@@ -36,7 +37,6 @@ from fluctlab.runfile import (
     RunManifest,
     RunWriter,
     canonical_json_bytes,
-    write_run,
 )
 from fluctlab.shapes import ShapeKind
 from fluctlab.train import RunConfig, channel_views, train

@@ -1,9 +1,12 @@
 import concurrent.futures
 import errno
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -27,6 +30,12 @@ from fluctlab.train import RunConfig, TrainingDivergedError
 
 def run_cli(argv):
     return main(argv)
+
+
+def fresh_process_env() -> dict:
+    """This environment, with the fluctlab under test first on PYTHONPATH."""
+    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def tree_hashes(root):
@@ -1012,8 +1021,7 @@ def test_source_date_epoch_is_stamped_in_manifest_and_plan(tmp_path, monkeypatch
 
 
 def test_entry_point_exit_codes_and_stdout(two_runs, tmp_path, capsys):
-    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = fresh_process_env()
 
     def fluctlab_cli(*argv):
         cmd = [sys.executable, "-m", "fluctlab.cli", *map(str, argv)]
@@ -1060,3 +1068,89 @@ def test_readme_cli_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: {example}")
     assert commands == {"gen", "train", "analyze", "report", "compare", "all"}
+
+
+# Runs each command line of the JSON list in argv[1] through fluctlab.cli.main,
+# under a profiler set before fluctlab is imported, on this thread and on every
+# thread started later; prints the [file, first line] of each Python function
+# that ran.
+COMMAND_TRAFFIC = """
+import contextlib, io, json, sys, threading
+import numpy
+ran = set()
+def profile(frame, event, arg):
+    if event == "call":
+        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+threading.setprofile(profile)
+from fluctlab.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+sys.setprofile(None)
+print(json.dumps(sorted(ran)))
+"""
+
+# functions in src/ that no command runs, each with what it is kept for
+KEEP = {
+    "runfile.standardize_channel": "acceptance criterion 8 checks it",
+    "blas.corename": "names the OpenBLAS kernel the forced-kernel tests ask for",
+}
+
+
+def src_functions() -> dict[tuple[str, int], str]:
+    """(file, first line) -> module.name of every module-level function and
+    every method, property and cached property written in src/fluctlab,
+    unwrapped from its decorators.  Exception classes and the methods that
+    dataclass generates (their code is not in a src file) are left out."""
+    package = Path(fluctlab.__file__).parent
+    found = {}
+    for info in pkgutil.iter_modules(fluctlab.__path__):
+        module = importlib.import_module(f"fluctlab.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = {name: obj}
+            if isinstance(obj, type):
+                if issubclass(obj, BaseException):
+                    continue
+                members = {f"{name}.{attr}": value for attr, value in vars(obj).items()}
+            for qualname, value in members.items():
+                # property, cached_property, staticmethod and classmethod hold a function
+                for attr in ("fget", "func", "__func__"):
+                    value = getattr(value, attr, value)
+                code = getattr(inspect.unwrap(value), "__code__", None)
+                if code is not None and Path(code.co_filename).parent == package:
+                    found[code.co_filename, code.co_firstlineno] = f"{info.name}.{qualname}"
+    return found
+
+
+def test_every_src_function_is_run_by_a_command(tmp_path):
+    """src/ holds what the commands run: every function in it but the KEEP set
+    runs in a short pass over every command at --parallelism 1.  The pass runs
+    in a fresh process, since in this one blas._openblas, behind
+    functools.cache, has run already.  An oracle or helper only the tests need
+    lives in tests/."""
+    runs = [str(tmp_path / f"out/circle_{lr}_4.nfl") for lr in ("0.01", "0.001")]
+    plan = {"shapes": ["circle"], "learning_rates": [0.01, 0.001], "epochs": 4, "parallelism": 1}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    commands = [
+        ["gen", "--shape", "hexagon", "--out", str(tmp_path / "hexagon.csv")],
+        ["train", "--shape", "spiral", "--lr", "0.01", "--epochs", "5", "--capture-every", "2",
+         "--out", str(tmp_path / "spiral.nfl")],
+        ["all", "--config", str(tmp_path / "plan.json"), "--outdir", str(tmp_path / "out")],
+        ["analyze", "--run", runs[0], "--json", str(tmp_path / "d.json"),
+         "--csv", str(tmp_path / "d.csv")],
+        ["analyze", "--run", runs[0], "--mode", "raw", "--json", str(tmp_path / "r.json"),
+         "--csv", str(tmp_path / "r.csv")],
+        ["report", "--runs", ",".join(runs), "--outdir", str(tmp_path / "report")],
+        ["compare", *runs],
+    ]
+    env = fresh_process_env()
+    cmd = [sys.executable, "-c", COMMAND_TRAFFIC, json.dumps(commands)]
+    done = subprocess.run(cmd, check=True, capture_output=True, text=True, env=env, timeout=300)
+    ran = {tuple(key) for key in json.loads(done.stdout)}
+    defined = src_functions()
+    assert set(KEEP) <= set(defined.values())
+    unrun = sorted(name for key, name in defined.items() if key not in ran and name not in KEEP)
+    assert not unrun, f"no command runs {unrun}: move each to tests/ or delete it"

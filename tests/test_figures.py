@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import analyze_file, make_manifest, make_snapshot
+from conftest import analyze_file, make_manifest, make_snapshot, write_run
 from fluctlab.analysis import ANALYSIS_CHANNELS
 from fluctlab.cli import train_run_to_file
 from fluctlab.figures import (
@@ -16,7 +16,7 @@ from fluctlab.figures import (
     stack_svgs,
 )
 from fluctlab.net import ArchitectureSpec, NetworkState, forward, mse
-from fluctlab.runfile import RunAccessor, write_run
+from fluctlab.runfile import RunAccessor
 from fluctlab.shapes import ShapeKind, generate
 from fluctlab.train import RunConfig
 

@@ -110,7 +110,7 @@ class TestArchitecture:
         arch = ArchitectureSpec()
         assert arch.total_neurons == 195
         assert arch.encoder_neurons == 97
-        assert arch.decoder_neurons == 98
+        assert arch.total_neurons - arch.encoder_neurons == 98
 
     def test_spec_with_derived_sizes_read_behaves_like_a_fresh_one(self):
         derived = (
@@ -121,7 +121,6 @@ class TestArchitecture:
             "out_dims",
             "total_neurons",
             "encoder_neurons",
-            "decoder_neurons",
         )
         used = ArchitectureSpec()
         sizes = [getattr(used, name) for name in derived]

@@ -14,10 +14,12 @@ from conftest import (
     edit_manifest,
     make_manifest,
     make_snapshot,
+    neuron_delta_series,
+    write_run,
     write_synthetic_run,
 )
 from fluctlab import runfile
-from fluctlab.analysis import analyze_run, neuron_delta_series
+from fluctlab.analysis import analyze_run
 from fluctlab.figures import reconstruct
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import (
@@ -30,7 +32,6 @@ from fluctlab.runfile import (
     RunFormatError,
     RunWriter,
     standardize_channel,
-    write_run,
 )
 from fluctlab.train import EpochSnapshot, channel_views, train
 
