@@ -27,7 +27,7 @@ import numpy as np
 
 from .net import ArchitectureSpec
 from .rng import check_integer, check_positive
-from .runfile import RunAccessor
+from .runfile import RunAccessor, RunManifest
 from .train import channel_views
 
 ANALYSIS_CHANNELS = ("weights", "biases", "activations", "weight_grads", "bias_grads")
@@ -69,27 +69,26 @@ class ChannelStats:
 
 @dataclass
 class FluctuationReport:
-    shape: str
-    learning_rate: float
-    epochs: int
-    snapshots: int
-    capture_stride: int
+    """An analysed run: its manifest, its last frame and each channel's spreads."""
+
+    manifest: RunManifest
+    last: np.void
     mode: str
     epsilon: float
     bins: int
     channels: dict[str, ChannelStats]
-    architecture: ArchitectureSpec
 
     def to_json_dict(self) -> dict:
         # tolist() and int() keep numpy scalars out: json.dumps rejects them
-        rows = _neuron_rows(self.architecture)
+        cfg = self.manifest.config
+        rows = _neuron_rows(self.manifest.architecture)
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "shape": self.shape,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "snapshots": self.snapshots,
-            "capture_stride": self.capture_stride,
+            "shape": cfg.shape.value,
+            "learning_rate": cfg.learning_rate,
+            "epochs": cfg.epochs,
+            "snapshots": self.manifest.snapshot_count,
+            "capture_stride": cfg.capture_every,
             "mode": self.mode,
             "epsilon": self.epsilon,
             "bins": self.bins,
@@ -110,7 +109,7 @@ class FluctuationReport:
 
     def neuron_csv(self) -> str:
         """One row per (neuron, channel): layer, index, half, channel, spread, inactive."""
-        rows = _neuron_rows(self.architecture)
+        rows = _neuron_rows(self.manifest.architecture)
         lines = ["layer,index,half,channel,spread,inactive"]
         for ch in ANALYSIS_CHANNELS:
             stats = self.channels[ch]
@@ -360,16 +359,12 @@ def analyze_run(
                 hist_counts=counts,
             )
         channels[ch] = ChannelStats(spreads=spreads, inactive=inactive, halves=halves)
-    cfg = run.manifest.config
+    # a copy: a view of the last frame would keep every frame of the run alive
     return FluctuationReport(
-        shape=cfg.shape.value,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        snapshots=len(run),
-        capture_stride=cfg.capture_every,
+        manifest=run.manifest,
+        last=run.frames()[-1].copy(),
         mode=mode,
         epsilon=epsilon,
         bins=bins,
         channels=channels,
-        architecture=arch,
     )

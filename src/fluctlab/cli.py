@@ -168,31 +168,26 @@ def _spreads_of_spread(report: FluctuationReport, channel: str) -> list[float]:
     return [report.channels[channel].halves[h].spread_of_spread for h in HALVES]
 
 
-def _analyzed_run(path, epsilon: float, bins: int, mode: str) -> tuple:
-    """(manifest, FluctuationReport, last frame) of one run; the run's frames
-    are freed when this returns.  A bad run is refused with its file's name."""
-    try:
-        run = RunAccessor(path)
-        report = analyze_run(run, epsilon=epsilon, bins=bins, mode=mode)
-    except (RunFormatError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    # a copy: a view of the last frame would keep every frame of the run alive
-    return run.manifest, report, run.frames()[-1].copy()
-
-
-def _analyzed_runs(paths: list, epsilon: float, bins: int, mode: str = "delta") -> list[tuple]:
-    """The CLI's one way into run files: _analyzed_run of each path in turn,
-    so one run's frames are held at a time.  Bad settings are refused before
-    any file is opened."""
+def _analyzed_runs(
+    paths: list, epsilon: float, bins: int, mode: str = "delta"
+) -> list[FluctuationReport]:
+    """The CLI's one way into run files: the FluctuationReport of each path,
+    analysed in turn, so one run's frames are held at a time.  Bad settings
+    are refused before any file is opened, a bad run with its file's name."""
     epsilon, bins = check_analysis_settings(epsilon, bins)
-    return [_analyzed_run(path, epsilon, bins, mode) for path in paths]
+    reports = []
+    for path in paths:
+        try:
+            reports.append(analyze_run(RunAccessor(path), epsilon=epsilon, bins=bins, mode=mode))
+        except (RunFormatError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return reports
 
 
-def write_summary(manifest: RunManifest, report: FluctuationReport, last, out_dir: Path) -> dict:
+def write_summary(report: FluctuationReport, out_dir: Path) -> dict:
     """Analysis JSON/CSV, scatter, per-channel histograms, and tables for one
-    run, from its manifest, FluctuationReport and last frame; returns its
-    index entry."""
-    cfg = manifest.config
+    analysed run; returns its index entry."""
+    cfg = report.manifest.config
     shape = cfg.shape.value
     stem = _run_stem(cfg)
     lr_txt = _format_lr(cfg.learning_rate)
@@ -203,7 +198,7 @@ def write_summary(manifest: RunManifest, report: FluctuationReport, last, out_di
         _write_bytes(out_dir / name, blob)
         return name
 
-    points = reconstruct(manifest, last)
+    points = reconstruct(report.manifest, report.last)
     report_json = emit(".report.json", canonical_json_bytes(report.to_json_dict()) + b"\n")
     neurons_csv = emit(".neurons.csv", report.neuron_csv().encode("utf-8"))
     scatter = emit("_scatter.svg", scatter_svg(*points, f"{shape}: reconstruction at lr {lr_txt}"))
@@ -225,7 +220,7 @@ def write_summary(manifest: RunManifest, report: FluctuationReport, last, out_di
 
     return {
         "shape": shape,
-        "final_loss": float(last["loss"]),
+        "final_loss": float(report.last["loss"]),
         "inactive_counts": inactive,
         "weights_inactive_default": inactive["weights"],
         "weights_epsilon_calibrated": calibrated,
@@ -262,8 +257,8 @@ def _execute_run(plan: ExperimentPlan, config: RunConfig) -> dict:
         run_path = out_dir / f"{_run_stem(config)}.nfl"
         train_run_to_file(config, run_path, created_utc=plan.created_utc)
         entry["run_file"] = run_path.name
-        [run] = _analyzed_runs([run_path], plan.epsilon, plan.bins)
-        entry.update(write_summary(*run, out_dir))
+        [report] = _analyzed_runs([run_path], plan.epsilon, plan.bins)
+        entry.update(write_summary(report, out_dir))
     except Exception as exc:  # noqa: BLE001 - a failed cell must not sink the plan
         entry["status"] = "failed"
         entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -341,7 +336,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     taken = [str(p) for p in defaults if p.exists()]
     if taken:
         raise ValueError(f"{', '.join(taken)} exists; name the outputs with --json and --csv")
-    [(_, report, _)] = _analyzed_runs([run_path], args.epsilon, args.bins, args.mode)
+    [report] = _analyzed_runs([run_path], args.epsilon, args.bins, args.mode)
     _write_bytes(json_path, canonical_json_bytes(report.to_json_dict()) + b"\n")
     _write_bytes(csv_path, report.neuron_csv().encode("utf-8"))
     print(json_path)
@@ -361,14 +356,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     run_paths = [Path(p) for p in args.runs.split(",") if p]
     if not run_paths:
         raise ValueError("--runs needs at least one run file")
-    runs = _analyzed_runs(run_paths, args.epsilon, args.bins)
-    shared = _duplicates([_run_stem(manifest.config) for manifest, *_ in runs])
+    reports = _analyzed_runs(run_paths, args.epsilon, args.bins)
+    shared = _duplicates([_run_stem(report.manifest.config) for report in reports])
     if shared:
         raise ValueError(f"runs share artifact names: {', '.join(shared)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for run in runs:
-        entry = write_summary(*run, out_dir)
+    for report in reports:
+        entry = write_summary(report, out_dir)
         entries.append(entry)
         for name in entry["figures"] + [entry["table_md"], entry["table_csv"]]:
             print(out_dir / name)
@@ -382,31 +377,32 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.runs) < 2:
         raise ValueError("compare needs at least 2 run files")
-    runs = [  # (report, final loss, inactive counts) per run
-        (report, float(last["loss"]), _inactive_counts(report))
-        for _, report, last in _analyzed_runs(args.runs, args.epsilon, args.bins)
-    ]
-    shapes = {report.shape for report, _, _ in runs}
+    reports = _analyzed_runs(args.runs, args.epsilon, args.bins)
+    shapes = {report.manifest.config.shape.value for report in reports}
     if len(shapes) > 1:
         raise ValueError(f"runs mix shapes {sorted(shapes)}")
-    best_mse = min(runs, key=lambda run: run[1])[0]
-    most_engaged = min(runs, key=lambda run: run[2]["activations"])[0]
+    # min keeps the first of equal runs: a tie goes to the run given first
+    best_mse = min(reports, key=lambda report: float(report.last["loss"]))
+    most_engaged = min(reports, key=lambda report: _inactive_counts(report)["activations"])
     print(f"shape: {shapes.pop()}")
     header = ["lr", "final_mse"] + [f"inactive_{ch}" for ch in ANALYSIS_CHANNELS]
     print("  ".join(f"{h:>22}" for h in header))
-    for report, final_mse, inactive in runs:
-        cells = [f"{_format_lr(report.learning_rate):>22}", f"{final_mse:>22.9g}"]
+    for report in reports:
+        inactive = _inactive_counts(report)
+        lr = _format_lr(report.manifest.config.learning_rate)
+        cells = [f"{lr:>22}", f"{float(report.last['loss']):>22.9g}"]
         cells += [f"{inactive[ch]:>22d}" for ch in ANALYSIS_CHANNELS]
         print("  ".join(cells))
     print("spread_of_spread (encoder/decoder):")
-    for report, _, _ in runs:
+    for report in reports:
         parts = [
             "{}={:.4g}/{:.4g}".format(ch, *_spreads_of_spread(report, ch))
             for ch in ANALYSIS_CHANNELS
         ]
-        print(f"  lr {_format_lr(report.learning_rate)}: " + "  ".join(parts))
-    print(f"lowest final MSE: lr {_format_lr(best_mse.learning_rate)}")
-    print(f"fewest inactive activation neurons: lr {_format_lr(most_engaged.learning_rate)}")
+        print(f"  lr {_format_lr(report.manifest.config.learning_rate)}: " + "  ".join(parts))
+    print(f"lowest final MSE: lr {_format_lr(best_mse.manifest.config.learning_rate)}")
+    lr_text = _format_lr(most_engaged.manifest.config.learning_rate)
+    print(f"fewest inactive activation neurons: lr {lr_text}")
     return 0
 
 

@@ -210,7 +210,7 @@ def fluctuation_table(report: FluctuationReport) -> tuple[bytes, bytes]:
         "max_spread",
         "spread_of_spread",
     ]
-    parts = half_slices(report.architecture)
+    parts = half_slices(report.manifest.architecture)
     rows = []
     for ch in ANALYSIS_CHANNELS:
         stats = report.channels[ch]

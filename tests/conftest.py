@@ -1,9 +1,12 @@
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fluctlab
 from fluctlab import blas
 from fluctlab.analysis import ANALYSIS_CHANNELS, analyze_run, check_analyzable
 from fluctlab.net import ArchitectureSpec
@@ -30,6 +33,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def fresh_process_env(**overrides) -> dict:
+    """The environment of a fresh process that imports the fluctlab under
+    test: this one, with that fluctlab first on PYTHONPATH, and overrides set."""
+    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **overrides}
+
+
+def tree_hashes(root) -> dict[str, str]:
+    """sha256 of every file under root, keyed by its path relative to root."""
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
 
 
 needs_openblas = pytest.mark.skipif(blas._openblas() is None, reason="numpy has loaded no OpenBLAS")

@@ -9,7 +9,6 @@ Each must hold for at least 4 of the 5 pairs.  Run with `pytest -v -s
 tests/test_acceptance.py` to see the verdict lines.
 """
 
-import hashlib
 import io
 import itertools
 import math
@@ -22,7 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_VERDICTS, TINY_ARCH, make_manifest, make_snapshot, write_run
+from conftest import (
+    ACCEPTANCE_VERDICTS,
+    TINY_ARCH,
+    make_manifest,
+    make_snapshot,
+    tree_hashes,
+    write_run,
+)
 from fluctlab.analysis import (
     ANALYSIS_CHANNELS,
     HALVES,
@@ -141,13 +147,6 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_pipeline_determinism(tmp_path):
-    def tree_hashes(root):
-        return {
-            str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(root.rglob("*"))
-            if p.is_file()
-        }
-
     args = ["all", "--shapes", "spiral", "--lrs", "0.01,0.001", "--epochs", "80"]
     d1, d2 = tmp_path / "first", tmp_path / "second"
     assert main(args + ["--outdir", str(d1)]) == 0

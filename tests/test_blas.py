@@ -1,17 +1,14 @@
 import ctypes
 import io
-import os
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import needs_openblas
+from conftest import fresh_process_env, needs_openblas
 
-import fluctlab
 from fluctlab import blas
 
 OPENBLAS = blas._openblas()
@@ -56,8 +53,7 @@ def test_one_thread_runs_the_block_without_openblas(monkeypatch):
 def test_corename_alone_finds_the_loaded_kernel():
     """Imported alone in a fresh interpreter, blas still finds numpy's
     OpenBLAS: it reports the kernel this process runs, not None."""
-    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = fresh_process_env()
     probe = [sys.executable, "-c", "from fluctlab.blas import corename; print(corename())"]
     loaded = subprocess.run(probe, check=True, capture_output=True, text=True, env=env, timeout=60)
     assert loaded.stdout.strip() == str(blas.corename())

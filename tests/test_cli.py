@@ -1,11 +1,9 @@
 import concurrent.futures
 import errno
-import hashlib
 import importlib
 import inspect
 import io
 import json
-import os
 import pkgutil
 import shlex
 import subprocess
@@ -16,11 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edit_frame_value, edit_manifest, write_synthetic_run
+from conftest import (
+    edit_frame_value,
+    edit_manifest,
+    fresh_process_env,
+    tree_hashes,
+    write_synthetic_run,
+)
 
 import fluctlab
 import fluctlab.cli as cli
-from fluctlab.analysis import analyze_run
+from fluctlab.analysis import REPORT_SCHEMA_VERSION, analyze_run
 from fluctlab.cli import SHAPE_NAMES, ExperimentPlan, main, train_run_to_file
 from fluctlab.net import ArchitectureSpec
 from fluctlab.runfile import FORMAT_VERSION, MAGIC, MANIFEST_REGION, RunAccessor
@@ -30,20 +34,6 @@ from fluctlab.train import RunConfig, TrainingDivergedError
 
 def run_cli(argv):
     return main(argv)
-
-
-def fresh_process_env() -> dict:
-    """This environment, with the fluctlab under test first on PYTHONPATH."""
-    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-
-
-def tree_hashes(root):
-    out = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +205,35 @@ class TestAnalyze:
         assert len(doc["channels"]) == 5
         assert cpath.read_text().startswith("layer,index,half,channel,spread,inactive")
         assert "inactive=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["delta", "raw"])
+    def test_report_header_matches_the_manifest_and_the_flags(self, tmp_path, mode):
+        run_path = tmp_path / "run.nfl"
+        argv = ["train", "--shape", "circle", "--lr", "0.003", "--epochs", "7", "--capture-every", "3"]
+        assert run_cli(argv + ["--out", str(run_path)]) == 0
+        jpath = tmp_path / "r.json"
+        argv = ["analyze", "--run", str(run_path), "--mode", mode, "--epsilon", "2e-05"]
+        argv += ["--bins", "7", "--json", str(jpath), "--csv", str(tmp_path / "r.csv")]
+        assert run_cli(argv) == 0
+        header = json.loads(jpath.read_bytes())
+        del header["channels"]
+        run = RunAccessor(run_path)
+        cfg = run.manifest.config
+        assert (cfg.shape.value, cfg.learning_rate, cfg.epochs, cfg.capture_every) == (
+            "circle", 0.003, 7, 3
+        )
+        assert run.manifest.snapshot_count == len(run.frames()) == 4
+        assert header == {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "shape": cfg.shape.value,
+            "learning_rate": cfg.learning_rate,
+            "epochs": cfg.epochs,
+            "snapshots": run.manifest.snapshot_count,
+            "capture_stride": cfg.capture_every,
+            "mode": mode,
+            "epsilon": 2e-05,
+            "bins": 7,
+        }
 
     def test_default_outputs_never_replace_an_all_tree(self, tmp_path, capsys):
         outdir = tmp_path / "exp"
@@ -507,6 +526,20 @@ class TestCompare:
         rows = [l for l in out if l.strip().startswith("0.01")]
         assert len(rows) == 2 and rows[0] == rows[1]
 
+    def test_ties_go_to_the_first_run_given(self, two_runs, tmp_path, capsys):
+        """A copy of a run under another learning rate ties with it on final
+        loss and on every inactive count; both verdicts name the first run."""
+        copy = tmp_path / "copy.nfl"
+        copy.write_bytes(two_runs[0.01].read_bytes())
+        edit_manifest(copy, "learning_rate", 0.5, section="config")
+        for runs, first in (((two_runs[0.01], copy), "0.01"), ((copy, two_runs[0.01]), "0.5")):
+            assert run_cli(["compare", *map(str, runs)]) == 0
+            verdicts = capsys.readouterr().out.splitlines()[-2:]
+            assert verdicts == [
+                f"lowest final MSE: lr {first}",
+                f"fewest inactive activation neurons: lr {first}",
+            ]
+
     def test_mixed_shapes_usage_error(self, two_runs, tmp_path, capsys):
         other = tmp_path / "circle.nfl"
         cfg = RunConfig(shape=ShapeKind.CIRCLE, learning_rate=0.01, epochs=2)
@@ -533,8 +566,7 @@ class TestWriteSummary:
 
     @staticmethod
     def summary(path, out_dir):
-        run = RunAccessor(path)
-        return cli.write_summary(run.manifest, analyze_run(run), run.frames()[-1], out_dir)
+        return cli.write_summary(analyze_run(RunAccessor(path)), out_dir)
 
     def test_large_deltas_flag_the_weights_count_unreproduced(self, tmp_path):
         path = tmp_path / "random.nfl"

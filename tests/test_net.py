@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import hashlib
 import math
-import os
 import pickle
 import platform
 import re
@@ -13,9 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import needs_openblas
+from conftest import fresh_process_env, needs_openblas
 
-import fluctlab
 from fluctlab import blas
 from fluctlab.blas import corename
 from fluctlab.net import (
@@ -54,22 +52,12 @@ def forced_kernels():
 FORCED_KERNELS = forced_kernels()
 
 
-def subprocess_pythonpath():
-    paths = [str(Path(fluctlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return os.pathsep.join(filter(None, paths))
-
-
 def blas_thread_digests(tmp_path, thread_counts, coretype=None):
     """sha256 of a 40-epoch spiral run file trained in a fresh process at each
     BLAS thread count, optionally under a forced OpenBLAS kernel."""
     digests = {}
     for threads in thread_counts:
-        env = {
-            **os.environ,
-            "PYTHONPATH": subprocess_pythonpath(),
-            "OPENBLAS_NUM_THREADS": threads,
-            "OMP_NUM_THREADS": threads,
-        }
+        env = fresh_process_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         if coretype is not None:
             env["OPENBLAS_CORETYPE"] = coretype
         out = tmp_path / f"threads{threads}.nfl"
@@ -434,7 +422,7 @@ class TestBackward:
     def test_run_bytes_do_not_depend_on_blas_threads_under_forced_kernel(self, tmp_path, kernel):
         """Under these kernels OpenBLAS threads the forward products too, and
         unpinned the files differ at 1 and 2 threads; training runs on one."""
-        env = {**os.environ, "PYTHONPATH": subprocess_pythonpath(), "OPENBLAS_CORETYPE": kernel}
+        env = fresh_process_env(OPENBLAS_CORETYPE=kernel)
         probe = [sys.executable, "-c", "from fluctlab.blas import corename; print(corename())"]
         loaded = subprocess.run(probe, check=True, capture_output=True, text=True, env=env, timeout=60)
         assert loaded.stdout.strip() in FORCED_KERNELS[kernel]
@@ -447,7 +435,7 @@ class TestBackward:
         bytes at 1 and 2 BLAS threads under kernels that thread its products."""
         printed = {}
         for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": subprocess_pythonpath(), "OPENBLAS_CORETYPE": kernel}
+            env = fresh_process_env(OPENBLAS_CORETYPE=kernel)
             env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
             cmd = [sys.executable, "-c", BACKWARD_DIGEST]
             done = subprocess.run(cmd, check=True, capture_output=True, text=True, env=env, timeout=60)
